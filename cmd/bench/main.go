@@ -79,10 +79,7 @@ type File struct {
 	// FastForward measures the idle-cycle fast-forward speedup on one
 	// blocking OS-managed scheme (absent when bench ran with -no-ff).
 	FastForward *FFSpeedup `json:"fast_forward,omitempty"`
-	// Parallel measures the shard-parallel tick phase's end-to-end speedup
-	// on a multi-core config (absent only on schema-old baselines).
-	Parallel *ParSpeedup `json:"parallel,omitempty"`
-	GoBench  []GoBench   `json:"gobench,omitempty"`
+	GoBench     []GoBench  `json:"gobench,omitempty"`
 }
 
 // E2E is one end-to-end throughput measurement (higher cycles/sec is
@@ -146,29 +143,6 @@ type FFSpeedup struct {
 	OnCyclesPerSec  float64 `json:"on_cycles_per_sec"`
 	OffCyclesPerSec float64 `json:"off_cycles_per_sec"`
 	// Speedup is on/off; >1 means fast-forward helped.
-	Speedup float64 `json:"speedup"`
-}
-
-// ParSpeedup is the parallel tick phase's effectiveness measurement: the
-// same multi-core run sequential and with the shard-parallel engine,
-// best-of-N cycles/sec each. Both runs produce byte-identical results (the
-// equivalence tests pin that), so this is a pure host-speed ratio — and it
-// is bounded by HostCPUs: on a single-CPU host the parallel run only pays
-// barrier overhead, so Speedup is interpreted against HostCPUs, never
-// gated.
-type ParSpeedup struct {
-	Scheme string `json:"scheme"`
-	Cores  int    `json:"cores"`
-	// Workers is the tick-phase worker count the parallel side ran with.
-	Workers int `json:"workers"`
-	// HostCPUs is runtime.NumCPU() on the measuring host — the hard ceiling
-	// on any real speedup. A baseline recorded on a single-CPU host carries
-	// HostCPUs 1, telling readers the Speedup there measures machinery
-	// overhead, not scaling.
-	HostCPUs        int     `json:"host_cpus"`
-	SeqCyclesPerSec float64 `json:"seq_cycles_per_sec"`
-	ParCyclesPerSec float64 `json:"par_cycles_per_sec"`
-	// Speedup is par/seq; >1 means the worker pool helped.
 	Speedup float64 `json:"speedup"`
 }
 
@@ -263,17 +237,6 @@ func main() {
 			"off_mcyc_per_sec", round2(sp.OffCyclesPerSec/1e6),
 			"speedup", round2(sp.Speedup))
 	}
-
-	ps, err := runParSpeedup(cf, *reps)
-	if err != nil {
-		fatal("parallel speedup: %v", err)
-	}
-	f.Parallel = ps
-	logger.Info("parallel speedup", "scheme", ps.Scheme,
-		"cores", ps.Cores, "workers", ps.Workers, "host_cpus", ps.HostCPUs,
-		"seq_mcyc_per_sec", round2(ps.SeqCyclesPerSec/1e6),
-		"par_mcyc_per_sec", round2(ps.ParCyclesPerSec/1e6),
-		"speedup", round2(ps.Speedup))
 
 	if *gobench != "" {
 		logger.Info("go test -bench", "pattern", *gobench)
@@ -516,65 +479,6 @@ func runFFSpeedup(cf *cliflags.Common, reps int) (*FFSpeedup, error) {
 	sp := &FFSpeedup{Scheme: string(nomad.SchemeTDC), OnCyclesPerSec: on, OffCyclesPerSec: off}
 	if off > 0 {
 		sp.Speedup = on / off
-	}
-	return sp, nil
-}
-
-// runParSpeedup measures the shard-parallel tick phase's end-to-end speedup
-// on multi-core NOMAD (the multi-channel HBM+DDR system): the same run with
-// Workers 0 (sequential) and with one worker per available CPU (capped at
-// the core count — more workers than shards is pure overhead), best-of-reps
-// cycles/sec each. Fast-forward is disabled on both sides so the
-// measurement covers the busy tick path the workers parallelize rather
-// than the jump machinery.
-func runParSpeedup(cf *cliflags.Common, reps int) (*ParSpeedup, error) {
-	w, err := nomad.WorkloadByAbbr("cact")
-	if err != nil {
-		return nil, err
-	}
-	const cores = 8
-	workers := runtime.NumCPU()
-	if workers > cores {
-		workers = cores
-	}
-	if workers < 2 {
-		// Single-CPU host: run the full worker pool anyway so the committed
-		// number covers the real machinery, with HostCPUs saying why the
-		// ratio cannot exceed 1 there.
-		workers = 2
-	}
-	measure := func(workerCount int) (float64, error) {
-		var best float64
-		for i := 0; i < reps; i++ {
-			cfg := measureConfig(cf, nomad.SchemeNOMAD)
-			cfg.Cores = cores
-			cfg.Workers = workerCount
-			cfg.NoFastForward = true
-			res, err := nomad.Run(cfg, w)
-			if err != nil {
-				return 0, err
-			}
-			if h := res.Host(); h != nil && h.SimCyclesPerSec > best {
-				best = h.SimCyclesPerSec
-			}
-		}
-		return best, nil
-	}
-	seq, err := measure(0)
-	if err != nil {
-		return nil, err
-	}
-	par, err := measure(workers)
-	if err != nil {
-		return nil, err
-	}
-	sp := &ParSpeedup{
-		Scheme: string(nomad.SchemeNOMAD), Cores: cores,
-		Workers: workers, HostCPUs: runtime.NumCPU(),
-		SeqCyclesPerSec: seq, ParCyclesPerSec: par,
-	}
-	if seq > 0 {
-		sp.Speedup = par / seq
 	}
 	return sp, nil
 }
@@ -861,17 +765,6 @@ func Compare(prev, cur *File, threshold float64) []Delta {
 				Old: old, New: new, Change: (new - old) / old})
 		}
 	}
-	if prev.Parallel != nil && cur.Parallel != nil && prev.Parallel.Scheme == cur.Parallel.Scheme {
-		// Gate on the absolute sequential throughput of the multi-core
-		// config; the parallel throughput and speedup stay advisory because
-		// both are bounded by the measuring host's CPU count, which CI
-		// runners do not guarantee.
-		higherBetter("par seq "+cur.Parallel.Scheme+" cycles/s", prev.Parallel.SeqCyclesPerSec, cur.Parallel.SeqCyclesPerSec)
-		if old, new := prev.Parallel.Speedup, cur.Parallel.Speedup; old > 0 {
-			deltas = append(deltas, Delta{Name: "parallel speedup " + cur.Parallel.Scheme + " (advisory)",
-				Old: old, New: new, Change: (new - old) / old})
-		}
-	}
 	prevGB := map[string]GoBench{}
 	for _, b := range prev.GoBench {
 		prevGB[b.Name] = b
@@ -909,9 +802,6 @@ func Coverage(prev, cur *File) (added, dropped []string) {
 		}
 		if f.FastForward != nil {
 			s["fast_forward"] = true
-		}
-		if f.Parallel != nil {
-			s["parallel"] = true
 		}
 		return s
 	}

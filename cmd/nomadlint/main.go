@@ -1,5 +1,5 @@
 // Command nomadlint enforces the simulator's determinism contract (see
-// DESIGN.md, "Determinism contract" and "Ownership domains"). It is built
+// DESIGN.md, "Determinism contract" and "State coverage"). It is built
 // entirely on the standard library's go/ast, go/parser, go/token, and
 // go/types — running it needs nothing beyond the Go toolchain already
 // required to build the simulator.
@@ -9,13 +9,13 @@
 //	go run ./cmd/nomadlint ./...
 //	go run ./cmd/nomadlint -write-inventory ./...
 //	go run ./cmd/nomadlint -rules wallclock,maporder ./...
-//	go run ./cmd/nomadlint -rule ownership -json ./...
+//	go run ./cmd/nomadlint -rule statecover -json ./...
 //
 // The package pattern argument is accepted for familiarity but the analyzer
 // always loads the whole module containing the working directory: the
 // determinism contract is a whole-module property (metric-name uniqueness,
-// forwarder resolution, and the ownership call graph cross package
-// boundaries).
+// forwarder resolution, and the state-coverage call graph cross package
+// boundaries). Unknown rule names exit 2 with the list of valid ones.
 package main
 
 import (
@@ -40,7 +40,7 @@ type jsonFinding struct {
 
 func main() {
 	var (
-		writeInventory = flag.Bool("write-inventory", false, "regenerate internal/lint/metric_inventory.txt and ownership_inventory.txt from the live tree and exit")
+		writeInventory = flag.Bool("write-inventory", false, "regenerate internal/lint/metric_inventory.txt from the live tree and exit")
 		rules          = flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
 		rule           = flag.String("rule", "", "run a single rule family (shorthand for -rules <family>)")
 		listRules      = flag.Bool("list-rules", false, "print the rule names and exit")
@@ -53,6 +53,17 @@ func main() {
 			fmt.Println(r)
 		}
 		return
+	}
+	var sel []string
+	if *rules != "" {
+		sel = append(sel, strings.Split(*rules, ",")...)
+	}
+	if *rule != "" {
+		sel = append(sel, *rule)
+	}
+	if err := lint.CheckRules(sel); err != nil {
+		fmt.Fprintln(os.Stderr, "nomadlint:", err)
+		os.Exit(2)
 	}
 
 	root, err := moduleRoot()
@@ -67,42 +78,24 @@ func main() {
 	}
 
 	if *writeInventory {
-		writeFile := func(rel, header string, lines []string) {
-			out := filepath.Join(root, "internal", "lint", rel)
-			data := header + strings.Join(lines, "\n") + "\n"
-			if len(lines) == 0 {
-				data = header
-			}
-			if err := os.WriteFile(out, []byte(data), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "nomadlint:", err)
-				os.Exit(2)
-			}
-			fmt.Printf("nomadlint: wrote %d inventory lines to %s\n", len(lines), out)
+		lines := lint.InventoryLines(mod)
+		out := filepath.Join(root, "internal", "lint", "metric_inventory.txt")
+		data := "# Metric registration inventory. Regenerate with:\n" +
+			"#   go run ./cmd/nomadlint -write-inventory ./...\n" +
+			"# Format: namespace<TAB>name-pattern ('*' = run-time component).\n"
+		if len(lines) > 0 {
+			data += strings.Join(lines, "\n") + "\n"
 		}
-		writeFile("metric_inventory.txt",
-			"# Metric registration inventory. Regenerate with:\n"+
-				"#   go run ./cmd/nomadlint -write-inventory ./...\n"+
-				"# Format: namespace<TAB>name-pattern ('*' = run-time component).\n",
-			lint.InventoryLines(mod))
-		writeFile("ownership_inventory.txt",
-			"# Ownership inventory. Regenerate with:\n"+
-				"#   go run ./cmd/nomadlint -write-inventory ./...\n"+
-				"# Format: owner<TAB>package<TAB>Type<TAB>domain\n"+
-				"#         port<TAB>package<TAB>Func<TAB>reason\n",
-			lint.OwnershipInventoryLines(mod))
+		if err := os.WriteFile(out, []byte(data), 0o644); err != nil {
+			fmt.Fprintln(os.Stderr, "nomadlint:", err)
+			os.Exit(2)
+		}
+		fmt.Printf("nomadlint: wrote %d inventory lines to %s\n", len(lines), out)
 		return
 	}
 
 	cfg := lint.DefaultConfig()
 	cfg.MetricInventory = lint.EmbeddedInventory()
-	cfg.OwnershipInventory = lint.EmbeddedOwnershipInventory()
-	var sel []string
-	if *rules != "" {
-		sel = append(sel, strings.Split(*rules, ",")...)
-	}
-	if *rule != "" {
-		sel = append(sel, *rule)
-	}
 	cfg.Rules = sel
 	diags := lint.Run(mod, cfg)
 	if *jsonOut {

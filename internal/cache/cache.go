@@ -28,7 +28,7 @@ type Lower interface {
 
 // Config describes one cache level.
 //
-//nomad:owner host
+//nomad:ephemeral run configuration, fixed before the first cycle and hashed into the manifest
 type Config struct {
 	Name    string
 	Sets    int
@@ -46,8 +46,6 @@ func (c Config) SizeBytes() uint64 {
 }
 
 // Stats counts per-level events.
-//
-//nomad:owner core
 type Stats struct {
 	Hits         uint64
 	Misses       uint64
@@ -75,7 +73,6 @@ const invalidTag = ^uint64(0)
 // packed uint64 array so the per-lookup way scan touches a couple of cache
 // lines instead of every way's full record.
 //
-//nomad:owner core
 //nomad:ephemeral per-way tag metadata; divergence surfaces in the registered hit/miss and writeback counters
 type wayMeta struct {
 	lru   uint64
@@ -91,7 +88,6 @@ type waiter struct {
 // array (cache-friendly scan, no map or per-miss allocation); fillFn is the
 // slot's permanent fill callback, built once at construction.
 //
-//nomad:owner core
 //nomad:ephemeral miss-status-register working state; divergence surfaces in the registered MSHR stall counters
 type mshr struct {
 	block   uint64
@@ -110,8 +106,6 @@ type mshr struct {
 // completion, carried across the lookup-latency delay by a prebuilt closure
 // instead of a fresh capture per access. retried marks re-admissions after
 // an MSHR stall (they skip hit/miss accounting).
-//
-//nomad:owner core
 type accessOp struct {
 	req     mem.Request
 	done    mem.Done
@@ -121,8 +115,6 @@ type accessOp struct {
 
 // Cache is one level. It is event-driven: Access schedules the lookup after
 // the configured latency.
-//
-//nomad:owner core
 type Cache struct {
 	cfg   Config
 	eng   *sim.Engine

@@ -45,7 +45,7 @@ type Command struct {
 
 // BackendConfig sizes the back-end hardware.
 //
-//nomad:owner host
+//nomad:ephemeral run configuration, fixed before the first cycle and hashed into the manifest
 type BackendConfig struct {
 	// PCSHRs is the total number of page copy status registers.
 	PCSHRs int
@@ -109,8 +109,6 @@ func (c BackendConfig) normalized() BackendConfig {
 }
 
 // BackendStats counts back-end events.
-//
-//nomad:owner channel
 type BackendStats struct {
 	Fills      uint64
 	Writebacks uint64
@@ -156,7 +154,6 @@ type subEntry struct {
 	parkedAt uint64
 }
 
-//nomad:owner channel
 //nomad:ephemeral PCSHR working state; divergence surfaces in the registered backend.* counters and occupancy histograms
 type pcshr struct {
 	// b is the owning Backend: the register itself is the dram.Completer
@@ -199,7 +196,6 @@ type pendingCmd struct {
 	done    mem.Done
 }
 
-//nomad:owner channel
 //nomad:ephemeral copy-buffer group working state; divergence surfaces in the registered buffer-wait counters and histograms
 type group struct {
 	regs     []*pcshr
@@ -215,8 +211,6 @@ type group struct {
 
 // Backend is the NOMAD back-end hardware. HBM holds the DRAM cache; DDR is
 // the off-package memory.
-//
-//nomad:owner channel
 type Backend struct {
 	cfg    BackendConfig
 	eng    *sim.Engine

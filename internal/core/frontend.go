@@ -52,7 +52,7 @@ type transferTracker interface {
 
 // FrontendConfig parameterises the OS routines.
 //
-//nomad:owner host
+//nomad:ephemeral run configuration, fixed before the first cycle and hashed into the manifest
 type FrontendConfig struct {
 	// TagMgmtLatency is the handler's critical-section occupancy: two
 	// dependent on-package reads plus synchronization, conservatively
@@ -112,8 +112,6 @@ func (c FrontendConfig) normalized() FrontendConfig {
 }
 
 // FrontendStats counts OS-routine events.
-//
-//nomad:owner channel
 type FrontendStats struct {
 	TagHits     uint64 // walks that found the page cached
 	TagMisses   uint64
@@ -150,7 +148,6 @@ func (s *FrontendStats) AvgTagMgmtLatency() float64 {
 // mutexSim models the cache_frame_management_mutex: a FIFO critical
 // section in simulated time.
 //
-//nomad:owner channel
 //nomad:ephemeral modeled lock word; contention surfaces in the registered OS-blocked cycle counters
 type mutexSim struct {
 	busy    bool
@@ -179,8 +176,6 @@ func (m *mutexSim) unlock() {
 
 // Frontend implements the NOMAD OS routines (and, with Blocking set, the
 // TDC variant). It satisfies tlb.Walker and tlb.Directory.
-//
-//nomad:owner channel
 type Frontend struct {
 	cfg     FrontendConfig
 	eng     *sim.Engine
@@ -212,8 +207,6 @@ type Frontend struct {
 
 // fwalkOp is one pooled in-flight walk, carried across the walk-latency
 // delay by its prebuilt fn callback.
-//
-//nomad:owner channel
 type fwalkOp struct {
 	coreID int
 	vaddr  uint64
@@ -319,8 +312,6 @@ func (f *Frontend) Manager() *osmem.Manager { return f.mm }
 
 // Walk implements tlb.Walker: the page-table walk plus, for cacheable
 // uncached pages, DC tag miss handling.
-//
-//nomad:port page-walk entry: the core-side TLB asks the channel-side OS engine to translate; becomes a cross-shard request
 func (f *Frontend) Walk(coreID int, vaddr uint64, done func(tlb.Entry)) {
 	op := f.getWalk()
 	op.coreID = coreID

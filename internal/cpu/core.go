@@ -44,7 +44,7 @@ type MemPort interface {
 
 // Config sizes one core.
 //
-//nomad:owner host
+//nomad:ephemeral run configuration, fixed before the first cycle and hashed into the manifest
 type Config struct {
 	Width    int // issue/retire width
 	ROBSize  int
@@ -60,8 +60,6 @@ func DefaultConfig() Config {
 }
 
 // Stats counts one core's progress and stalls.
-//
-//nomad:owner core
 type Stats struct {
 	Instructions uint64
 	Cycles       uint64
@@ -98,7 +96,6 @@ func (s *Stats) StallRatio() float64 {
 	return float64(s.OSBlockedCycles) / float64(s.Cycles)
 }
 
-//nomad:owner core
 //nomad:ephemeral load-queue slot working state; divergence surfaces in the registered stall-cause counters
 type loadSlot struct {
 	pos   uint64 // absolute instruction index
@@ -112,8 +109,6 @@ type loadSlot struct {
 }
 
 // Core is one simulated CPU. Register it as a sim.Ticker.
-//
-//nomad:owner core
 type Core struct {
 	ID   int
 	cfg  Config
@@ -206,8 +201,6 @@ func (c *Core) SetSpanTracing(spans *metrics.SpanRing, every uint64) {
 
 // Block suspends the thread until a matching Unblock (OS routine of unknown
 // duration, e.g. a TDC page copy). Calls nest.
-//
-//nomad:port thread scheduling: the channel-side OS engine suspends a core; becomes a core-shard control message
 func (c *Core) Block() {
 	if c.blockCount == 0 {
 		c.stats.OSBlockEvents++
@@ -228,8 +221,6 @@ func (c *Core) BlockFor(now, cycles uint64) {
 }
 
 // Unblock undoes one Block.
-//
-//nomad:port thread scheduling: the channel-side OS engine resumes a core; becomes a core-shard control message
 func (c *Core) Unblock() {
 	if c.blockCount == 0 {
 		panic("cpu: Unblock without Block")

@@ -83,8 +83,6 @@ func DDRConfig() Config {
 }
 
 // Stats accumulates device-wide counters.
-//
-//nomad:owner channel
 type Stats struct {
 	Reads  uint64
 	Writes uint64
@@ -133,8 +131,6 @@ type Completer interface {
 // request is pooled: Device.getRequest/release recycle instances through a
 // freelist, and completeFn is built once per instance so steady-state traffic
 // schedules completions without allocating.
-//
-//nomad:owner channel
 type request struct {
 	addr       uint64
 	row        uint64
@@ -151,7 +147,6 @@ type request struct {
 	priority   bool
 }
 
-//nomad:owner channel
 //nomad:ephemeral DRAM timing state; divergence surfaces in the registered row-hit/busy counters
 type bank struct {
 	openRow int64 // -1 = closed
@@ -163,7 +158,6 @@ type bank struct {
 	rowConflicts uint64
 }
 
-//nomad:owner channel
 //nomad:ephemeral DRAM timing state; divergence surfaces in the registered row-hit/busy counters
 type channel struct {
 	idx       int // channel index within the device (trace labels)
@@ -175,8 +169,6 @@ type channel struct {
 
 // Device is one DRAM device instance bound to a simulation engine. It
 // registers itself as a ticker; callers enqueue requests with Access.
-//
-//nomad:owner channel
 type Device struct {
 	cfg   Config
 	eng   *sim.Engine

@@ -64,11 +64,6 @@ type Options struct {
 	// the timing wheel; sim.KindHeap runs on the binary-heap oracle).
 	// Results are byte-identical across engines.
 	Engine sim.Kind
-	// Workers enables each run's parallel tick phase with that many workers
-	// (see system.Config.Workers); results are byte-identical at every
-	// worker count. Orthogonal to Parallelism, which bounds how many whole
-	// runs execute concurrently.
-	Workers int
 	// Progress, when non-nil, is called once per run with its key and must
 	// return a Machine.SetProgress callback (or nil). Callbacks fire on
 	// worker goroutines; system.ProgressPrinter returns a suitable one.
@@ -104,7 +99,6 @@ func (o Options) BaseConfig() system.Config {
 	cfg.SelfProfile = o.SelfProfile
 	cfg.FastForward = !o.NoFastForward
 	cfg.Engine = o.Engine
-	cfg.Workers = o.Workers
 	return cfg
 }
 

@@ -2,35 +2,20 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// fieldWrite is one mutation of struct state: a selector assignment, a
-// compound assignment or ++/--, an element store through a field
-// (c.tags[i] = v), or a whole-struct store through a pointer (*v = T{…},
-// field == "").
-type fieldWrite struct {
-	node  *cgNode // enclosing function; nil only for package-level code
-	pkg   *Package
-	tn    *types.TypeName
-	field string
-	pos   token.Pos
-	vals  []ast.Expr // value expressions stored (append unwrapped)
-}
-
-// accesses is the module-wide field-access index shared by the ownership
-// and state-coverage rules.
+// accesses is the module-wide field-access index the state-coverage rule
+// reads. A field is mutated by a selector assignment, a compound assignment
+// or ++/--, or an element store through it (c.tags[i] = v); a whole-struct
+// store through a pointer (*v = T{…}) mutates every field of the type.
 type accesses struct {
-	writes       []fieldWrite
 	readsBy      map[*cgNode]map[fieldKey]bool
-	mutable      map[*types.TypeName]bool
 	wholeWritten map[*types.TypeName]bool
-	mutFields    map[fieldKey]token.Pos
+	mutFields    map[fieldKey]bool
 }
 
 type accCollector struct {
-	mod *Module
 	cg  *callGraph
 	acc *accesses
 	// skip marks selector nodes consumed as write targets so the read sweep
@@ -42,13 +27,11 @@ type accCollector struct {
 // reads, attributed to the call-graph node they occur in.
 func collectAccesses(mod *Module, cg *callGraph) *accesses {
 	c := &accCollector{
-		mod: mod,
-		cg:  cg,
+		cg: cg,
 		acc: &accesses{
 			readsBy:      map[*cgNode]map[fieldKey]bool{},
-			mutable:      map[*types.TypeName]bool{},
 			wholeWritten: map[*types.TypeName]bool{},
-			mutFields:    map[fieldKey]token.Pos{},
+			mutFields:    map[fieldKey]bool{},
 		},
 		skip: map[ast.Expr]bool{},
 	}
@@ -96,19 +79,11 @@ func (c *accCollector) walkBody(p *Package, root *cgNode, body *ast.BlockStmt) {
 				enclStack = append(enclStack, cur)
 			}
 		case *ast.AssignStmt:
-			var vals []ast.Expr
-			if (x.Tok == token.ASSIGN || x.Tok == token.DEFINE) && len(x.Lhs) == len(x.Rhs) {
-				vals = x.Rhs
-			}
-			for i, lhs := range x.Lhs {
-				var v []ast.Expr
-				if vals != nil {
-					v = unwrapValues(p.Info, vals[i])
-				}
-				c.writeTarget(p, cur, lhs, v)
+			for _, lhs := range x.Lhs {
+				c.writeTarget(p, lhs)
 			}
 		case *ast.IncDecStmt:
-			c.writeTarget(p, cur, x.X, nil)
+			c.writeTarget(p, x.X)
 		case *ast.SelectorExpr:
 			if c.skip[x] {
 				return true
@@ -126,28 +101,14 @@ func (c *accCollector) walkBody(p *Package, root *cgNode, body *ast.BlockStmt) {
 	})
 }
 
-// unwrapValues flattens an RHS into the value expressions actually stored:
-// append(x, a, b) stores a and b (and whatever x already held).
-func unwrapValues(info *types.Info, e ast.Expr) []ast.Expr {
-	e = ast.Unparen(e)
-	if call, ok := e.(*ast.CallExpr); ok {
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-			if bi, ok := info.Uses[id].(*types.Builtin); ok && bi.Name() == "append" && len(call.Args) > 1 {
-				return call.Args[1:]
-			}
-		}
-	}
-	return []ast.Expr{e}
-}
-
 // writeTarget records the mutation an assignment target denotes, if any.
-func (c *accCollector) writeTarget(p *Package, cur *cgNode, lhs ast.Expr, vals []ast.Expr) {
+func (c *accCollector) writeTarget(p *Package, lhs ast.Expr) {
 	lhs = ast.Unparen(lhs)
 	switch x := lhs.(type) {
 	case *ast.SelectorExpr:
 		if tn, fname := structFieldOf(p.Info, x); tn != nil {
 			c.skip[x] = true
-			c.record(p, cur, tn, fname, x.Sel.Pos(), vals)
+			c.acc.mutFields[fieldKey{tn, fname}] = true
 		}
 	case *ast.IndexExpr:
 		// c.tags[i] = v, possibly nested (c.a[i][j] = v): the mutated state
@@ -163,7 +124,7 @@ func (c *accCollector) writeTarget(p *Package, cur *cgNode, lhs ast.Expr, vals [
 		if sel, ok := base.(*ast.SelectorExpr); ok {
 			if tn, fname := structFieldOf(p.Info, sel); tn != nil {
 				c.skip[sel] = true
-				c.record(p, cur, tn, fname, sel.Sel.Pos(), vals)
+				c.acc.mutFields[fieldKey{tn, fname}] = true
 			}
 		}
 	case *ast.StarExpr:
@@ -171,21 +132,10 @@ func (c *accCollector) writeTarget(p *Package, cur *cgNode, lhs ast.Expr, vals [
 		if tv, ok := p.Info.Types[x.X]; ok && tv.Type != nil {
 			if ptr, ok := tv.Type.Underlying().(*types.Pointer); ok {
 				if tn := namedStructOf(ptr.Elem()); tn != nil {
-					c.acc.writes = append(c.acc.writes, fieldWrite{node: cur, pkg: p, tn: tn, field: "", pos: x.Pos(), vals: vals})
-					c.acc.mutable[tn] = true
 					c.acc.wholeWritten[tn] = true
 				}
 			}
 		}
-	}
-}
-
-func (c *accCollector) record(p *Package, cur *cgNode, tn *types.TypeName, fname string, pos token.Pos, vals []ast.Expr) {
-	c.acc.writes = append(c.acc.writes, fieldWrite{node: cur, pkg: p, tn: tn, field: fname, pos: pos, vals: vals})
-	c.acc.mutable[tn] = true
-	key := fieldKey{tn, fname}
-	if _, ok := c.acc.mutFields[key]; !ok {
-		c.acc.mutFields[key] = pos
 	}
 }
 

@@ -6,94 +6,35 @@ import (
 	"go/types"
 )
 
-// The call graph is the shared spine of the interprocedural rules
-// (ownership, statecover). Nodes are function declarations and function
-// literals; edges record how control can move between them:
+// The call graph is the spine of the interprocedural statecover rule.
+// Nodes are function declarations and function literals; an edge from a
+// node means control can move from it to the target by one of:
 //
-//   - static:  direct calls to a named function or method (generic
-//     instantiations are resolved to their origin declaration)
-//   - closure: a function literal created inside its encloser — the literal
-//     belongs to the domain of the code that built it (creator-domain rule)
-//   - iface:   interface dispatch, resolved conservatively to every module
-//     type implementing the interface
-//   - dynamic: invocation of a func value; targets come from a
-//     flow-insensitive propagation of function values through variables,
-//     parameters, and struct fields (the pooled doneFn/forwarder pattern)
-type edgeKind uint8
-
-const (
-	edgeStatic edgeKind = iota
-	edgeClosure
-	edgeIface
-	edgeDynamic
-)
-
-type cgEdge struct {
-	to   *cgNode
-	kind edgeKind
-	pos  token.Pos
-}
-
+//   - a static call to a named function or method (generic instantiations
+//     are resolved to their origin declaration)
+//   - a function literal created inside it
+//   - interface dispatch, resolved conservatively to every module type
+//     implementing the interface
+//   - invocation of a func value; targets come from a flow-insensitive
+//     propagation of function values through variables, parameters, and
+//     struct fields (the pooled doneFn/forwarder pattern)
 type cgNode struct {
-	fn   *types.Func  // named function/method; nil for literals
-	lit  *ast.FuncLit // literal; nil for named functions
-	pkg  *Package
-	recv *types.TypeName // receiver base type for methods, else nil
-	encl *cgNode         // lexical encloser for literals
-	out  []cgEdge
-
-	port   bool // declared //nomad:port
-	inPort bool // is a port or lexically inside one: writes/calls are mediated
-
-	// Ownership domain state, filled by checkOwnership: seed is the domain
-	// owned by the receiver type, mask the set of domains whose code can
-	// reach this function without crossing a port.
-	seed, mask uint8
-}
-
-func (n *cgNode) name() string {
-	if n.fn != nil {
-		if n.recv != nil {
-			return n.recv.Name() + "." + n.fn.Name()
-		}
-		return n.fn.Name()
-	}
-	return "func literal"
+	out []*cgNode
 }
 
 type callGraph struct {
-	mod    *Module
-	nodes  []*cgNode
 	byFunc map[*types.Func]*cgNode
 	byLit  map[*ast.FuncLit]*cgNode
-}
-
-// recvTypeName resolves a method's receiver to its origin named type.
-func recvTypeName(fn *types.Func) *types.TypeName {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Origin().Obj()
-	}
-	return nil
 }
 
 type dynSite struct {
 	from *cgNode
 	key  types.Object
-	pos  token.Pos
 }
 
 type ifaceSite struct {
 	from *cgNode
 	m    *types.Func
-	pos  token.Pos
 }
 
 // flowBinding defers "function values flowing into object dst" resolution
@@ -106,7 +47,6 @@ type flowBinding struct {
 
 type cgBuilder struct {
 	mod        *Module
-	ann        *annotations
 	g          *callGraph
 	flow       map[types.Object]map[*cgNode]bool
 	copies     map[types.Object]map[types.Object]bool
@@ -115,13 +55,11 @@ type cgBuilder struct {
 	ifaceSites []ifaceSite
 }
 
-// buildCallGraph constructs the module call graph. ann supplies the port
-// set; it may be empty but not nil.
-func buildCallGraph(mod *Module, ann *annotations) *callGraph {
+// buildCallGraph constructs the module call graph.
+func buildCallGraph(mod *Module) *callGraph {
 	b := &cgBuilder{
 		mod:    mod,
-		ann:    ann,
-		g:      &callGraph{mod: mod, byFunc: map[*types.Func]*cgNode{}, byLit: map[*ast.FuncLit]*cgNode{}},
+		g:      &callGraph{byFunc: map[*types.Func]*cgNode{}, byLit: map[*ast.FuncLit]*cgNode{}},
 		flow:   map[types.Object]map[*cgNode]bool{},
 		copies: map[types.Object]map[types.Object]bool{},
 	}
@@ -137,12 +75,7 @@ func buildCallGraph(mod *Module, ann *annotations) *callGraph {
 				if !ok {
 					continue
 				}
-				n := &cgNode{fn: fn, pkg: p, recv: recvTypeName(fn)}
-				if _, ok := ann.ports[fn]; ok {
-					n.port, n.inPort = true, true
-				}
-				b.g.nodes = append(b.g.nodes, n)
-				b.g.byFunc[fn] = n
+				b.g.byFunc[fn] = &cgNode{}
 			}
 		}
 	}
@@ -184,7 +117,7 @@ func buildCallGraph(mod *Module, ann *annotations) *callGraph {
 	b.fixpoint()
 	for _, site := range b.dyn {
 		for to := range b.flow[site.key] {
-			site.from.out = append(site.from.out, cgEdge{to: to, kind: edgeDynamic, pos: site.pos})
+			site.from.out = append(site.from.out, to)
 		}
 	}
 	b.resolveIfaces()
@@ -214,10 +147,9 @@ func (b *cgBuilder) walkFunc(p *Package, root *cgNode, body *ast.BlockStmt) {
 		nodeStack = append(nodeStack, n)
 		switch x := n.(type) {
 		case *ast.FuncLit:
-			ln := &cgNode{lit: x, pkg: p, encl: cur, inPort: cur.inPort}
-			b.g.nodes = append(b.g.nodes, ln)
+			ln := &cgNode{}
 			b.g.byLit[x] = ln
-			cur.out = append(cur.out, cgEdge{to: ln, kind: edgeClosure, pos: x.Pos()})
+			cur.out = append(cur.out, ln)
 			enclStack = append(enclStack, cur)
 			cur = ln
 		case *ast.CallExpr:
@@ -299,17 +231,17 @@ func (b *cgBuilder) visitCall(p *Package, cur *cgNode, call *ast.CallExpr) {
 		fn := o.Origin()
 		sig, _ := fn.Type().(*types.Signature)
 		if sig != nil && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-			b.ifaceSites = append(b.ifaceSites, ifaceSite{from: cur, m: fn, pos: call.Pos()})
+			b.ifaceSites = append(b.ifaceSites, ifaceSite{from: cur, m: fn})
 			return
 		}
 		if to := b.g.byFunc[fn]; to != nil {
-			cur.out = append(cur.out, cgEdge{to: to, kind: edgeStatic, pos: call.Pos()})
+			cur.out = append(cur.out, to)
 			b.bindArgs(p, sig, call)
 		}
 	case *types.Var:
 		// Func value held in a variable, parameter, or field (base of an
 		// indexed func table included).
-		b.dyn = append(b.dyn, dynSite{from: cur, key: o, pos: call.Pos()})
+		b.dyn = append(b.dyn, dynSite{from: cur, key: o})
 	}
 }
 
@@ -502,7 +434,7 @@ func (b *cgBuilder) resolveIfaces() {
 				continue
 			}
 			if n := b.g.byFunc[fn.Origin()]; n != nil {
-				site.from.out = append(site.from.out, cgEdge{to: n, kind: edgeIface, pos: site.pos})
+				site.from.out = append(site.from.out, n)
 			}
 		}
 	}

@@ -2,104 +2,85 @@ package lint
 
 import "testing"
 
-// The call-graph edge cases pin the analyzer's resolution strategy: where it
-// is exact (static calls, method values handed to registrations), where it
-// is conservative (interface dispatch fans out to every implementer), and
-// where it deliberately stops (dynamic calls through stored func values —
-// the creator-domain rule — and files excluded by build constraints).
+// The call-graph edge cases pin the analyzer's resolution strategy through
+// the statecover rule it serves: a mutated field is covered only when a
+// metrics registration reaches a read of it along call-graph edges, so each
+// snippet below has a field that is covered, or not, exactly when the edge
+// under test is (or is not) followed. Exact: static calls, generic
+// instantiations resolved to their origin. Conservative: interface dispatch
+// fans out to every implementer. Excluded: files behind build constraints
+// the simulator does not ship with.
 
 func TestCallGraphInterfaceConservativeFallback(t *testing.T) {
-	// a.step calls through an interface; the analyzer cannot know the
-	// dynamic type, so it must fan out to every module implementer and
-	// flag the core->channel mutating call.
+	// The registration reads through an interface; the analyzer cannot know
+	// the dynamic type, so it must fan out to every module implementer and
+	// count both fields as covered.
 	diags := lintSnippet(t, `package model
 
-type mutator interface{ bump() }
+import "m/internal/metrics"
 
-//nomad:owner core
-type coreSide struct {
-	m mutator
-	n int
+type source interface{ level() uint64 }
+
+type unit struct{ depth uint64 }
+
+func (u *unit) step()         { u.depth++ }
+func (u *unit) level() uint64 { return u.depth }
+
+type other struct{ n uint64 }
+
+func (o *other) step()         { o.n++ }
+func (o *other) level() uint64 { return o.n }
+
+func register(r *metrics.Registry, s source) {
+	r.CounterFunc("source.level", func() uint64 { return s.level() })
 }
-
-func (c *coreSide) step() {
-	c.n++
-	c.m.bump() // line 13: may dispatch to the channel-side implementer
-}
-
-//nomad:owner channel
-type chanSide struct{ x int }
-
-func (s *chanSide) bump() { s.x++ }
-`, ownershipConfig("ownership"), nil)
-	wantDiags(t, diags, [2]any{"ownership", 13})
-}
-
-func TestCallGraphDynamicCallStopsPropagation(t *testing.T) {
-	// A func value stored in a field and invoked later belongs to the
-	// domain that created it: invocation through the field must NOT leak
-	// the caller's domain into the callee (cross-domain delivery of
-	// callbacks is mediated by shared-owned queues by design).
-	diags := lintSnippet(t, `package model
-
-//nomad:owner channel
-type chanSide struct{ x int }
-
-func (s *chanSide) makeDone() func() {
-	return func() { s.x++ } // channel-created callback
-}
-
-//nomad:owner core
-type coreSide struct {
-	done func()
-	n    int
-}
-
-func (c *coreSide) arm(f func()) { c.done = f }
-
-func (c *coreSide) fire() {
-	c.n++
-	c.done() // dynamic: must not paint the callback core
-}
-`, ownershipConfig("ownership"), nil)
+`, statecoverConfig("statecover"), statecoverMetrics())
 	wantDiags(t, diags)
 }
 
 func TestCallGraphBuildTaggedFileExcluded(t *testing.T) {
-	// A violation behind a build tag the simulator does not ship with is
-	// invisible to the analyzer, matching the compiled build graph.
+	// The only registration reading Unit.Depth sits behind a build tag the
+	// simulator does not ship with: it is invisible to the analyzer,
+	// matching the compiled build graph, so the field stays uncovered.
+	extra := statecoverMetrics()
+	extra["m/hooks"] = map[string]string{
+		"m/hooks/hooks.go": "package hooks\n",
+		"m/hooks/debug.go": `//go:build debughooks
+
+package hooks
+
+import (
+	"m/internal/metrics"
+	"m/model"
+)
+
+func Register(r *metrics.Registry, u *model.Unit) {
+	r.CounterFunc("unit.depth", func() uint64 { return u.Depth })
+}
+`,
+	}
 	diags := lintSnippet(t, `package model
 
-//nomad:owner core
-type coreSide struct{ peer *chanSide }
+type Unit struct {
+	Depth uint64 // line 4: registered only by the excluded file
+}
 
-func (c *coreSide) idle() { _ = c.peer }
-
-//nomad:owner channel
-type chanSide struct{ x int }
-
-func (s *chanSide) step() { s.x++ }
-`, ownershipConfig("ownership"), map[string]map[string]string{
-		"m/model-extra": {"m/model/tagged.go": `//go:build debughooks
-
-package model
-
-func debugPoke(c *coreSide) { c.peer.x++ } // would be a violation
-`},
-	})
-	wantDiags(t, diags)
+func (u *Unit) Step() { u.Depth++ }
+`, statecoverConfig("statecover"), extra)
+	wantDiags(t, diags, [2]any{"statecover", 4})
 }
 
 func TestCallGraphGenericsInstantiation(t *testing.T) {
-	// Generic structs are analyzed at their origin: two instantiations
-	// must produce one finding at the generic field declaration, and
-	// method bodies of instantiated types must resolve through Origin().
+	// Generic structs are analyzed at their origin: two instantiations must
+	// produce one finding at the generic field declaration, and a call on
+	// an instantiated type must resolve to the origin method's reads.
 	diags := lintSnippet(t, `package model
 
-//nomad:owner core
+import "m/internal/metrics"
+
 type ring[T any] struct {
-	buf  []T
-	head int // line 6: mutated via both instantiations, flagged once
+	buf  []T // line 6: mutated via both instantiations, flagged once
+	head int
 }
 
 func (r *ring[T]) push(v T) {
@@ -107,7 +88,8 @@ func (r *ring[T]) push(v T) {
 	r.head++
 }
 
-//nomad:owner core
+func (r *ring[T]) size() uint64 { return uint64(r.head) }
+
 //nomad:ephemeral fixture: instantiation driver state
 type driver struct {
 	a ring[int]
@@ -118,30 +100,36 @@ func (d *driver) step() {
 	d.a.push(1)
 	d.b.push("s")
 }
-`, ownershipConfig("ownership", "statecover"), nil)
-	wantDiags(t, diags,
-		[2]any{"statecover", 5}, // ring.buf
-		[2]any{"statecover", 6}, // ring.head
-	)
+
+func register(reg *metrics.Registry, d *driver) {
+	reg.CounterFunc("ring.size", func() uint64 { return d.a.size() })
+}
+`, statecoverConfig("statecover"), statecoverMetrics())
+	wantDiags(t, diags, [2]any{"statecover", 6})
 }
 
 func TestCallGraphStaticForwarderPropagation(t *testing.T) {
-	// Domain reachability must flow through plain (non-method) forwarder
-	// functions: core -> helper -> channel write is still a violation even
-	// though the helper itself is domainless.
+	// Coverage must flow through chains of plain (non-method) forwarder
+	// functions, and only along them: a field read solely by a function no
+	// registration reaches stays uncovered.
 	diags := lintSnippet(t, `package model
 
-//nomad:owner core
-type coreSide struct{ peer *chanSide }
+import "m/internal/metrics"
 
-func (c *coreSide) step() { poke(c.peer) }
+type unit struct {
+	depth uint64
+	spare uint64 // line 7: read, but not from any registration
+}
 
-func poke(s *chanSide) { s.x++ } // line 8: reached from core
+func (u *unit) step() { u.depth++; u.spare++ }
 
-//nomad:owner channel
-type chanSide struct{ x int }
+func level(u *unit) uint64  { return read(u) }
+func read(u *unit) uint64   { return u.depth }
+func unused(u *unit) uint64 { return u.spare }
 
-func (s *chanSide) own() { s.x++ }
-`, ownershipConfig("ownership"), nil)
-	wantDiags(t, diags, [2]any{"ownership", 8})
+func register(r *metrics.Registry, u *unit) {
+	r.CounterFunc("unit.depth", func() uint64 { return level(u) })
+}
+`, statecoverConfig("statecover"), statecoverMetrics())
+	wantDiags(t, diags, [2]any{"statecover", 7})
 }

@@ -17,12 +17,6 @@ func checkConcurrency(mod *Module, cfg *Config) []Diagnostic {
 			continue
 		}
 		for _, f := range p.Files {
-			if cfg.concurrencyAllowed(mod.Fset.Position(f.Pos()).Filename) {
-				// The parallel engine's worker pool is the one sanctioned
-				// use of goroutines in the model; see
-				// Config.ConcurrencyAllowFiles.
-				continue
-			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.GoStmt:

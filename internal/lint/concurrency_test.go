@@ -42,34 +42,6 @@ func shut(f *file) { closeFile(f) }
 	wantDiags(t, diags)
 }
 
-func TestConcurrencyAllowFiles(t *testing.T) {
-	// A file on the ConcurrencyAllowFiles list (the parallel engine) may
-	// launch goroutines; the ban stays in force for every other model file.
-	src := `package model
-
-func spawn(work func()) {
-	go work()
-}
-`
-	cfg := snippetConfig()
-	cfg.ConcurrencyAllowFiles = []string{"m/model/model.go"}
-	wantDiags(t, lintSnippet(t, src, cfg, nil))
-
-	cfg.ConcurrencyAllowFiles = []string{"m/model/other.go"}
-	wantDiags(t, lintSnippet(t, src, cfg, nil), [2]any{"concurrency", 4})
-}
-
-func TestConcurrencyDefaultAllowsParallelEngine(t *testing.T) {
-	// The repo's own config sanctions exactly internal/sim/parallel.go.
-	cfg := DefaultConfig()
-	if !cfg.concurrencyAllowed("/work/repo/internal/sim/parallel.go") {
-		t.Error("internal/sim/parallel.go not exempt from the concurrency rule")
-	}
-	if cfg.concurrencyAllowed("/work/repo/internal/sim/engine.go") {
-		t.Error("internal/sim/engine.go must stay under the goroutine ban")
-	}
-}
-
 func TestConcurrencyNonModelExempt(t *testing.T) {
 	diags := lintSnippet(t, `package model
 

@@ -19,20 +19,6 @@ func EmbeddedInventory() []string {
 	return inventoryLines(rawInventory)
 }
 
-// rawOwnershipInventory is the committed ownership inventory: every
-// //nomad:owner struct and //nomad:port mediation site in the model, so a
-// PR moving state between domains always shows as a reviewable diff here.
-// Regenerated with `go run ./cmd/nomadlint -write-inventory ./...`.
-//
-//go:embed ownership_inventory.txt
-var rawOwnershipInventory string
-
-// EmbeddedOwnershipInventory returns the committed ownership inventory
-// lines, never nil.
-func EmbeddedOwnershipInventory() []string {
-	return inventoryLines(rawOwnershipInventory)
-}
-
 func inventoryLines(raw string) []string {
 	lines := []string{}
 	for _, l := range strings.Split(raw, "\n") {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/token"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -30,9 +31,21 @@ var RuleNames = []string{
 	"floatclock",
 	"poolalloc",
 	"obsboundary",
-	"ownership",
 	"statecover",
 	"directive",
+}
+
+// CheckRules reports an error listing the valid rule names when any of names
+// is not one of RuleNames. Config.Rules is not validated by Run: a
+// misspelled rule would silently check nothing, so callers taking rule
+// names from users check them here first.
+func CheckRules(names []string) error {
+	for _, n := range names {
+		if !slices.Contains(RuleNames, n) {
+			return fmt.Errorf("unknown rule %q; valid rules: %s", n, strings.Join(RuleNames, ", "))
+		}
+	}
+	return nil
 }
 
 // Config scopes the determinism contract.
@@ -45,29 +58,18 @@ type Config struct {
 	// e.g. "internal/metrics/hostprof.go") from the wallclock rule: these
 	// knowingly read host state and are documented as non-deterministic.
 	AllowFiles []string
-	// ConcurrencyAllowFiles exempts individual files (same suffix matching
-	// as AllowFiles) from the concurrency rule. The goroutine ban stays in
-	// force for every other model file: the single default entry is the
-	// parallel engine itself, whose worker pool synchronizes exclusively
-	// through its barrier atomics and is proven byte-identical to the
-	// sequential engine by the equivalence tests.
-	ConcurrencyAllowFiles []string
 	// Rules restricts the run to a subset of RuleNames; empty means all.
 	Rules []string
 	// MetricInventory, when non-nil, is the committed inventory the
 	// collected metric registrations are compared against (one
 	// "namespace<TAB>pattern" per line). Nil skips the comparison.
 	MetricInventory []string
-	// OwnershipPackages are the import-path suffixes where the
-	// interprocedural ownership and state-coverage rules apply: the model
-	// packages holding shardable simulation state (internal/metrics is model
-	// scope for the syntactic rules but hosts the observability machinery,
-	// so it is not ownership scope). Empty disables both rules.
-	OwnershipPackages []string
-	// OwnershipInventory, when non-nil, is the committed ownership
-	// inventory the live owner/port annotations are compared against. Nil
-	// skips the comparison.
-	OwnershipInventory []string
+	// StateCoverPackages are the import-path suffixes where the
+	// interprocedural state-coverage rule applies: the model packages
+	// holding simulation state (internal/metrics is model scope for the
+	// syntactic rules but hosts the observability machinery, so it is not
+	// state-coverage scope). Empty disables the rule.
+	StateCoverPackages []string
 }
 
 // DefaultConfig returns the contract for this repository: every package
@@ -90,9 +92,8 @@ func DefaultConfig() Config {
 			"internal/system",
 			"internal/metrics",
 		},
-		AllowFiles:            []string{"internal/metrics/hostprof.go"},
-		ConcurrencyAllowFiles: []string{"internal/sim/parallel.go"},
-		OwnershipPackages: []string{
+		AllowFiles: []string{"internal/metrics/hostprof.go"},
+		StateCoverPackages: []string{
 			"internal/sim",
 			"internal/mem",
 			"internal/dram",
@@ -133,10 +134,10 @@ func (c *Config) isModel(modPath, ip string) bool {
 	return false
 }
 
-// isOwnership reports whether the package at import path ip is in
-// ownership-analysis scope.
-func (c *Config) isOwnership(modPath, ip string) bool {
-	for _, m := range c.OwnershipPackages {
+// isStateCover reports whether the package at import path ip is in
+// state-coverage scope.
+func (c *Config) isStateCover(modPath, ip string) bool {
+	for _, m := range c.StateCoverPackages {
 		if ip == modPath+"/"+m || ip == m {
 			return true
 		}
@@ -146,20 +147,8 @@ func (c *Config) isOwnership(modPath, ip string) bool {
 
 // fileAllowed reports whether filename is exempt from wallclock.
 func (c *Config) fileAllowed(filename string) bool {
-	return suffixMatch(filename, c.AllowFiles)
-}
-
-// concurrencyAllowed reports whether filename is exempt from the
-// concurrency rule.
-func (c *Config) concurrencyAllowed(filename string) bool {
-	return suffixMatch(filename, c.ConcurrencyAllowFiles)
-}
-
-// suffixMatch reports whether filename ends in one of the slash-separated
-// path suffixes.
-func suffixMatch(filename string, suffixes []string) bool {
 	f := path.Clean(strings.ReplaceAll(filename, "\\", "/"))
-	for _, a := range suffixes {
+	for _, a := range c.AllowFiles {
 		if strings.HasSuffix(f, "/"+a) || f == a {
 			return true
 		}
@@ -205,23 +194,11 @@ func Run(mod *Module, cfg Config) []Diagnostic {
 	if cfg.ruleEnabled("obsboundary") {
 		diags = append(diags, checkObsBoundary(mod, &cfg)...)
 	}
-	// The interprocedural rules share one call graph and access index;
-	// both are gated on ownership scope being configured.
-	if len(cfg.OwnershipPackages) > 0 && (cfg.ruleEnabled("ownership") || cfg.ruleEnabled("statecover")) {
+	if len(cfg.StateCoverPackages) > 0 && cfg.ruleEnabled("statecover") {
 		ann := parseAnnotations(mod)
-		for _, d := range ann.diags {
-			if cfg.ruleEnabled(d.Rule) {
-				diags = append(diags, d)
-			}
-		}
-		cg := buildCallGraph(mod, ann)
-		acc := collectAccesses(mod, cg)
-		if cfg.ruleEnabled("ownership") {
-			diags = append(diags, checkOwnership(mod, &cfg, ann, cg, acc)...)
-		}
-		if cfg.ruleEnabled("statecover") {
-			diags = append(diags, checkStateCover(mod, &cfg, ann, cg, acc)...)
-		}
+		diags = append(diags, ann.diags...)
+		cg := buildCallGraph(mod)
+		diags = append(diags, checkStateCover(mod, &cfg, ann, cg, collectAccesses(mod, cg))...)
 	}
 
 	kept := diags[:0]

@@ -126,7 +126,6 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.MetricInventory = EmbeddedInventory()
-	cfg.OwnershipInventory = EmbeddedOwnershipInventory()
 	diags := Run(mod, cfg)
 	for _, d := range diags {
 		t.Errorf("unexpected diagnostic: %s", d)
@@ -155,24 +154,23 @@ func TestInventoryMatchesTree(t *testing.T) {
 	}
 }
 
-// TestOwnershipInventoryMatchesTree is the same freshness guard for the
-// ownership inventory: the owner/port lines collected from the live tree
-// must equal the embedded ownership_inventory.txt.
-func TestOwnershipInventoryMatchesTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module lint is not a -short test")
+func TestCheckRules(t *testing.T) {
+	if err := CheckRules(nil); err != nil {
+		t.Errorf("no rules: %v", err)
 	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
+	if err := CheckRules([]string{"wallclock", "statecover", "directive"}); err != nil {
+		t.Errorf("known rules: %v", err)
 	}
-	mod, err := LoadDir(root)
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
+	err := CheckRules([]string{"wallclock", "nosuchrule"})
+	if err == nil {
+		t.Fatal("unknown rule accepted")
 	}
-	got := strings.Join(OwnershipInventoryLines(mod), "\n")
-	want := strings.Join(EmbeddedOwnershipInventory(), "\n")
-	if got != want {
-		t.Errorf("ownership inventory drift; run `go run ./cmd/nomadlint -write-inventory ./...`\ncollected:\n%s\nembedded:\n%s", got, want)
+	for _, want := range []string{`"nosuchrule"`, "statecover"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	if err := CheckRules([]string{"ownership"}); err == nil {
+		t.Error("the deleted ownership rule is still accepted")
 	}
 }

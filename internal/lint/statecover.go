@@ -6,25 +6,19 @@ import (
 	"strings"
 )
 
-// checkStateCover flags mutable model fields that are invisible to
-// observability: not read by anything reachable from a metrics registration
-// (the counters, series, and interval samplers the snapshot fold and digest
-// chain consume), not metrics machinery themselves, not callbacks, and not
-// annotated //nomad:ephemeral. Such state can survive into the ROI while
-// escaping every digest — the divergence class nomaddiff cannot localize.
+// checkStateCover flags mutable fields of every struct in state-coverage
+// scope that are invisible to observability: not read by anything reachable
+// from a metrics registration (the counters, series, and interval samplers
+// the snapshot fold and digest chain consume), not metrics machinery
+// themselves, not callbacks, and not annotated //nomad:ephemeral. Such state
+// can survive into the ROI while escaping every digest — the divergence
+// class nomaddiff cannot localize.
 func checkStateCover(mod *Module, cfg *Config, ann *annotations, cg *callGraph, acc *accesses) []Diagnostic {
 	covered := coveredFields(mod, cg, acc)
 	var diags []Diagnostic
 	for _, si := range ann.structs {
-		if !cfg.isOwnership(mod.Path, si.pkg.Path) {
+		if !cfg.isStateCover(mod.Path, si.pkg.Path) {
 			continue
-		}
-		oi, owned := ann.owners[si.tn]
-		if !owned {
-			continue // unannotated mutable structs are the ownership rule's finding
-		}
-		if oi.domain == domHost {
-			continue // host state (configs, results) never enters the deterministic snapshot
 		}
 		if ann.ephType[si.tn] || ann.pooled[si.tn] {
 			// Pooled carriers are recycled in-flight state; their pool
@@ -33,7 +27,7 @@ func checkStateCover(mod *Module, cfg *Config, ann *annotations, cg *callGraph, 
 		}
 		for _, fi := range si.fields {
 			key := fieldKey{si.tn, fi.name}
-			if _, mut := acc.mutFields[key]; !mut && !acc.wholeWritten[si.tn] {
+			if !acc.mutFields[key] && !acc.wholeWritten[si.tn] {
 				continue
 			}
 			if ann.ephField[key] || covered[key] {
@@ -91,9 +85,9 @@ func coveredFields(mod *Module, cg *callGraph, acc *accesses) map[fieldKey]bool 
 		for k := range acc.readsBy[n] {
 			covered[k] = true
 		}
-		for _, e := range n.out {
-			if !seen[e.to] {
-				roots = append(roots, e.to)
+		for _, to := range n.out {
+			if !seen[to] {
+				roots = append(roots, to)
 			}
 		}
 	}

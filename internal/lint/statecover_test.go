@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// statecoverConfig scopes the interprocedural rule to the m/model overlay
+// package and restricts the run to the named rules so snippets cannot trip
+// unrelated syntactic rules.
+func statecoverConfig(rules ...string) Config {
+	return Config{
+		ModelPackages:      []string{"model"},
+		StateCoverPackages: []string{"model"},
+		Rules:              rules,
+	}
+}
+
 // statecoverMetrics is the fake registry overlay shared by the coverage
 // snippets.
 func statecoverMetrics() map[string]map[string]string {
@@ -18,10 +29,9 @@ func TestStateCoverUncoveredField(t *testing.T) {
 
 import "m/internal/metrics"
 
-//nomad:owner core
 type unit struct {
 	hits  uint64
-	depth int // line 8: mutated, never registered
+	depth int // line 7: mutated, never registered
 }
 
 func (u *unit) step() { u.hits++; u.depth++ }
@@ -29,8 +39,8 @@ func (u *unit) step() { u.hits++; u.depth++ }
 func register(r *metrics.Registry, u *unit) {
 	r.CounterFunc("unit.hits", func() uint64 { return u.hits })
 }
-`, ownershipConfig("statecover"), statecoverMetrics())
-	wantDiags(t, diags, [2]any{"statecover", 8})
+`, statecoverConfig("statecover"), statecoverMetrics())
+	wantDiags(t, diags, [2]any{"statecover", 7})
 	if !strings.Contains(diags[0].Message, "//nomad:ephemeral") {
 		t.Errorf("message should name the escape hatch: %s", diags[0].Message)
 	}
@@ -41,7 +51,6 @@ func TestStateCoverEphemeralField(t *testing.T) {
 
 import "m/internal/metrics"
 
-//nomad:owner core
 type unit struct {
 	hits  uint64
 	depth int //nomad:ephemeral scratch cursor; divergence shows in hits
@@ -52,7 +61,7 @@ func (u *unit) step() { u.hits++; u.depth++ }
 func register(r *metrics.Registry, u *unit) {
 	r.CounterFunc("unit.hits", func() uint64 { return u.hits })
 }
-`, ownershipConfig("statecover"), statecoverMetrics())
+`, statecoverConfig("statecover"), statecoverMetrics())
 	wantDiags(t, diags)
 }
 
@@ -61,7 +70,6 @@ func TestStateCoverEphemeralStruct(t *testing.T) {
 
 // scratch is working state with no registered counters at all.
 //
-//nomad:owner core
 //nomad:ephemeral pure working state; divergence surfaces downstream
 type scratch struct {
 	a int
@@ -69,22 +77,21 @@ type scratch struct {
 }
 
 func (s *scratch) step() { s.a++; s.b++ }
-`, ownershipConfig("statecover"), statecoverMetrics())
+`, statecoverConfig("statecover"), statecoverMetrics())
 	wantDiags(t, diags)
 }
 
 func TestStateCoverEphemeralNeedsReason(t *testing.T) {
 	diags := lintSnippet(t, `package model
 
-//nomad:owner core
 type unit struct {
 	depth int //nomad:ephemeral
 }
 
 func (u *unit) step() { u.depth++ }
-`, ownershipConfig("statecover"), statecoverMetrics())
+`, statecoverConfig("statecover"), statecoverMetrics())
 	// The reasonless marker is diagnosed and does NOT exempt the field.
-	wantDiags(t, diags, [2]any{"statecover", 5}, [2]any{"statecover", 5})
+	wantDiags(t, diags, [2]any{"statecover", 4}, [2]any{"statecover", 4})
 }
 
 func TestStateCoverExemptions(t *testing.T) {
@@ -92,16 +99,7 @@ func TestStateCoverExemptions(t *testing.T) {
 
 import "m/internal/metrics"
 
-// hostCfg is host-owned: never part of the deterministic snapshot.
-//
-//nomad:owner host
-type hostCfg struct{ runs int }
-
-func (h *hostCfg) bump() { h.runs++ }
-
 // wired holds only callback and metrics plumbing.
-//
-//nomad:owner core
 type wired struct {
 	cb   func()
 	hist *metrics.Histogram
@@ -109,12 +107,30 @@ type wired struct {
 
 func (w *wired) set(f func(), h *metrics.Histogram) { w.cb = f; w.hist = h }
 
-// unowned is the ownership rule's finding, not statecover's.
-type unowned struct{ n int }
+// req is a pooled in-flight carrier: recycled state, ephemeral by contract.
+type req struct{ addr uint64 }
 
-func (u *unowned) inc() { u.n++ }
-`, ownershipConfig("statecover"), statecoverMetrics())
+func (q *req) reset(a uint64) { q.addr = a }
+`, statecoverConfig("statecover"), statecoverMetrics())
 	wantDiags(t, diags)
+}
+
+func TestStateCoverUnannotatedStruct(t *testing.T) {
+	// Every mutable struct in scope is checked, annotated or not; a struct
+	// that is only ever read has nothing to cover.
+	diags := lintSnippet(t, `package model
+
+type counter struct {
+	n int // line 4: mutated, unannotated, unregistered
+}
+
+func (c *counter) inc() { c.n++ }
+
+type frozen struct{ v int }
+
+func (f frozen) get() int { return f.v }
+`, statecoverConfig("statecover"), statecoverMetrics())
+	wantDiags(t, diags, [2]any{"statecover", 4})
 }
 
 func TestStateCoverMethodValueRegistration(t *testing.T) {
@@ -122,7 +138,6 @@ func TestStateCoverMethodValueRegistration(t *testing.T) {
 
 import "m/internal/metrics"
 
-//nomad:owner core
 type unit struct{ hits uint64 }
 
 func (u *unit) step() { u.hits++ }
@@ -132,7 +147,7 @@ func (u *unit) sample() uint64 { return u.hits }
 func register(r *metrics.Registry, u *unit) {
 	r.CounterFunc("unit.hits", u.sample) // method value as root
 }
-`, ownershipConfig("statecover"), statecoverMetrics())
+`, statecoverConfig("statecover"), statecoverMetrics())
 	wantDiags(t, diags)
 }
 
@@ -141,7 +156,6 @@ func TestStateCoverTransitiveCoverage(t *testing.T) {
 
 import "m/internal/metrics"
 
-//nomad:owner core
 type unit struct{ hits uint64 }
 
 func (u *unit) step() { u.hits++ }
@@ -152,6 +166,6 @@ func register(r *metrics.Registry, u *unit) {
 	// Coverage must follow the call graph out of the closure.
 	r.CounterFunc("unit.hits", func() uint64 { return u.total() })
 }
-`, ownershipConfig("statecover"), statecoverMetrics())
+`, statecoverConfig("statecover"), statecoverMetrics())
 	wantDiags(t, diags)
 }

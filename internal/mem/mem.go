@@ -180,7 +180,6 @@ func (c StallCause) String() string {
 // The issuing core allocates one Probe per in-flight load and reads Cause
 // each cycle the load blocks retirement.
 //
-//nomad:owner shared
 //nomad:ephemeral request descriptor payload; consumed and counted by the receiving engine
 type Probe struct {
 	// SpanID is nonzero only for span-sampled loads; it ties the span
@@ -197,7 +196,6 @@ type Probe struct {
 // the SRAM hierarchy; below the LLC the scheme may spawn further Requests
 // (fills, metadata, writebacks) tagged with the appropriate Kind.
 //
-//nomad:owner shared
 //nomad:ephemeral request descriptor payload; consumed and counted by the receiving engine
 type Request struct {
 	// Addr is the byte address in the space indicated by Space. Above the

@@ -32,8 +32,7 @@ func testSpec() workload.Spec {
 
 // TestManifestStable is the content-address contract: the address is
 // identical across repeated computations and across every host-only knob
-// (engine, fast-forward, self-profiling, parallel workers) — backed by
-// actually running the
+// (engine, fast-forward, self-profiling) — backed by actually running the
 // variants and checking their snapshots really are byte-identical — and
 // differs as soon as a result-bearing knob changes.
 func TestManifestStable(t *testing.T) {
@@ -61,11 +60,6 @@ func TestManifestStable(t *testing.T) {
 		{"self-profile", func() system.Config {
 			c := testConfig()
 			c.SelfProfile = true
-			return c
-		}()},
-		{"parallel workers", func() system.Config {
-			c := testConfig()
-			c.Workers = 4
 			return c
 		}()},
 	}

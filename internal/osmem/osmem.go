@@ -20,7 +20,6 @@ import (
 // PTE is a page-table entry with the NOMAD extension (Fig. 4). Frame holds a
 // PFN when Cached is false and a CFN when Cached is true.
 //
-//nomad:owner channel
 //nomad:ephemeral page-table state; divergence surfaces in the registered walk and migration counters
 type PTE struct {
 	Frame        uint64
@@ -42,7 +41,6 @@ type Mapping struct {
 // find every PTE of a physical frame (Algorithm 2, lines 12-15), including
 // shared pages.
 //
-//nomad:owner channel
 //nomad:ephemeral frame placement state; divergence surfaces in the registered migration counters
 type PPD struct {
 	Cached       bool
@@ -59,7 +57,6 @@ type PPD struct {
 // CPD is a cache page descriptor (Fig. 4): the state of one DRAM-cache
 // frame.
 //
-//nomad:owner channel
 //nomad:ephemeral cache-frame placement state; divergence surfaces in the registered migration counters
 type CPD struct {
 	Valid        bool
@@ -72,7 +69,6 @@ type CPD struct {
 
 // Manager owns page tables, descriptors, and the cache-frame free queue.
 //
-//nomad:owner channel
 //nomad:ephemeral OS placement bookkeeping; divergence surfaces in the registered migration and walk counters
 type Manager struct {
 	cores      int

@@ -44,7 +44,6 @@ func MissRate(p Policy) float64 {
 // the OS-managed organization of TDC and NOMAD (circular free queue,
 // Fig. 5).
 //
-//nomad:owner channel
 //nomad:ephemeral replacement bookkeeping; divergence surfaces in the registered eviction counters
 type FIFO struct {
 	counts
@@ -87,7 +86,6 @@ func (f *FIFO) Access(page uint64) bool {
 // LRUFA is a fully associative cache with least-recently-used replacement
 // (an upper-bound reference point: what FIFO gives up by not profiling).
 //
-//nomad:owner channel
 //nomad:ephemeral replacement bookkeeping; divergence surfaces in the registered eviction counters
 type LRUFA struct {
 	counts
@@ -131,15 +129,12 @@ func (l *LRUFA) Access(page uint64) bool {
 // SetAssocLRU is an n-way set-associative cache with per-set LRU — the
 // organization HW-based DRAM caches are restricted to for scalability
 // (§III-C.2 cites 4- and 16-way designs).
-//
-//nomad:owner channel
 type SetAssocLRU struct {
 	counts
 	ways int
 	sets []setState
 }
 
-//nomad:owner channel
 //nomad:ephemeral replacement bookkeeping; divergence surfaces in the registered eviction counters
 type setState struct {
 	pages []uint64 // index 0 = LRU

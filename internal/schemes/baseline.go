@@ -30,8 +30,6 @@ func NewBaseline(eng *sim.Engine, ddr *dram.Device, mm *osmem.Manager, walkLaten
 func (b *Baseline) Name() string { return "Baseline" }
 
 // Access implements Scheme.
-//
-//nomad:port post-LLC access entry: the core side hands the request to the channel-side scheme engine; becomes a cross-shard queue push
 func (b *Baseline) Access(req *mem.Request, done mem.Done) {
 	if req.Write {
 		b.stats.Writes++
@@ -48,7 +46,6 @@ func (b *Baseline) Walker() tlb.Walker { return baselineWalker{b} }
 
 type baselineWalker struct{ b *Baseline }
 
-//nomad:port page-walk entry: the core-side TLB asks the channel-side OS engine to translate; becomes a cross-shard request
 func (w baselineWalker) Walk(coreID int, vaddr uint64, done func(tlb.Entry)) {
 	w.b.eng.Schedule(w.b.walk, func() {
 		vpn := mem.PageNum(vaddr)

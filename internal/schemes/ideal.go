@@ -17,8 +17,6 @@ import (
 // miss-handling bandwidth (RMHB) and LLC MPMS — are measured: RMHB is the
 // fill bandwidth that *would have been* needed, accumulated in
 // WouldFillBytes.
-//
-//nomad:owner channel
 type Ideal struct {
 	eng      *sim.Engine
 	hbm      *dram.Device
@@ -90,7 +88,6 @@ func (s *Ideal) Walker() tlb.Walker { return idealWalker{s} }
 
 type idealWalker struct{ s *Ideal }
 
-//nomad:port page-walk entry: the core-side TLB asks the channel-side OS engine to translate; becomes a cross-shard request
 func (w idealWalker) Walk(coreID int, vaddr uint64, done func(tlb.Entry)) {
 	s := w.s
 	s.eng.Schedule(s.walk, func() {

@@ -42,8 +42,6 @@ func (n *NOMAD) Name() string { return "NOMAD" }
 
 // Access implements Scheme: data-hit verification, then DRAM or page copy
 // buffer.
-//
-//nomad:port post-LLC access entry: the core side hands the request to the channel-side scheme engine; becomes a cross-shard queue push
 func (n *NOMAD) Access(req *mem.Request, done mem.Done) {
 	addr := mem.Untag(req.Addr)
 	if req.Write {

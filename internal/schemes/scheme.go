@@ -37,8 +37,6 @@ type Scheme interface {
 // AccessStats measures the effective DC access time at the DC controller
 // (Fig. 9's right axis) — time from the post-LLC request entering the
 // scheme until its data is available.
-//
-//nomad:owner channel
 type AccessStats struct {
 	Reads          uint64
 	ReadLatencySum uint64
@@ -58,8 +56,6 @@ type AccessStats struct {
 
 // readRec is one pooled in-flight read measurement; fn is its permanent
 // completion wrapper, built once per instance.
-//
-//nomad:owner channel
 type readRec struct {
 	start uint64
 	now   func() uint64
@@ -114,8 +110,6 @@ func (s *AccessStats) recordRead(now func() uint64, done mem.Done) mem.Done {
 // hop of a sampled access (Probe.SpanID != 0) into the attached ring. The
 // zero value is disabled; schemes set now at construction and the system
 // wiring attaches the ring via SetSpans.
-//
-//nomad:owner channel
 type spanTap struct {
 	spans *metrics.SpanRing
 	now   func() uint64

@@ -17,8 +17,6 @@ import (
 // thread. Page copies from different cores proceed in parallel (only the
 // critical PTEs are locked) and no tag-management penalty is charged, which
 // isolates the blocking-vs-non-blocking comparison.
-//
-//nomad:owner channel
 type TDC struct {
 	eng      *sim.Engine
 	hbm, ddr *dram.Device
@@ -73,8 +71,6 @@ func (t *TDC) Name() string { return "TDC" }
 // Access implements Scheme: with coupled tag-data management a tag hit
 // guarantees a data hit, so cache-space accesses go straight to the
 // on-package DRAM.
-//
-//nomad:port post-LLC access entry: the core side hands the request to the channel-side scheme engine; becomes a cross-shard queue push
 func (t *TDC) Access(req *mem.Request, done mem.Done) {
 	addr := mem.Untag(req.Addr)
 	if req.Write {

@@ -20,7 +20,7 @@ const (
 
 // TiDConfig sizes the HW-based scheme.
 //
-//nomad:owner host
+//nomad:ephemeral run configuration, derived from system.Config before the first cycle and hashed into the manifest with it
 type TiDConfig struct {
 	// CapacityBytes is the DRAM cache capacity (same on-package DRAM as
 	// the OS-managed schemes).
@@ -29,8 +29,6 @@ type TiDConfig struct {
 }
 
 // TiDStats counts HW-scheme events beyond AccessStats.
-//
-//nomad:owner channel
 type TiDStats struct {
 	Hits       uint64
 	Misses     uint64
@@ -48,7 +46,6 @@ func (s *TiDStats) MissRate() float64 {
 	return float64(s.Misses) / float64(t)
 }
 
-//nomad:owner channel
 //nomad:ephemeral tag array working state; divergence surfaces in the registered tid.* counters
 type tidLine struct {
 	tag   uint64
@@ -63,7 +60,6 @@ type tidWaiter struct {
 	done  mem.Done
 }
 
-//nomad:owner channel
 //nomad:ephemeral tag MSHR working state; divergence surfaces in the registered tid.* counters
 type tidMSHR struct {
 	lineAddr uint64 // PA >> tidLineBits
@@ -87,8 +83,6 @@ type tidPending struct {
 // (Fig. 1a); misses are handled non-blocking by MSHRs with
 // critical-data-first early restart. This is the tag-management mechanism
 // of Unison Cache with a 1 KB line, 4 ways, and an ideal way predictor.
-//
-//nomad:owner channel
 type TiD struct {
 	eng      *sim.Engine
 	hbm, ddr *dram.Device
@@ -160,8 +154,6 @@ func (t *TiD) metaAddr(set uint64) uint64 {
 // Access implements Scheme. All post-LLC traffic is physical-space (TiD
 // keeps conventional translation); the DC controller probes tags in the
 // on-package DRAM on every access.
-//
-//nomad:port post-LLC access entry: the core side hands the request to the channel-side scheme engine; becomes a cross-shard queue push
 func (t *TiD) Access(req *mem.Request, done mem.Done) {
 	addr := mem.Untag(req.Addr)
 	if req.Write {
@@ -366,7 +358,6 @@ func (t *TiD) Walker() tlb.Walker { return tidWalker{t} }
 
 type tidWalker struct{ t *TiD }
 
-//nomad:port page-walk entry: the core-side TLB asks the channel-side OS engine to translate; becomes a cross-shard request
 func (w tidWalker) Walk(coreID int, vaddr uint64, done func(tlb.Entry)) {
 	w.t.eng.Schedule(w.t.walk, func() {
 		vpn := mem.PageNum(vaddr)

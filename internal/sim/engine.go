@@ -29,11 +29,6 @@
 // with fast-forward enabled is state-identical (byte-identical snapshots,
 // timelines, and traces) to the same run stepped cycle by cycle. See
 // DESIGN.md, "Idle-cycle fast-forward".
-//
-// Parallel mode: the Parallel option shards the tick phase across worker
-// goroutines along the ownership domains while keeping the event phase
-// sequential, and remains byte-identical to this sequential engine. See
-// parallel.go and DESIGN.md, "Parallel engine".
 package sim
 
 import (
@@ -80,7 +75,6 @@ func (f TickerFunc) Tick(now uint64) { f(now) }
 
 // Engine is the simulation clock. The zero value is not usable; call New.
 //
-//nomad:owner shared
 //nomad:ephemeral event-engine bookkeeping; the interval digest chain derived from it is the observable record
 type Engine struct {
 	now      uint64
@@ -111,16 +105,6 @@ type Engine struct {
 	intervalEvery uint64
 	intervalFn    func(now uint64)
 	nextInterval  uint64
-
-	// Parallel tick-phase state (see parallel.go). par is non-nil on a root
-	// engine built with the Parallel option; rootEng is non-nil on a shard
-	// facade returned by NewShard. inTick is true on the root exactly while
-	// shard tickers run concurrently: it is written by the coordinator
-	// before the epoch publish and after the join (both sequenced by the
-	// runner's atomics), so workers read a stable value.
-	par     *parallelRunner
-	rootEng *Engine
-	inTick  bool
 }
 
 // DefaultInterval is the interval-hook period (in cycles) used when a caller
@@ -167,15 +151,11 @@ func (e *Engine) SchedulerImpl() Scheduler { return e.sched }
 // no longer prove a span is quiescent).
 func (e *Engine) AddTicker(t Ticker) {
 	e.tickers = append(e.tickers, t)
-	// On a shard facade the ticker runs in the shard's tick list, but the
-	// fast-forward bookkeeping (quiescence polling, bulk skip accounting)
-	// stays centralized on the root, which is the engine that jumps.
-	r := e.Root()
-	if f, ok := t.(FastForwarder); ok && r.allFF {
-		r.ff = append(r.ff, f)
+	if f, ok := t.(FastForwarder); ok && e.allFF {
+		e.ff = append(e.ff, f)
 	} else {
-		r.allFF = false
-		r.ff = nil
+		e.allFF = false
+		e.ff = nil
 	}
 }
 
@@ -276,19 +256,14 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // those events schedule for the same cycle), then the sampler and interval
 // hooks for every window boundary that has elapsed.
 func (e *Engine) Step() {
-	e.validateShard("Step")
 	// Unconditional Advance: besides draining stragglers, it slides the
 	// scheduler's clock to e.now, so events the tickers are about to
 	// schedule take the wheel's O(1) near-window path even right after a
 	// fast-forward jump.
 	e.executed += e.sched.Advance(e.now)
 	e.now++
-	if e.par != nil {
-		e.par.runTicks(e, e.now)
-	} else {
-		for _, t := range e.tickers {
-			t.Tick(e.now)
-		}
+	for _, t := range e.tickers {
+		t.Tick(e.now)
 	}
 	e.executed += e.sched.Advance(e.now)
 	// Both hooks catch up to every elapsed boundary, each firing with the

@@ -132,7 +132,6 @@ func (h *eventHeap) pop() event {
 // ordering proof — which is why it survives as the oracle the randomized
 // differential tests compare the wheel against.
 //
-//nomad:owner shared
 //nomad:ephemeral scheduler queue state; event order is digested by the interval digest chain
 type HeapScheduler struct {
 	now     uint64

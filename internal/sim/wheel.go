@@ -38,7 +38,6 @@ const (
 // window first reaches them — before any direct insert for that cycle is
 // possible — so bucket order is globally FIFO.
 //
-//nomad:owner shared
 //nomad:ephemeral scheduler queue state; event order is digested by the interval digest chain
 type WheelScheduler struct {
 	now uint64

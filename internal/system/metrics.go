@@ -240,7 +240,6 @@ func registerDRAMIntervals(reg *metrics.Registry, prefix string, d *dram.Device)
 // the dc.hit_rate timeline column (fraction of post-LLC reads served from
 // cache space per interval — the DC hit rate, scheme-agnostic).
 func registerAccess(reg *metrics.Registry, a *schemes.AccessStats) {
-	//nomadlint:ignore ownership -- registration-time wiring: runs once at machine construction before any domain is live
 	a.Lat = reg.Histogram("scheme.read_latency")
 	reg.CounterFunc("scheme.reads", func() uint64 { return a.Reads })
 	reg.CounterFunc("scheme.read_latency_sum", func() uint64 { return a.ReadLatencySum })

@@ -11,7 +11,7 @@ import (
 // use the 3.2 GHz clock. The scalar fields are derived views over Metrics,
 // the full ROI stats snapshot.
 //
-//nomad:owner host
+//nomad:ephemeral run output, built from the final metrics snapshot after the last cycle
 type Result struct {
 	Scheme   SchemeName
 	Workload string
@@ -99,7 +99,7 @@ type Result struct {
 // each stalled cycle is attributed to the oldest outstanding load's current
 // position in the memory system, and Compute absorbs the rest.
 //
-//nomad:owner host
+//nomad:ephemeral run output, built from the final metrics snapshot after the last cycle
 type CPIStack struct {
 	// Compute is cycles the core retired work or was limited by issue
 	// width, not by the memory system or the OS.

@@ -56,8 +56,6 @@ func DefaultConfig() Config {
 }
 
 // Stats counts translation events for one core's TLB.
-//
-//nomad:owner core
 type Stats struct {
 	L1Hits    uint64
 	L2Hits    uint64
@@ -74,14 +72,12 @@ func (s *Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(t)
 }
 
-//nomad:owner core
 //nomad:ephemeral TLB array working state; divergence surfaces in the registered hit/miss counters
 type slot struct {
 	e   Entry
 	lru uint64
 }
 
-//nomad:owner core
 //nomad:ephemeral TLB array working state; divergence surfaces in the registered hit/miss counters
 type level struct {
 	entries map[uint64]*slot
@@ -140,8 +136,6 @@ func (l *level) invalidate(vpn uint64) (Entry, bool) {
 }
 
 // TLB is one core's translation state.
-//
-//nomad:owner core
 type TLB struct {
 	core   int
 	cfg    Config
@@ -167,8 +161,6 @@ type TLB struct {
 
 // hitOp is one pooled deferred L2-hit completion; fn is its permanent
 // scheduled callback.
-//
-//nomad:owner core
 type hitOp struct {
 	e    Entry
 	done func(Entry)
@@ -177,8 +169,6 @@ type hitOp struct {
 
 // walkOp is one pooled in-flight page-table walk: the coalesced waiter list
 // plus the walk's permanent completion callback fn, built once per instance.
-//
-//nomad:owner core
 type walkOp struct {
 	vpn     uint64
 	start   uint64

@@ -21,7 +21,7 @@ type Op struct {
 
 // Spec parameterises one synthetic benchmark.
 //
-//nomad:owner host
+//nomad:ephemeral workload description, fixed before the first cycle and hashed into the manifest
 type Spec struct {
 	Name  string
 	Abbr  string
@@ -74,7 +74,6 @@ func (s Spec) FootprintBytes() uint64 { return s.FootprintPages * 4096 }
 
 // rng is a splitmix64 generator: tiny, fast, and deterministic across runs.
 //
-//nomad:owner core
 //nomad:ephemeral deterministic xorshift state; the generated address stream is the observable record
 type rng struct{ s uint64 }
 
@@ -103,7 +102,6 @@ func (r *rng) intn(n uint64) uint64 {
 // are infinite; the simulation decides when to stop. Distinct cores use
 // distinct seeds so their address phases differ.
 //
-//nomad:owner core
 //nomad:ephemeral synthetic stream cursor; the generated accesses drive every downstream counter
 type Stream struct {
 	spec Spec
