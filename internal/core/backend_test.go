@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nomad/internal/check"
 	"nomad/internal/dram"
 	"nomad/internal/mem"
 	"nomad/internal/sim"
@@ -322,6 +323,41 @@ func TestCopier(t *testing.T) {
 	waitFor(t, eng, func() bool { return done }, 200_000)
 	if ddr.Stats().Reads != 64 || hbm.Stats().Writes != 64 {
 		t.Fatalf("copier moved %d reads / %d writes", ddr.Stats().Reads, hbm.Stats().Writes)
+	}
+}
+
+// TestCopierDoesNotAllocate: at steady state a page copy, with overlapping
+// copies in flight and the completion of one starting the next, allocates
+// nothing.
+func TestCopierDoesNotAllocate(t *testing.T) {
+	if check.Enabled {
+		t.Skip("the invariants build allocates in its assertions")
+	}
+	eng := sim.New()
+	hbm, ddr := testDevices(eng)
+	c := NewCopier(eng, 0)
+	n := 0
+	done := func() { n++ }
+	pred := func() bool { return n == 2 }
+	frame := uint64(0)
+	run := func() {
+		n = 0
+		c.Copy(ddr, frame, hbm, frame+1, mem.KindFill, done)
+		c.Copy(hbm, frame+2, ddr, frame+3, mem.KindWriteback, done)
+		frame = (frame + 4) % 64
+		eng.RunUntil(pred, 200_000)
+	}
+	// Warm up until the engine's event-wheel buckets and the DRAM queues
+	// have grown to their steady-state capacity (about 600 copy pairs here).
+	for i := 0; i < 1000; i++ {
+		run()
+	}
+	reads := ddr.Stats().Reads
+	if a := testing.AllocsPerRun(100, run); a != 0 {
+		t.Fatalf("Copy: %v allocs/op, want 0", a)
+	}
+	if got := ddr.Stats().Reads - reads; got != 101*mem.SubBlocksPerPage {
+		t.Fatalf("%d DDR reads in 101 copies", got)
 	}
 }
 

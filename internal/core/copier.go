@@ -18,9 +18,34 @@ import (
 type Copier struct {
 	eng              *sim.Engine
 	maxReadsInFlight int
+	// ops is the freelist of pooled in-flight copies.
+	//nomad:ephemeral copy pacing state; divergence surfaces in the DRAM devices' registered counters
+	ops []*pageCopier
 }
 
-// NewCopier builds a Copier with the given read pacing (<=0 selects 4).
+// pageCopier is one pooled in-flight page copy. It is the dram.Completer of
+// its own bursts: a completion's argument packs the sub-block index with the
+// read/write bit, so no burst needs a closure. (Profiles fold frames into
+// layers by name, and "Copier" in the name keeps these with the Copier.)
+type pageCopier struct {
+	c                  *Copier
+	src, dst           *dram.Device
+	srcFrame, dstFrame uint64
+	kind               mem.Kind
+	done               mem.Done
+	nextRead           uint
+	reads              int
+	writesDone         uint
+}
+
+// Completion-argument packing for pageCopier.Complete: bit 0 is set for read
+// arrivals, the remaining bits carry the sub-block index.
+const (
+	copyWrite = uint64(0)
+	copyRead  = uint64(1)
+)
+
+// NewCopier builds a Copier with the given read pacing (<=0 selects 8).
 func NewCopier(eng *sim.Engine, maxReadsInFlight int) *Copier {
 	if maxReadsInFlight <= 0 {
 		maxReadsInFlight = 8
@@ -31,30 +56,52 @@ func NewCopier(eng *sim.Engine, maxReadsInFlight int) *Copier {
 // Copy moves srcFrame on src to dstFrame on dst, tagging all traffic with
 // kind. done (may be nil) fires when the last destination write completes.
 func (c *Copier) Copy(src *dram.Device, srcFrame uint64, dst *dram.Device, dstFrame uint64, kind mem.Kind, done mem.Done) {
-	var (
-		nextRead   uint
-		reads      int
-		writesDone uint
-	)
-	var issue func()
-	issue = func() {
-		for reads < c.maxReadsInFlight && nextRead < mem.SubBlocksPerPage {
-			si := nextRead
-			nextRead++
-			reads++
-			srcAddr := mem.AddrInFrame(srcFrame, uint64(si)*mem.BlockSize)
-			dstAddr := mem.AddrInFrame(dstFrame, uint64(si)*mem.BlockSize)
-			src.Access(srcAddr, false, kind, false, func() {
-				reads--
-				dst.Access(dstAddr, true, kind, false, func() {
-					writesDone++
-					if writesDone == mem.SubBlocksPerPage && done != nil {
-						done()
-					}
-				})
-				issue()
-			})
-		}
+	op := c.getOp()
+	op.src, op.srcFrame, op.dst, op.dstFrame = src, srcFrame, dst, dstFrame
+	op.kind, op.done = kind, done
+	op.issue()
+}
+
+func (c *Copier) getOp() *pageCopier {
+	if n := len(c.ops); n > 0 {
+		op := c.ops[n-1]
+		c.ops = c.ops[:n-1]
+		return op
 	}
-	issue()
+	return &pageCopier{c: c} //nomadlint:ignore poolalloc -- freelist constructor: the one allocation the pool amortizes
+}
+
+// issue keeps up to maxReadsInFlight sub-block reads outstanding.
+func (op *pageCopier) issue() {
+	for op.reads < op.c.maxReadsInFlight && op.nextRead < mem.SubBlocksPerPage {
+		si := op.nextRead
+		op.nextRead++
+		op.reads++
+		op.src.AccessArg(mem.AddrInFrame(op.srcFrame, uint64(si)*mem.BlockSize), false, op.kind, false,
+			op, uint64(si)<<1|copyRead)
+	}
+}
+
+// Complete implements dram.Completer. A read arrival issues the sub-block's
+// write and refills the read window; the last write recycles the op, then
+// fires done (release-before-callback: done may start another copy).
+func (op *pageCopier) Complete(arg uint64) {
+	if arg&1 == copyRead {
+		op.reads--
+		si := arg >> 1
+		op.dst.AccessArg(mem.AddrInFrame(op.dstFrame, si*mem.BlockSize), true, op.kind, false,
+			op, si<<1|copyWrite)
+		op.issue()
+		return
+	}
+	op.writesDone++
+	if op.writesDone < mem.SubBlocksPerPage {
+		return
+	}
+	done := op.done
+	*op = pageCopier{c: op.c}
+	op.c.ops = append(op.c.ops, op)
+	if done != nil {
+		done()
+	}
 }

@@ -60,6 +60,11 @@ type tidWaiter struct {
 	done  mem.Done
 }
 
+// tidMSHR is one pooled line-fill MSHR. Its completions are built once per
+// instance: arrive[si] fires when sub-block si arrives from DDR, fill when
+// one of the line's HBM fill writes completes. An MSHR goes back to the
+// freelist when its last fill write lands; nothing of it is in flight then.
+//
 //nomad:ephemeral tag MSHR working state; divergence surfaces in the registered tid.* counters
 type tidMSHR struct {
 	lineAddr uint64 // PA >> tidLineBits
@@ -71,11 +76,29 @@ type tidMSHR struct {
 	writes   int
 	waiters  []tidWaiter
 	dirty    bool // any coalesced write
+	arrive   [tidSubPerLine]mem.Done
+	fill     mem.Done
 }
 
 type tidPending struct {
 	req  mem.Request
 	done mem.Done
+}
+
+// tidRetry is one pooled re-lookup of an access that stalled on a full
+// MSHR file, carried to the next event by its prebuilt fn.
+type tidRetry struct {
+	req  mem.Request
+	done mem.Done
+	fn   func()
+}
+
+// tidWriteback is the dram.Completer of a dirty victim's HBM reads: each
+// completion's argument is the DDR address the sub-block is written to.
+type tidWriteback struct{ ddr *dram.Device }
+
+func (w tidWriteback) Complete(dst uint64) {
+	w.ddr.Access(dst, true, mem.KindWriteback, false, nil)
 }
 
 // TiD is the HW-based DRAM cache: tags live in the on-package DRAM, so
@@ -95,8 +118,19 @@ type TiD struct {
 	//nomad:ephemeral tag-engine working state; divergence surfaces in the registered tid.* counters
 	mshrs   map[uint64]*tidMSHR
 	maxMSHR int
+	// pending holds accesses stalled on a full MSHR file, FIFO; pendHead
+	// indexes the next one so pops keep the backing array (re-slicing would
+	// bleed capacity and force reallocations).
 	//nomad:ephemeral tag-engine working state; divergence surfaces in the registered tid.* counters
 	pending []tidPending
+	//nomad:ephemeral tag-engine working state; divergence surfaces in the registered tid.* counters
+	pendHead int
+	// freeMSHRs and retries are the freelists of the pooled carriers.
+	//nomad:ephemeral tag-engine working state; divergence surfaces in the registered tid.* counters
+	freeMSHRs []*tidMSHR
+	//nomad:ephemeral tag-engine working state; divergence surfaces in the registered tid.* counters
+	retries []*tidRetry
+	wb      tidWriteback
 	//nomad:ephemeral tag-engine working state; divergence surfaces in the registered tid.* counters
 	lruTick  uint64
 	metaBase uint64
@@ -123,6 +157,7 @@ func NewTiD(eng *sim.Engine, hbm, ddr *dram.Device, mm *osmem.Manager, walkLaten
 		mshrs:    make(map[uint64]*tidMSHR),
 		maxMSHR:  cfg.MSHRs,
 		metaBase: cfg.CapacityBytes, // metadata region above the data array
+		wb:       tidWriteback{ddr},
 		spanTap:  spanTap{now: eng.Now},
 	}
 	for i := range t.sets {
@@ -262,15 +297,14 @@ func (t *TiD) miss(req mem.Request, lineAddr, set uint64, done mem.Done) {
 		for s := uint64(0); s < tidSubPerLine; s++ {
 			src := t.dataAddr(set, way, s*mem.BlockSize)
 			dst := victimLine<<tidLineBits | s*mem.BlockSize
-			t.hbm.Access(src, false, mem.KindWriteback, false, func() {
-				t.ddr.Access(dst, true, mem.KindWriteback, false, nil)
-			})
+			t.hbm.AccessArg(src, false, mem.KindWriteback, false, t.wb, dst)
 		}
 	}
 	v.valid = false
 	v.dirty = false
 
-	m := &tidMSHR{lineAddr: lineAddr, set: set, way: way}
+	m := t.getMSHR()
+	m.lineAddr, m.set, m.way = lineAddr, set, way
 	m.waiters = append(m.waiters, tidWaiter{si: si, write: req.Write, done: done})
 	m.dirty = req.Write
 	t.mshrs[lineAddr] = m
@@ -309,9 +343,7 @@ func (t *TiD) fetchSub(m *tidMSHR, si uint, priority bool, p *mem.Probe) {
 	m.inFlight++
 	src := m.lineAddr<<tidLineBits | uint64(si)*mem.BlockSize
 	t.ddr.AccessProbe(src, false, mem.KindFill, priority, p,
-		t.wrap(p, metrics.SpanDDR, func() {
-			t.subArrived(m, si)
-		}))
+		t.wrap(p, metrics.SpanDDR, m.arrive[si]))
 }
 
 func (t *TiD) subArrived(m *tidMSHR, si uint) {
@@ -319,12 +351,7 @@ func (t *TiD) subArrived(m *tidMSHR, si uint) {
 	m.arrived |= 1 << si
 	// Fill the sub-block into the data array.
 	da := t.dataAddr(m.set, m.way, uint64(si)*mem.BlockSize)
-	t.hbm.Access(da, true, mem.KindFill, false, func() {
-		m.writes++
-		if m.writes == tidSubPerLine {
-			t.fillComplete(m)
-		}
-	})
+	t.hbm.Access(da, true, mem.KindFill, false, m.fill)
 	// Early restart: serve waiters for this sub-block.
 	kept := m.waiters[:0]
 	for _, w := range m.waiters {
@@ -346,11 +373,76 @@ func (t *TiD) fillComplete(m *tidMSHR) {
 	// Tag install / state update.
 	t.hbm.Access(t.metaAddr(m.set), true, mem.KindMetadata, false, nil)
 	delete(t.mshrs, m.lineAddr)
-	if len(t.pending) > 0 {
-		p := t.pending[0]
-		t.pending = t.pending[1:]
-		t.eng.Schedule(0, func() { t.lookup(p.req, p.done) })
+	t.putMSHR(m)
+	if len(t.pending) > t.pendHead {
+		p := t.pending[t.pendHead]
+		t.pending[t.pendHead] = tidPending{} // release the done closure
+		t.pendHead++
+		switch {
+		case t.pendHead == len(t.pending):
+			t.pending = t.pending[:0]
+			t.pendHead = 0
+		case t.pendHead >= 64 && 2*t.pendHead >= len(t.pending):
+			// A queue that never drains would grow its array with every
+			// stall: slide the live half down instead.
+			n := copy(t.pending, t.pending[t.pendHead:])
+			clear(t.pending[n:])
+			t.pending = t.pending[:n]
+			t.pendHead = 0
+		}
+		r := t.getRetry()
+		r.req, r.done = p.req, p.done
+		t.eng.Schedule(0, r.fn)
 	}
+}
+
+// getMSHR takes an MSHR from the freelist, building the instance and its
+// completions only on first use.
+func (t *TiD) getMSHR() *tidMSHR {
+	if n := len(t.freeMSHRs); n > 0 {
+		m := t.freeMSHRs[n-1]
+		t.freeMSHRs = t.freeMSHRs[:n-1]
+		return m
+	}
+	m := &tidMSHR{} //nomadlint:ignore poolalloc -- freelist constructor: the one allocation the pool amortizes
+	for si := range m.arrive {
+		si := uint(si)
+		m.arrive[si] = func() { t.subArrived(m, si) }
+	}
+	m.fill = func() {
+		m.writes++
+		if m.writes == tidSubPerLine {
+			t.fillComplete(m)
+		}
+	}
+	return m
+}
+
+// putMSHR resets a completed MSHR, keeping its completions and waiter
+// array, and returns it to the freelist.
+func (t *TiD) putMSHR(m *tidMSHR) {
+	m.arrived, m.issued, m.inFlight, m.writes, m.dirty = 0, 0, 0, 0, false
+	m.waiters = m.waiters[:0]
+	t.freeMSHRs = append(t.freeMSHRs, m)
+}
+
+// getRetry takes a retry from the freelist; its fn recycles it before
+// re-running the lookup (release-before-callback: the lookup may stall
+// again and queue another retry).
+func (t *TiD) getRetry() *tidRetry {
+	if n := len(t.retries); n > 0 {
+		r := t.retries[n-1]
+		t.retries = t.retries[:n-1]
+		return r
+	}
+	r := &tidRetry{} //nomadlint:ignore poolalloc -- freelist constructor: the one allocation the pool amortizes
+	r.fn = func() {
+		req, done := r.req, r.done
+		r.req, r.done = mem.Request{}, nil
+		t.retries = append(t.retries, r)
+		t.lookup(req, done)
+	}
+	return r
 }
 
 // Walker implements Scheme: conventional translation only.

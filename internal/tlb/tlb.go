@@ -72,67 +72,143 @@ func (s *Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(t)
 }
 
+// slot is one entry of a level's slot array, linked into the level's
+// recency list by index.
+//
 //nomad:ephemeral TLB array working state; divergence surfaces in the registered hit/miss counters
 type slot struct {
-	e   Entry
-	lru uint64
+	e          Entry
+	prev, next int32 // neighbours toward the MRU and LRU ends; -1 at the ends
 }
 
+// level is one exact-LRU TLB array. Resident entries sit in a slot array
+// doubly linked MRU→LRU by index, found through a VPN→slot map, so lookup,
+// insert, eviction and invalidation are all O(1): the victim is the list
+// tail, never a scan.
+//
 //nomad:ephemeral TLB array working state; divergence surfaces in the registered hit/miss counters
 type level struct {
-	entries map[uint64]*slot
-	cap     int
-	tick    uint64
+	index map[uint64]int32
+	// slots grows on demand up to cap, so a level that never fills never
+	// holds its full array.
+	slots      []slot
+	head, tail int32 // MRU and LRU slots; -1 when empty
+	free       int32 // invalidated slots, chained through next; -1 when none
+	cap        int
 }
 
 func newLevel(capacity int) *level {
-	return &level{entries: make(map[uint64]*slot, capacity), cap: capacity}
+	return &level{index: make(map[uint64]int32, capacity), head: -1, tail: -1, free: -1, cap: capacity}
 }
 
-func (l *level) lookup(vpn uint64) (*slot, bool) {
-	s, ok := l.entries[vpn]
-	if ok {
-		l.tick++
-		s.lru = l.tick
+// unlink removes slot i from the recency list.
+func (l *level) unlink(i int32) {
+	s := &l.slots[i]
+	if s.prev >= 0 {
+		l.slots[s.prev].next = s.next
+	} else {
+		l.head = s.next
 	}
-	return s, ok
+	if s.next >= 0 {
+		l.slots[s.next].prev = s.prev
+	} else {
+		l.tail = s.prev
+	}
+}
+
+// pushFront links slot i in as the most recently used.
+func (l *level) pushFront(i int32) {
+	s := &l.slots[i]
+	s.prev, s.next = -1, l.head
+	if l.head >= 0 {
+		l.slots[l.head].prev = i
+	} else {
+		l.tail = i
+	}
+	l.head = i
+}
+
+// touch makes slot i the most recently used. It is unlink plus pushFront
+// for a slot that is not the head (so has a predecessor), written out
+// because it runs on every TLB hit.
+func (l *level) touch(i int32) {
+	if i == l.head {
+		return
+	}
+	slots := l.slots
+	s := &slots[i]
+	slots[s.prev].next = s.next
+	if s.next >= 0 {
+		slots[s.next].prev = s.prev
+	} else {
+		l.tail = s.prev
+	}
+	slots[l.head].prev = i
+	s.prev, s.next = -1, l.head
+	l.head = i
+}
+
+// newSlot returns an unlinked slot: an invalidated one if any, else a new
+// one at the end of the array, which grows like append but never past cap.
+func (l *level) newSlot() int32 {
+	if i := l.free; i >= 0 {
+		l.free = l.slots[i].next
+		return i
+	}
+	if n := len(l.slots); n == cap(l.slots) {
+		grown := make([]slot, n, min(n+n/4+16, l.cap))
+		copy(grown, l.slots)
+		l.slots = grown
+	}
+	l.slots = append(l.slots, slot{})
+	return int32(len(l.slots) - 1)
+}
+
+func (l *level) lookup(vpn uint64) (Entry, bool) {
+	i, ok := l.index[vpn]
+	if !ok {
+		return Entry{}, false
+	}
+	l.touch(i)
+	return l.slots[i].e, true
 }
 
 // insert adds e, returning the evicted entry if the level was full.
 func (l *level) insert(e Entry) (Entry, bool) {
-	if s, ok := l.entries[e.VPN]; ok {
-		l.tick++
-		s.e = e
-		s.lru = l.tick
+	if i, ok := l.index[e.VPN]; ok {
+		l.slots[i].e = e
+		l.touch(i)
 		return Entry{}, false
 	}
 	var victim Entry
 	evicted := false
-	if len(l.entries) >= l.cap {
-		var vk uint64
-		oldest := ^uint64(0)
-		for k, s := range l.entries {
-			if s.lru < oldest {
-				oldest = s.lru
-				vk = k
-			}
-		}
-		victim = l.entries[vk].e
-		delete(l.entries, vk)
+	var i int32
+	if len(l.index) >= l.cap {
+		i = l.tail
+		victim = l.slots[i].e
 		evicted = true
+		l.unlink(i)
+		delete(l.index, victim.VPN)
+	} else {
+		i = l.newSlot()
 	}
-	l.tick++
-	l.entries[e.VPN] = &slot{e: e, lru: l.tick}
+	l.slots[i].e = e
+	l.pushFront(i)
+	l.index[e.VPN] = i
 	return victim, evicted
 }
 
 func (l *level) invalidate(vpn uint64) (Entry, bool) {
-	s, ok := l.entries[vpn]
+	i, ok := l.index[vpn]
 	if !ok {
 		return Entry{}, false
 	}
-	delete(l.entries, vpn)
-	return s.e, true
+	delete(l.index, vpn)
+	l.unlink(i)
+	e := l.slots[i].e
+	l.slots[i] = slot{next: l.free}
+	l.free = i
+	return e, true
 }
 
 // TLB is one core's translation state.
@@ -259,14 +335,13 @@ func (t *TLB) RegisterMetrics(reg *metrics.Registry, prefix string) {
 // ideal DC access path), otherwise after the L2 latency or the full walk.
 func (t *TLB) Translate(vaddr uint64, done func(Entry)) {
 	vpn := mem.PageNum(vaddr)
-	if s, ok := t.l1.lookup(vpn); ok {
+	if e, ok := t.l1.lookup(vpn); ok {
 		t.stats.L1Hits++
-		done(s.e)
+		done(e)
 		return
 	}
-	if s, ok := t.l2.lookup(vpn); ok {
+	if e, ok := t.l2.lookup(vpn); ok {
 		t.stats.L2Hits++
-		e := s.e
 		t.insertL1(e)
 		op := t.getHit()
 		op.e = e
@@ -323,6 +398,6 @@ func (t *TLB) Invalidate(vpn uint64) bool {
 
 // Resident reports whether vpn currently has a translation cached.
 func (t *TLB) Resident(vpn uint64) bool {
-	_, ok := t.l2.entries[vpn]
+	_, ok := t.l2.index[vpn]
 	return ok
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nomad/internal/check"
 	"nomad/internal/mem"
 	"nomad/internal/sim"
 )
@@ -166,12 +167,12 @@ func TestInclusionProperty(t *testing.T) {
 		if n != len(pages) {
 			return false
 		}
-		for vpn := range tl.l1.entries {
-			if _, ok := tl.l2.entries[vpn]; !ok {
+		for vpn := range tl.l1.index {
+			if _, ok := tl.l2.index[vpn]; !ok {
 				return false
 			}
 		}
-		return len(tl.l1.entries) <= 4 && len(tl.l2.entries) <= 8
+		return len(tl.l1.index) <= 4 && len(tl.l2.index) <= 8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -189,9 +190,93 @@ func TestDirectoryBalanceProperty(t *testing.T) {
 			tl.Translate(uint64(p)*mem.PageSize, func(Entry) { n++ })
 		}
 		eng.RunUntil(func() bool { return n == len(pages) }, 100000)
-		return len(d.inserted)-len(d.evicted) == len(tl.l2.entries)
+		return len(d.inserted)-len(d.evicted) == len(tl.l2.index)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// syncWalker completes every walk immediately, without allocating.
+type syncWalker struct{}
+
+func (syncWalker) Walk(core int, vaddr uint64, done func(Entry)) {
+	vpn := mem.PageNum(vaddr)
+	done(Entry{VPN: vpn, Frame: vpn, Space: mem.SpaceCache})
+}
+
+// nopDir is a Directory that only counts, so the allocation tests measure
+// the TLB and not a logging directory.
+type nopDir struct{ n int }
+
+func (d *nopDir) TLBInserted(int, Entry) { d.n++ }
+func (d *nopDir) TLBEvicted(int, Entry)  { d.n++ }
+
+// TestL2HitDoesNotAllocate: at steady state an L1-miss/L2-hit translation
+// (L1 refill over its LRU victim plus the deferred completion) allocates
+// nothing.
+func TestL2HitDoesNotAllocate(t *testing.T) {
+	if check.Enabled {
+		t.Skip("the invariants build allocates in its assertions")
+	}
+	eng := sim.New()
+	cfg := DefaultConfig()
+	tl := New(eng, 0, cfg, syncWalker{}, &nopDir{})
+	// Twice the L1 in pages, all L2-resident: cycling through them misses
+	// the L1 every time.
+	pages := uint64(2 * cfg.L1Entries)
+	for p := uint64(0); p < pages; p++ {
+		tl.Translate(p*mem.PageSize, func(Entry) {})
+	}
+	n := 0
+	done := func(Entry) { n++ }
+	pred := func() bool { return n > 0 }
+	p := uint64(0)
+	run := func() {
+		n = 0
+		tl.Translate(p*mem.PageSize, done)
+		p = (p + 1) % pages
+		eng.RunUntil(pred, 100)
+	}
+	// Warm up long enough for the engine's event wheel to have grown every
+	// bucket once (each run advances the clock by the L2 latency).
+	for i := 0; i < 5000; i++ {
+		run()
+	}
+	l2 := tl.Stats().L2Hits
+	if a := testing.AllocsPerRun(1000, run); a != 0 {
+		t.Fatalf("L2 hit: %v allocs/op, want 0", a)
+	}
+	if tl.Stats().L2Hits-l2 != 1001 {
+		t.Fatalf("%d L2 hits in 1001 translations", tl.Stats().L2Hits-l2)
+	}
+}
+
+// TestWalkInstallDoesNotAllocate: at steady state a page walk installing
+// into a full TLB (L2 victim eviction, L1 invalidation, directory
+// notification, L1 refill) allocates nothing.
+func TestWalkInstallDoesNotAllocate(t *testing.T) {
+	if check.Enabled {
+		t.Skip("the invariants build allocates in its assertions")
+	}
+	eng := sim.New()
+	cfg := DefaultConfig()
+	tl := New(eng, 0, cfg, syncWalker{}, &nopDir{})
+	done := func(Entry) {}
+	p := uint64(0)
+	pages := uint64(2 * cfg.L2Entries)
+	run := func() {
+		tl.Translate(p*mem.PageSize, done)
+		p = (p + 1) % pages
+	}
+	for i := uint64(0); i < 2*pages; i++ {
+		run()
+	}
+	walks := tl.Stats().Misses
+	if a := testing.AllocsPerRun(1000, run); a != 0 {
+		t.Fatalf("walk install: %v allocs/op, want 0", a)
+	}
+	if tl.Stats().Misses-walks != 1001 {
+		t.Fatalf("%d walks in 1001 translations", tl.Stats().Misses-walks)
 	}
 }
