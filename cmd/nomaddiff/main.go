@@ -45,7 +45,7 @@ func run() int {
 		runMode = flag.Bool("run", false, "arguments are run specs (scheme/workload[/seed]) to execute fresh, not files")
 		bisect  = flag.Bool("bisect", false, "replay the divergent prefix with event tracing and write Perfetto traces (implies -run)")
 		fast    = flag.Bool("fast", false, "with -run: shrink warmup/ROI for quick runs")
-		noFF    = flag.Bool("no-ff", false, "with -run: disable idle-cycle fast-forward (results are byte-identical either way)")
+		noFF    = flag.Bool("no-ff", false, "with -run: tick every component every cycle instead of letting idle ones sleep and the clock jump (results are byte-identical either way)")
 		engine  = flag.String("engine", "", "with -run: event-queue implementation (wheel or heap)")
 		top     = flag.Int("top", 10, "show at most this many metric deltas per table")
 		out     = flag.String("out", ".", "with -bisect: directory for the per-run Perfetto traces")

@@ -111,11 +111,11 @@ type Config struct {
 	// are byte-identical across engines.
 	Engine EngineKind
 
-	// NoFastForward disables the engine's idle-cycle fast-forward (on by
-	// default), forcing every cycle to be stepped individually. Results
+	// NoFastForward disables the engine's activity-driven ticking (on by
+	// default), forcing every component to tick on every cycle. Results
 	// are byte-identical either way; the switch exists for debugging and
 	// for measuring the speedup. With self-profiling enabled,
-	// Host().SkippedCycles reports how much a fast-forwarded run skipped.
+	// Host().SkippedCycles reports how many cycles the clock jumped over.
 	NoFastForward bool
 
 	// Deprecated: use Telemetry.TraceDepth.

@@ -45,7 +45,7 @@ type ExperimentOptions struct {
 	// SelfProfile attaches host-side simulator profiling to every run
 	// (Result.Host).
 	SelfProfile bool
-	// NoFastForward disables idle-cycle fast-forward in every run (see
+	// NoFastForward disables activity-driven ticking in every run (see
 	// Config.NoFastForward); results are byte-identical either way.
 	NoFastForward bool
 }

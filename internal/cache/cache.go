@@ -342,7 +342,7 @@ func (c *Cache) miss(req mem.Request, block uint64, done mem.Done, retried bool)
 	if n == 0 {
 		c.stats.MSHRStalls++
 		if req.Probe != nil {
-			req.Probe.Cause = mem.StallMSHR
+			req.Probe.SetCause(mem.StallMSHR)
 		}
 		c.pending = append(c.pending, pendingAccess{req: req, done: done})
 		return

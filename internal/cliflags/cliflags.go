@@ -44,7 +44,7 @@ type Common struct {
 	Trace string
 	// Profile enables host-side self-profiling (-profile).
 	Profile bool
-	// NoFF disables idle-cycle fast-forward (-no-ff).
+	// NoFF disables activity-driven ticking and clock jumps (-no-ff).
 	NoFF bool
 	// Engine names the event-queue implementation (-engine): "" or
 	// "wheel" for the timing wheel, "heap" for the binary-heap oracle.
@@ -72,7 +72,7 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.BoolVar(&c.Digests, "digests", false, "capture interval digest chains (per-window chained registry digests; compare runs with nomaddiff)")
 	fs.StringVar(&c.Trace, "trace", "", "write a Perfetto trace to this file (open at ui.perfetto.dev)")
 	fs.BoolVar(&c.Profile, "profile", false, "self-profile the simulator (wall-clock cycles/sec, heap, GC pauses)")
-	fs.BoolVar(&c.NoFF, "no-ff", false, "disable idle-cycle fast-forward (results are byte-identical either way)")
+	fs.BoolVar(&c.NoFF, "no-ff", false, "tick every component every cycle instead of letting idle ones sleep and the clock jump (results are byte-identical either way)")
 	fs.StringVar(&c.Engine, "engine", "", "event-queue implementation: wheel (default) or heap (the differential-testing oracle)")
 	fs.StringVar(&c.Format, "format", "text", "output format")
 	fs.StringVar(&c.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. :6060) while running")

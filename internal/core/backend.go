@@ -709,7 +709,7 @@ func (b *Backend) CheckCacheAccess(cfn uint64, si uint, write bool, p *mem.Probe
 	}
 	b.stats.SubEntryWaits++
 	if p != nil {
-		p.Cause = mem.StallPCSHR
+		p.SetCause(mem.StallPCSHR)
 	}
 	se := subEntry{si: si, done: done, probe: p, parkedAt: b.eng.Now()}
 	if len(r.subs) >= b.cfg.SubEntries {
@@ -753,7 +753,7 @@ func (b *Backend) CheckPhysicalAccess(pfn uint64, si uint, write bool, p *mem.Pr
 	}
 	b.stats.SubEntryWaits++
 	if p != nil {
-		p.Cause = mem.StallPCSHR
+		p.SetCause(mem.StallPCSHR)
 	}
 	se := subEntry{si: si, done: done, probe: p, parkedAt: b.eng.Now()}
 	if len(r.subs) >= b.cfg.SubEntries {

@@ -22,19 +22,26 @@
 //   - MemStall: cycles nothing retired because the ROB head was an
 //     incomplete load;
 //   - FrontStall: cycles nothing retired or inserted for other reasons.
+//
+// A core is a sim.Sleeper: when its next Tick could only charge one
+// OSBlocked or MemStall cycle it leaves the engine's active set, recording
+// that bucket, and charges the cycles it slept through when it next ticks
+// or is settled. Block/Unblock, a load completing and a cause change of the
+// head load wake it.
 package cpu
 
 import (
 	"nomad/internal/check"
 	"nomad/internal/mem"
 	"nomad/internal/metrics"
+	"nomad/internal/sim"
 	"nomad/internal/workload"
 )
 
 // MemPort is the core's path into the memory system. Load's done callback
 // fires when data is available; Store is fire-and-forget (store buffer).
-// p is the load's latency-provenance probe: the memory system updates
-// p.Cause as the access moves (so head-of-ROB stall cycles are charged to
+// p is the load's latency-provenance probe: the memory system calls
+// p.SetCause as the access moves (so head-of-ROB stall cycles are charged to
 // the component currently holding the load) and emits spans tagged p.SpanID
 // when the load was sampled. The pointer stays valid until done fires.
 type MemPort interface {
@@ -135,21 +142,32 @@ type Core struct {
 	//nomad:ephemeral ROB and load-queue working state; divergence surfaces in the registered instruction and stall counters
 	opBuf workload.Op
 
-	// blockCount tracks overlapping indefinite suspensions (a core can
-	// have several tag misses in flight); blockedUntil handles
-	// fixed-duration suspensions. The thread runs only when both clear.
+	// blockCount tracks overlapping suspensions (a core can have several
+	// tag misses in flight). The thread runs only when it is zero.
 	//nomad:ephemeral ROB and load-queue working state; divergence surfaces in the registered instruction and stall counters
 	blockCount int
-	//nomad:ephemeral ROB and load-queue working state; divergence surfaces in the registered instruction and stall counters
-	blockedUntil uint64
 
 	// Span sampling: 1-in-sampleEvery loads (deterministic, by load
 	// sequence number) get a nonzero SpanID and emit latency spans.
 	spans *metrics.SpanRing
 	//nomad:ephemeral ROB and load-queue working state; divergence surfaces in the registered instruction and stall counters
 	sampleEvery uint64
-	//nomad:ephemeral ROB and load-queue working state; divergence surfaces in the registered instruction and stall counters
-	nowCycle uint64 // current cycle, visible to load-done closures
+
+	// Sleep state. While asleep, every cycle after sleptAt (the last
+	// cycle ticked or settled) is charged to one bucket: OSBlockedCycles
+	// if sleepOS, else MemStallByCause[sleepCause], the head load's cause
+	// when the core fell asleep (the head probe is watched, so a cause
+	// change wakes the core).
+	//nomad:ephemeral engine wiring, set once at registration
+	wake sim.Waker
+	//nomad:ephemeral sleep bookkeeping; the cycles it defers are charged to the registered stall counters before any hook reads them
+	asleep bool
+	//nomad:ephemeral sleep bookkeeping; the cycles it defers are charged to the registered stall counters before any hook reads them
+	sleepOS bool
+	//nomad:ephemeral sleep bookkeeping; the cycles it defers are charged to the registered stall counters before any hook reads them
+	sleepCause mem.StallCause
+	//nomad:ephemeral sleep bookkeeping; the cycles it defers are charged to the registered stall counters before any hook reads them
+	sleptAt uint64
 
 	stats Stats
 }
@@ -171,13 +189,18 @@ func New(id int, cfg Config, port MemPort, wl *workload.Stream) *Core {
 		slot.doneFn = func() {
 			slot.done = true
 			c.inFlight--
+			if c.blockCount == 0 {
+				// A blocked thread's next Tick charges OSBlocked
+				// whatever its loads do; Unblock wakes it.
+				c.wake.Wake()
+			}
 			if slot.probe.SpanID != 0 {
 				c.spans.Emit(metrics.Span{
 					ID:    slot.probe.SpanID,
 					Kind:  metrics.SpanLoad,
 					Core:  int32(c.ID),
 					Start: slot.start,
-					End:   c.nowCycle,
+					End:   c.wake.Now(),
 				})
 			}
 		}
@@ -199,25 +222,15 @@ func (c *Core) SetSpanTracing(spans *metrics.SpanRing, every uint64) {
 	c.spans, c.sampleEvery = spans, every
 }
 
-// Block suspends the thread until a matching Unblock (OS routine of unknown
-// duration, e.g. a TDC page copy). Calls nest.
+// Block suspends the thread until a matching Unblock (an OS routine: a TDC
+// page copy, or NOMAD's tag-management handler, which unblocks from a
+// scheduled event). Calls nest.
 func (c *Core) Block() {
 	if c.blockCount == 0 {
 		c.stats.OSBlockEvents++
+		c.wake.Wake()
 	}
 	c.blockCount++
-}
-
-// BlockFor suspends the thread for a fixed number of cycles from now (e.g.
-// NOMAD's tag-management latency). now is the current cycle.
-func (c *Core) BlockFor(now, cycles uint64) {
-	until := now + cycles
-	if !c.Blocked() {
-		c.stats.OSBlockEvents++
-	}
-	if until > c.blockedUntil {
-		c.blockedUntil = until
-	}
 }
 
 // Unblock undoes one Block.
@@ -226,6 +239,9 @@ func (c *Core) Unblock() {
 		panic("cpu: Unblock without Block")
 	}
 	c.blockCount--
+	if c.blockCount == 0 {
+		c.wake.Wake()
+	}
 }
 
 // Blocked reports whether the thread is currently OS-suspended.
@@ -234,13 +250,24 @@ func (c *Core) Blocked() bool { return c.blockCount > 0 }
 // OutstandingLoads reports in-flight loads (tests).
 func (c *Core) OutstandingLoads() int { return c.inFlight }
 
-// Tick advances the core one cycle.
-func (c *Core) Tick(now uint64) {
-	c.stats.Cycles++
-	c.nowCycle = now
+// SetWaker implements sim.Sleeper.
+func (c *Core) SetWaker(w sim.Waker) { c.wake = w }
 
-	if c.blockCount > 0 || now < c.blockedUntil {
+// Tick advances the core one cycle, first charging any cycles it slept
+// through.
+func (c *Core) Tick(now uint64) {
+	if c.asleep {
+		c.asleep = false
+		c.charge(now - 1 - c.sleptAt)
+		if !c.sleepOS {
+			c.loads[c.loadHead].probe.Watch(nil)
+		}
+	}
+	c.stats.Cycles++
+
+	if c.blockCount > 0 {
 		c.stats.OSBlockedCycles++
+		c.trySleep(now)
 		return
 	}
 
@@ -316,7 +343,7 @@ func (c *Core) Tick(now uint64) {
 			slot.pos = c.insertSeq
 			slot.done = false
 			slot.start = now
-			slot.probe = mem.Probe{Core: int32(c.ID), Cause: mem.StallSRAM}
+			slot.probe = mem.Probe{Core: int32(c.ID)} // cause StallSRAM, unwatched
 			if c.sampleEvery > 0 && (c.stats.Loads-1)%c.sampleEvery == 0 {
 				// SpanID packs (core, load sequence) so IDs are unique
 				// across cores and stable across same-seed runs.
@@ -342,78 +369,81 @@ func (c *Core) Tick(now uint64) {
 		case headBlocked:
 			c.stats.MemStallCycles++
 			// Charge the cause the head load is waiting on right now —
-			// the memory system keeps probe.Cause current as the access
-			// moves, so the CPI stack attributes each stalled cycle to
-			// the component actually holding the data.
-			c.stats.MemStallByCause[c.loads[c.loadHead].probe.Cause]++
+			// the memory system keeps the probe's cause current as the
+			// access moves, so the CPI stack attributes each stalled
+			// cycle to the component actually holding the data.
+			c.stats.MemStallByCause[c.loads[c.loadHead].probe.Cause()]++
 		case inserted == 0:
 			c.stats.FrontStallCycles++
 		}
 	}
+	c.trySleep(now)
 }
 
-// noWork mirrors sim.NoWork ("only an event can wake me"); the cpu package
-// satisfies sim.FastForwarder structurally, without importing sim.
-const noWork = ^uint64(0)
-
-// NextWork implements the fast-forward half of the sim.FastForwarder
-// protocol: it reports the earliest cycle after now at which Tick could do
-// anything beyond charging one stall cycle, assuming no event (load
-// completion, OS unblock) runs in between. The engine separately bounds
-// jumps by the event heap, so "the head load's data returns" and "an OS
-// routine unblocks the thread" never need to be predicted here.
-func (c *Core) NextWork(now uint64) uint64 {
-	if c.blockCount > 0 {
-		// Indefinitely OS-suspended: only an Unblock event resumes it.
-		return noWork
-	}
-	if c.blockedUntil > now+1 {
-		// Fixed-duration suspension: pure OSBlocked cycles until then.
-		return c.blockedUntil
-	}
-	if c.blockedUntil > now {
-		return now + 1 // resumes next cycle
-	}
-	// Runnable. The next Tick is a pure head-of-ROB stall iff it can
-	// neither retire (head is an incomplete load at retireSeq) nor insert
-	// (ROB full, or a load stuck behind the outstanding-load cap with no
-	// gap instructions or fetch available). Every condition below can only
-	// change through an event, so a quiescent verdict holds until one runs.
-	if c.insertSeq == c.retireSeq {
-		return now + 1 // empty window: Tick would fetch and insert
-	}
+// stalled reports whether a runnable core's next Tick could only charge one
+// head-of-ROB stall cycle: the head is an incomplete load at retireSeq, and
+// insertion is stuck (ROB full, or the next op is a load at the
+// outstanding-load cap with no gap instructions left). Only a load
+// completing changes that.
+func (c *Core) stalled() bool {
 	if c.loadCount == 0 {
-		return now + 1 // non-load instructions retire
+		return false
 	}
 	if h := &c.loads[c.loadHead]; h.done || h.pos != c.retireSeq {
-		return now + 1 // head retires, or instructions before it do
+		return false
 	}
 	if c.insertSeq-c.retireSeq >= uint64(c.cfg.ROBSize) {
-		return noWork // retire blocked and ROB full: nothing can move
+		return true
 	}
-	if c.gapLeft > 0 || c.memOp == nil || c.memOp.Write || c.inFlight < c.cfg.MaxLoads {
-		return now + 1 // Tick would insert or fetch
-	}
-	return noWork // retire blocked, insert stuck on the load cap
+	return c.gapLeft == 0 && c.memOp != nil && !c.memOp.Write && c.inFlight >= c.cfg.MaxLoads
 }
 
-// SkipCycles bulk-accounts n skipped cycles (now+1 .. now+n). The engine
-// guarantees the span is uniform — it never extends past blockedUntil, a
-// scheduled event, or any cycle NextWork flagged — so the whole span
-// charges the bucket the first skipped cycle would have: OSBlockedCycles
-// while suspended, otherwise MemStallCycles under the head load's current
-// stall cause (unchanged across the span, since only events move it).
-func (c *Core) SkipCycles(now, n uint64) {
+// trySleep ends a Tick: when the next Tick could only charge one stall
+// cycle, the core leaves the active set and records the bucket. A mem-stall
+// sleep watches the head probe, since its cause picks the bucket.
+func (c *Core) trySleep(now uint64) {
+	os := c.blockCount > 0
+	if (!os && !c.stalled()) || !c.wake.Sleep() {
+		return
+	}
+	c.asleep, c.sleepOS, c.sleptAt = true, os, now
+	if !os {
+		h := &c.loads[c.loadHead].probe
+		c.sleepCause = h.Cause()
+		h.Watch(&c.wake)
+	}
+}
+
+// charge accounts n slept cycles to the recorded bucket.
+func (c *Core) charge(n uint64) {
 	c.stats.Cycles += n
-	if c.blockCount > 0 || now+1 < c.blockedUntil {
+	if c.sleepOS {
 		c.stats.OSBlockedCycles += n
 		return
 	}
-	if check.Enabled {
-		check.Assert(c.loadCount > 0 && !c.loads[c.loadHead].done &&
-			c.loads[c.loadHead].pos == c.retireSeq,
-			"cpu %d: skipping %d cycles at %d without a head-of-ROB stall", c.ID, n, now)
-	}
 	c.stats.MemStallCycles += n
-	c.stats.MemStallByCause[c.loads[c.loadHead].probe.Cause] += n
+	c.stats.MemStallByCause[c.sleepCause] += n
+}
+
+// Settle implements sim.Sleeper: it charges the cycles slept through now.
+func (c *Core) Settle(now uint64) {
+	if c.asleep {
+		c.charge(now - c.sleptAt)
+		c.sleptAt = now
+	}
+}
+
+// AuditSleep is the engine's invariants-build check on a sleeping core: its
+// next Tick must still charge exactly the recorded bucket.
+func (c *Core) AuditSleep(now uint64) {
+	check.Assert(c.asleep, "cpu %d: out of the active set at %d without sleeping", c.ID, now)
+	if c.sleepOS {
+		check.Assert(c.blockCount > 0, "cpu %d: asleep as OS-blocked at %d but runnable", c.ID, now)
+		return
+	}
+	check.Assert(c.blockCount == 0 && c.stalled(),
+		"cpu %d: asleep on a head-of-ROB stall at %d but blocked or able to move", c.ID, now)
+	cause := c.loads[c.loadHead].probe.Cause()
+	check.Assert(cause == c.sleepCause,
+		"cpu %d: asleep charging %v at %d but the head load waits on %v", c.ID, c.sleepCause, now, cause)
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nomad/internal/check"
 	"nomad/internal/mem"
 	"nomad/internal/metrics"
 	"nomad/internal/sim"
@@ -27,7 +28,7 @@ type fakePort struct {
 func (p *fakePort) Load(core int, vaddr uint64, probe *mem.Probe, done func()) {
 	p.loads++
 	if probe != nil && p.cause != mem.StallSRAM {
-		probe.Cause = p.cause
+		probe.SetCause(p.cause)
 	}
 	p.outstanding++
 	if p.outstanding > p.maxConcurrent {
@@ -149,22 +150,6 @@ func TestBlockNesting(t *testing.T) {
 	}
 }
 
-func TestBlockFor(t *testing.T) {
-	eng := sim.New()
-	c, _ := newCore(eng, Config{Width: 4, ROBSize: 64, MaxLoads: 4}, stream(10, 0), 10)
-	eng.Run(10)
-	before := c.Stats().Instructions
-	c.BlockFor(eng.Now(), 100)
-	eng.Run(99) // blocked through cycle now+99; resumes at now+100
-	if c.Stats().Instructions != before {
-		t.Fatal("core retired during fixed-duration block")
-	}
-	eng.Run(100)
-	if c.Stats().Instructions == before {
-		t.Fatal("core never resumed after BlockFor")
-	}
-}
-
 func TestUnblockWithoutBlockPanics(t *testing.T) {
 	c := New(0, DefaultConfig(), &fakePort{eng: sim.New()}, stream(1, 0))
 	defer func() {
@@ -281,7 +266,7 @@ func TestDefaultConfigValues(t *testing.T) {
 
 // TestFastForwardStatsEquivalence runs identical core workloads with
 // fast-forward on and off and requires every statistic — including the
-// per-cause stall breakdown that SkipCycles must bulk-charge — to match
+// per-cause stall breakdown a sleeping core charges lazily — to match
 // exactly.
 func TestFastForwardStatsEquivalence(t *testing.T) {
 	cases := []struct {
@@ -305,8 +290,11 @@ func TestFastForwardStatsEquivalence(t *testing.T) {
 				c, p := newCore(eng, Config{Width: 4, ROBSize: 64, MaxLoads: 4}, stream(tc.gap, tc.writeFrac), tc.delay)
 				p.cause = tc.cause
 				if tc.block {
+					// An OS routine: suspended from cycle 100 until an
+					// event 5000 cycles later resumes the thread.
 					eng.Run(100)
-					c.BlockFor(eng.Now(), 5000)
+					c.Block()
+					eng.Schedule(5000, c.Unblock)
 				}
 				eng.Run(10000)
 				return c.Stats()
@@ -316,5 +304,122 @@ func TestFastForwardStatsEquivalence(t *testing.T) {
 				t.Fatalf("stats diverge:\n  ff on:  %+v\n  ff off: %+v", on, off)
 			}
 		})
+	}
+}
+
+// causePort completes loads after a fixed delay and keeps the probes of
+// outstanding loads so tests can move their causes. With events set, each
+// load's cause also moves twice from the event phase while it is in flight.
+type causePort struct {
+	eng    *sim.Engine
+	delay  uint64
+	events bool
+	probes []*mem.Probe
+}
+
+func (p *causePort) Load(core int, vaddr uint64, probe *mem.Probe, done func()) {
+	p.probes = append(p.probes, probe)
+	if p.events {
+		p.eng.Schedule(p.delay/3, func() { probe.SetCause(mem.StallDRAMQueue) })
+		p.eng.Schedule(2*p.delay/3, func() { probe.SetCause(mem.StallBus) })
+	}
+	p.eng.Schedule(p.delay, func() {
+		for i, q := range p.probes {
+			if q == probe {
+				p.probes = append(p.probes[:i], p.probes[i+1:]...)
+				break
+			}
+		}
+		done()
+	})
+}
+
+func (p *causePort) Store(core int, vaddr uint64) {}
+
+// moveCauses returns a ticker that, every fifth cycle, moves the cause of
+// every outstanding load.
+func (p *causePort) moveCauses() sim.TickerFunc {
+	return func(now uint64) {
+		if now%5 == 0 {
+			for _, q := range p.probes {
+				q.SetCause(mem.StallCause(now / 5 % mem.NumStallCauses))
+			}
+		}
+	}
+}
+
+// TestFastForwardSleepingCoreStats: a core that sleeps on a head-of-ROB
+// stall must end with exactly the polled core's Stats when the head load's
+// cause changes while it sleeps — from the event phase, and from the ticker
+// phase of a ticker registered before or after it (woken in the same cycle
+// or the next).
+func TestFastForwardSleepingCoreStats(t *testing.T) {
+	for _, phase := range []string{"event", "ticker-before", "ticker-after"} {
+		t.Run(phase, func(t *testing.T) {
+			run := func(ff bool) (*Stats, int) {
+				eng := sim.New()
+				eng.SetFastForward(ff)
+				p := &causePort{eng: eng, delay: 90, events: phase == "event"}
+				c := New(0, Config{Width: 4, ROBSize: 64, MaxLoads: 4}, p, stream(2, 0))
+				if phase == "ticker-before" {
+					eng.AddTicker(p.moveCauses())
+				}
+				eng.AddTicker(c)
+				if phase == "ticker-after" {
+					eng.AddTicker(p.moveCauses())
+				}
+				slept := 0
+				eng.AddTicker(sim.TickerFunc(func(uint64) {
+					if c.asleep {
+						slept++
+					}
+				}))
+				eng.Run(20_000)
+				return c.Stats(), slept
+			}
+			on, slept := run(true)
+			off, _ := run(false)
+			if !reflect.DeepEqual(on, off) {
+				t.Fatalf("stats diverge:\n  sleeping: %+v\n  polled:   %+v", on, off)
+			}
+			if slept == 0 {
+				t.Fatal("the core never slept")
+			}
+		})
+	}
+}
+
+// chainPort completes each load by scheduling the core's own prebuilt done
+// callback, so nothing on the load path allocates.
+type chainPort struct {
+	eng   *sim.Engine
+	delay uint64
+}
+
+func (p chainPort) Load(core int, vaddr uint64, probe *mem.Probe, done func()) {
+	p.eng.Schedule(p.delay, done)
+}
+
+func (p chainPort) Store(core int, vaddr uint64) {}
+
+// TestSleepWakeDoesNotAllocate pins 0 allocs for a core falling asleep on
+// its outstanding loads, the clock jumping, and the completions waking it.
+func TestSleepWakeDoesNotAllocate(t *testing.T) {
+	if check.Enabled {
+		t.Skip("the invariants build allocates in its assertions")
+	}
+	eng := sim.New()
+	// Four loads issue together and complete 127 cycles later; the core
+	// wakes the next cycle and issues four more, so events recur every 128
+	// cycles and reuse the same timing-wheel buckets once warm.
+	c := New(0, Config{Width: 4, ROBSize: 64, MaxLoads: 4}, chainPort{eng, 127}, stream(0, 0))
+	eng.AddTicker(c)
+	eng.Run(10_000)
+	jumps := eng.Jumps()
+	if allocs := testing.AllocsPerRun(20, func() { eng.Run(1000) }); allocs != 0 {
+		t.Fatalf("sleep/wake cycle allocates %.1f times per 1000 cycles", allocs)
+	}
+	if eng.Jumps() == jumps {
+		t.Fatal("the core never slept: the clock never jumped")
 	}
 }

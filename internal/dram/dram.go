@@ -168,7 +168,9 @@ type channel struct {
 }
 
 // Device is one DRAM device instance bound to a simulation engine. It
-// registers itself as a ticker; callers enqueue requests with Access.
+// registers itself as a ticker that sleeps whenever no channel has both a
+// queued request and a free in-flight slot; an enqueue or a completion
+// wakes it. Callers enqueue requests with Access.
 type Device struct {
 	cfg   Config
 	eng   *sim.Engine
@@ -193,6 +195,9 @@ type Device struct {
 	// discipline), so a plain slice beats sync.Pool and is deterministic.
 	//nomad:ephemeral DRAM device wiring and timing state; divergence surfaces in the registered channel counters
 	free []*request
+
+	//nomad:ephemeral engine wiring, set once at registration
+	wake sim.Waker
 }
 
 // getRequest takes a request from the freelist, building the instance (and
@@ -214,7 +219,11 @@ func (d *Device) getRequest() *request {
 // then handed this same instance, which is fine because every field it needs
 // was copied out first.
 func (d *Device) complete(r *request) {
-	r.ch.inflight--
+	c := r.ch
+	c.inflight--
+	if len(c.queue) > 0 {
+		d.wake.Wake() // the freed slot lets a queued request issue
+	}
 	done, comp, arg := r.done, r.comp, r.arg
 	r.done, r.comp, r.probe, r.ch = nil, nil, nil, nil
 	d.free = append(d.free, r)
@@ -350,7 +359,7 @@ func (d *Device) AccessArg(addr uint64, write bool, kind mem.Kind, priority bool
 func (d *Device) enqueue(r *request, addr uint64, write bool, kind mem.Kind, priority bool) {
 	ch, bk, row := d.mapAddr(addr)
 	if r.probe != nil {
-		r.probe.Cause = mem.StallDRAMQueue
+		r.probe.SetCause(mem.StallDRAMQueue)
 	}
 	r.addr, r.write, r.kind, r.priority = addr, write, kind, priority
 	r.arrival = d.eng.Now()
@@ -361,6 +370,9 @@ func (d *Device) enqueue(r *request, addr uint64, write bool, kind mem.Kind, pri
 	}
 	c.queue = append(c.queue, r)
 	d.queued++
+	if c.inflight < d.cfg.InflightPerChannel {
+		d.wake.Wake()
+	}
 }
 
 // QueueLen returns the current queue length of channel ch (for tests and
@@ -384,41 +396,37 @@ func (d *Device) Promote(addr uint64) bool {
 	return false
 }
 
-// Tick drives every channel scheduler one cycle.
-func (d *Device) Tick(now uint64) {
-	if d.queued == 0 {
-		return
-	}
-	for i := range d.chans {
-		d.tickChannel(&d.chans[i], now)
-	}
-}
+// SetWaker implements sim.Sleeper.
+func (d *Device) SetWaker(w sim.Waker) { d.wake = w }
 
-// NextWork implements sim.FastForwarder: a channel scheduler has work at
-// now+1 only when it holds queued requests and a free inflight slot —
-// everything else it is waiting for (a completion freeing an inflight slot,
-// new traffic from an event or a core tick) arrives through the event heap
-// or another ticker, both of which bound the engine's jumps. Bus and bank
-// occupancy are carried as absolute cycle stamps (busFreeAt/readyAt), not
-// per-cycle state, so an idle-until channel needs no per-cycle ticks.
-func (d *Device) NextWork(now uint64) uint64 {
-	if d.queued == 0 {
-		return sim.NoWork
-	}
-	for i := range d.chans {
-		c := &d.chans[i]
-		if len(c.queue) > 0 && c.inflight < d.cfg.InflightPerChannel {
-			return now + 1
+// Tick drives every channel scheduler one cycle, then sleeps: afterwards
+// every channel has drained its queue or filled its in-flight slots, so
+// only an enqueue or a completion can give the device work.
+func (d *Device) Tick(now uint64) {
+	if d.queued != 0 {
+		for i := range d.chans {
+			d.tickChannel(&d.chans[i], now)
 		}
 	}
-	return sim.NoWork
+	d.wake.Sleep()
 }
 
-// SkipCycles implements sim.FastForwarder. Nothing accrues per idle cycle:
+// Settle implements sim.Sleeper. Nothing accrues per idle cycle:
 // BusBusyCycles and every other counter are charged in bulk at issue time
-// (issue reserves the whole TBL bus window at once), so skipped ticks are
-// accounting no-ops by construction.
-func (d *Device) SkipCycles(now, n uint64) {}
+// (issue reserves the whole TBL bus window at once), and bank and bus
+// occupancy are absolute cycle stamps (busFreeAt/readyAt).
+func (d *Device) Settle(now uint64) {}
+
+// AuditSleep is the engine's invariants-build check on a sleeping device:
+// no channel may hold a queued request it has a free in-flight slot for.
+func (d *Device) AuditSleep(now uint64) {
+	for i := range d.chans {
+		c := &d.chans[i]
+		check.Assert(len(c.queue) == 0 || c.inflight >= d.cfg.InflightPerChannel,
+			"dram %s ch%d: asleep at %d with %d queued and %d in flight",
+			d.cfg.Name, c.idx, now, len(c.queue), c.inflight)
+	}
+}
 
 func (d *Device) tickChannel(c *channel, now uint64) {
 	for c.inflight < d.cfg.InflightPerChannel && len(c.queue) > 0 {
@@ -499,11 +507,11 @@ func (d *Device) issue(c *channel, r *request, now uint64) {
 	if r.probe != nil {
 		switch {
 		case conflict:
-			r.probe.Cause = mem.StallRowConflict
+			r.probe.SetCause(mem.StallRowConflict)
 		case busWait:
-			r.probe.Cause = mem.StallBus
+			r.probe.SetCause(mem.StallBus)
 		default:
-			r.probe.Cause = mem.StallDRAMService
+			r.probe.SetCause(mem.StallDRAMService)
 		}
 	}
 	c.busFreeAt = dataEnd

@@ -57,7 +57,7 @@ type Options struct {
 	// SelfProfile attaches host-side simulator profiling to every run
 	// (Result.Host). Host readings are non-deterministic.
 	SelfProfile bool
-	// NoFastForward disables idle-cycle fast-forward in every run (see
+	// NoFastForward disables activity-driven ticking in every run (see
 	// system.Config.FastForward); results are byte-identical either way.
 	NoFastForward bool
 	// Engine selects the event-queue implementation for every run ("" is

@@ -175,10 +175,11 @@ func (c StallCause) String() string {
 }
 
 // Probe is the latency-provenance tag of one load: the memory system updates
-// Cause as the request moves between components (live, every load), and
-// SpanID marks the 1-in-N sampled loads whose per-hop spans are recorded.
-// The issuing core allocates one Probe per in-flight load and reads Cause
-// each cycle the load blocks retirement.
+// its cause with SetCause as the request moves between components (live,
+// every load), and SpanID marks the 1-in-N sampled loads whose per-hop spans
+// are recorded. The issuing core allocates one Probe per in-flight load and
+// charges each cycle the load blocks retirement to its cause. The zero
+// Probe's cause is StallSRAM.
 //
 //nomad:ephemeral request descriptor payload; consumed and counted by the receiving engine
 type Probe struct {
@@ -188,9 +189,38 @@ type Probe struct {
 	// Core is the issuing core (for span records emitted by shared
 	// components that do not otherwise know it).
 	Core int32
-	// Cause is the component currently responsible for the load's latency.
-	Cause StallCause
+	// cause is the component currently responsible for the load's latency.
+	cause StallCause
+	// watcher, when set, is woken by every cause change: a core sleeping
+	// on this load charges its skipped cycles to the cause it recorded, so
+	// it must tick again the moment the cause moves.
+	watcher Waker
 }
+
+// Waker is woken by a watched Probe's cause change (sim.Waker implements
+// it).
+type Waker interface {
+	Wake()
+}
+
+// Cause returns the component currently responsible for the load's latency.
+func (p *Probe) Cause() StallCause { return p.cause }
+
+// SetCause records that component c now holds the load, waking the watcher
+// if the cause changed. Every cause update goes through here, so none can
+// skip the wake.
+func (p *Probe) SetCause(c StallCause) {
+	if c == p.cause {
+		return
+	}
+	p.cause = c
+	if p.watcher != nil {
+		p.watcher.Wake()
+	}
+}
+
+// Watch makes w the probe's watcher; nil stops watching.
+func (p *Probe) Watch(w Waker) { p.watcher = w }
 
 // Request is a single memory access. One Request flows from the core through
 // the SRAM hierarchy; below the LLC the scheme may spawn further Requests
@@ -213,7 +243,7 @@ type Request struct {
 	// (used for DC access-time accounting).
 	Issue uint64
 	// Probe, when non-nil, is the originating load's latency-provenance
-	// tag: components update Probe.Cause as they take ownership of the
+	// tag: components call Probe.SetCause as they take ownership of the
 	// request. Generated traffic (fills, writebacks, metadata) carries nil.
 	Probe *Probe
 }

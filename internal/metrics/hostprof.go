@@ -44,9 +44,10 @@ type HostReport struct {
 	// GCPauses / GCPauseTotalNs cover the profiled span only.
 	GCPauses       uint32 `json:"gc_pauses"`
 	GCPauseTotalNs uint64 `json:"gc_pause_total_ns"`
-	// SkippedCycles / Jumps report the engine's idle-cycle fast-forward
-	// effectiveness (the sim.skipped_cycles and sim.jumps readings): cycles
-	// bulk-advanced without stepping, and the jumps that advanced them.
+	// SkippedCycles / Jumps report the engine's fast-forward effectiveness
+	// (the sim.skipped_cycles and sim.jumps readings): cycles the clock
+	// jumped over while no component was awake, and the jumps that
+	// advanced them.
 	// They live here rather than in the metrics snapshot because they
 	// differ between fast-forward on and off, while snapshots are required
 	// to stay byte-identical across the two. SkippedCycles/SimCycles is the

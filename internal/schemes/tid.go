@@ -112,8 +112,10 @@ type TiD struct {
 	mm       *osmem.Manager
 	walk     uint64
 
+	// lines is the tag array, one flat slice: set s's ways are
+	// lines[s*tidWays : (s+1)*tidWays] (see ways).
 	//nomad:ephemeral tag-engine working state; divergence surfaces in the registered tid.* counters
-	sets    [][]tidLine
+	lines   []tidLine
 	numSets uint64
 	//nomad:ephemeral tag-engine working state; divergence surfaces in the registered tid.* counters
 	mshrs   map[uint64]*tidMSHR
@@ -152,16 +154,13 @@ func NewTiD(eng *sim.Engine, hbm, ddr *dram.Device, mm *osmem.Manager, walkLaten
 	}
 	t := &TiD{
 		eng: eng, hbm: hbm, ddr: ddr, mm: mm, walk: walkLatency,
-		sets:     make([][]tidLine, numSets),
+		lines:    make([]tidLine, numSets*tidWays),
 		numSets:  numSets,
 		mshrs:    make(map[uint64]*tidMSHR),
 		maxMSHR:  cfg.MSHRs,
 		metaBase: cfg.CapacityBytes, // metadata region above the data array
 		wb:       tidWriteback{ddr},
 		spanTap:  spanTap{now: eng.Now},
-	}
-	for i := range t.sets {
-		t.sets[i] = make([]tidLine, tidWays)
 	}
 	return t
 }
@@ -174,6 +173,11 @@ func (t *TiD) lineOf(addr uint64) (lineAddr, set, tag uint64) {
 	set = lineAddr % t.numSets
 	tag = lineAddr / t.numSets
 	return
+}
+
+// ways returns the tag entries of one set.
+func (t *TiD) ways(set uint64) []tidLine {
+	return t.lines[set*tidWays : (set+1)*tidWays]
 }
 
 // dataAddr maps (set, way, offset) into the on-package data array.
@@ -210,7 +214,7 @@ func (t *TiD) lookup(req mem.Request, done mem.Done) {
 	// costs bandwidth, not serialized latency (§II-A).
 	t.hbm.Access(t.metaAddr(set), false, mem.KindMetadata, false, nil)
 
-	ways := t.sets[set]
+	ways := t.ways(set)
 	for w := range ways {
 		l := &ways[w]
 		if l.valid && l.tag == tag {
@@ -250,7 +254,7 @@ func (t *TiD) miss(req mem.Request, lineAddr, set uint64, done mem.Done) {
 		m.waiters = append(m.waiters, tidWaiter{si: si, write: req.Write, done: done})
 		if req.Probe != nil {
 			// Parked in the DC MSHR until the sub-block lands.
-			req.Probe.Cause = mem.StallMSHR
+			req.Probe.SetCause(mem.StallMSHR)
 		}
 		if req.Write {
 			m.dirty = true
@@ -268,7 +272,7 @@ func (t *TiD) miss(req mem.Request, lineAddr, set uint64, done mem.Done) {
 	if len(t.mshrs) >= t.maxMSHR {
 		t.tidStats.MSHRStalls++
 		if req.Probe != nil {
-			req.Probe.Cause = mem.StallMSHR
+			req.Probe.SetCause(mem.StallMSHR)
 		}
 		t.pending = append(t.pending, tidPending{req: req, done: done})
 		return
@@ -276,7 +280,7 @@ func (t *TiD) miss(req mem.Request, lineAddr, set uint64, done mem.Done) {
 
 	// Victim selection and eviction (writeback of the whole 1 KB line if
 	// dirty), then allocation.
-	ways := t.sets[set]
+	ways := t.ways(set)
 	way := 0
 	oldest := ^uint64(0)
 	for w := range ways {
@@ -367,7 +371,7 @@ func (t *TiD) subArrived(m *tidMSHR, si uint) {
 }
 
 func (t *TiD) fillComplete(m *tidMSHR) {
-	l := &t.sets[m.set][m.way]
+	l := &t.lines[m.set*tidWays+uint64(m.way)]
 	t.lruTick++
 	*l = tidLine{tag: m.lineAddr / t.numSets, valid: true, dirty: m.dirty, lru: t.lruTick}
 	// Tag install / state update.

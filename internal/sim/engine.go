@@ -7,7 +7,7 @@
 //   - Event-driven components (caches, OS routines, completion callbacks)
 //     schedule closures with Engine.Schedule / Engine.At.
 //   - Cycle-driven components (CPU cores, DRAM channel schedulers) register a
-//     Ticker and are invoked once per simulated cycle.
+//     Ticker and are invoked once per simulated cycle while they are awake.
 //
 // Determinism: events scheduled for the same cycle run in FIFO order of
 // scheduling, and tickers run in registration order before the cycle's
@@ -20,52 +20,91 @@
 // differential-testing oracle) are interchangeable via WithScheduler, and
 // the equivalence tests prove both produce byte-identical runs.
 //
-// Fast-forward: when every registered ticker also implements FastForwarder
-// and reports quiescence, Run/RunUntil jump the clock directly to the next
-// cycle at which anything can happen — the earliest ticker wake-up, the
-// scheduler's NextDue, or the next sampler/interval boundary — instead of
-// stepping one cycle at a time. Skipped cycles are bulk-accounted through
-// SkipCycles, and the jump target always lands on a real Step, so a run
-// with fast-forward enabled is state-identical (byte-identical snapshots,
-// timelines, and traces) to the same run stepped cycle by cycle. See
-// DESIGN.md, "Idle-cycle fast-forward".
+// Activity-driven ticking: a ticker that implements Sleeper leaves the
+// engine's active set after a Tick when only a wake can give it work, and
+// whatever gives it work puts it back through the Waker that AddTicker
+// handed it. Step ticks only awake tickers, in registration order,
+// re-reading the set as it goes: a ticker woken by a lower-index ticker
+// ticks in the same cycle, and any other wake takes effect the next cycle —
+// exactly when a ticker polled every cycle would first see the change. A
+// sleeper charges the cycles it slept through lazily, on its next Tick or
+// when the engine settles it (before the sampler and interval hooks run and
+// before Run/RunUntil return). When nothing is awake, Run/RunUntil jump the
+// clock to the next event, hook boundary or run limit, landing on a normal
+// Step. With fast-forward off every ticker ticks every cycle: that polled
+// engine is the reference the byte-identity suites compare against. See
+// DESIGN.md, "Activity-driven ticking".
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nomad/internal/check"
 )
 
-// Ticker is a component that needs to observe every simulated cycle.
+// Ticker is a component that needs to observe simulated cycles.
 type Ticker interface {
-	// Tick is called exactly once per cycle, after the cycle counter has
-	// advanced and before that cycle's scheduled events run.
+	// Tick is called once per cycle the ticker is awake (every cycle for
+	// a plain Ticker), after the cycle counter has advanced and before
+	// that cycle's scheduled events run.
 	Tick(now uint64)
 }
 
-// NoWork is the NextWork return value meaning "only a scheduled event can
-// give this ticker work": the ticker is quiescent indefinitely.
-const NoWork = ^uint64(0)
-
-// FastForwarder is the optional Ticker extension that enables idle-cycle
-// fast-forward. The engine only jumps when every registered ticker
-// implements it.
-type FastForwarder interface {
+// Sleeper is the optional Ticker extension for activity-driven ticking. A
+// sleeper ends a Tick with Waker.Sleep when its next Tick could only charge
+// per-cycle stall accounting, and every call or event that changes that
+// calls Waker.Wake.
+type Sleeper interface {
 	Ticker
-	// NextWork reports the earliest cycle after now at which this ticker's
-	// Tick might do anything beyond per-cycle stall accounting, assuming no
-	// scheduled event runs in between (the engine separately bounds jumps
-	// by the event queue). Returning now+1 declines fast-forward for this
-	// cycle; returning NoWork means only an event can create work. The
-	// contract: for every cycle c in (now, NextWork(now)), Tick(c) must be
-	// exactly equivalent to the per-cycle share of SkipCycles.
-	NextWork(now uint64) uint64
-	// SkipCycles bulk-accounts n skipped cycles (now+1 .. now+n) that the
-	// engine verified are quiescent for every ticker. Implementations
-	// charge the same stall buckets n of their Ticks would have charged.
-	SkipCycles(now, n uint64)
+	// SetWaker hands the ticker its wake handle. AddTicker calls it once,
+	// at registration.
+	SetWaker(w Waker)
+	// Settle charges every cycle up to and including now that the ticker
+	// slept through since its last Tick, exactly as the missed Ticks would
+	// have, so its counters are current. It does nothing for a ticker that
+	// has not slept since its last Tick.
+	Settle(now uint64)
 }
+
+// sleepAuditor is implemented by sleepers that can check, in invariants
+// builds, that their next Tick would still do exactly what they recorded on
+// falling asleep. Step audits every sleeping ticker after each cycle's
+// events, so a state change that forgot to wake its ticker fails in the
+// cycle it happened.
+type sleepAuditor interface {
+	AuditSleep(now uint64)
+}
+
+// Waker is a sleeper's handle on the engine's active set. The zero Waker
+// (a ticker never registered) never sleeps and ignores wakes.
+type Waker struct {
+	e    *Engine
+	word int
+	bit  uint64
+}
+
+// Wake puts the ticker back in the active set. Waking an awake ticker does
+// nothing.
+func (w Waker) Wake() {
+	if w.e != nil {
+		w.e.awake[w.word] |= w.bit
+	}
+}
+
+// Sleep takes the ticker out of the active set and reports whether it did.
+// With fast-forward off it returns false: the ticker keeps ticking every
+// cycle and must charge each cycle itself.
+func (w Waker) Sleep() bool {
+	if w.e == nil || !w.e.fastForward {
+		return false
+	}
+	w.e.awake[w.word] &^= w.bit
+	return true
+}
+
+// Now returns the engine's current cycle.
+func (w Waker) Now() uint64 { return w.e.now }
 
 // TickerFunc adapts a plain function to the Ticker interface.
 type TickerFunc func(now uint64)
@@ -81,13 +120,13 @@ type Engine struct {
 	executed uint64
 	sched    Scheduler
 	tickers  []Ticker
+	// awake is the active set: bit i%64 of word i/64 is set while ticker
+	// i is awake. With fast-forward off every bit stays set.
+	awake []uint64
 
-	// Fast-forward state: ff mirrors tickers when every registered ticker
-	// implements FastForwarder (allFF); skipped/jumps count bulk-advanced
-	// cycles and the jumps that advanced them.
+	// fastForward enables sleeping and clock jumps; skipped/jumps count
+	// the cycles jumped over and the jumps that did it.
 	fastForward bool
-	allFF       bool
-	ff          []FastForwarder
 	skipped     uint64
 	jumps       uint64
 
@@ -127,11 +166,10 @@ func WithScheduler(s Scheduler) Option {
 
 // New returns an Engine at cycle 0 with no pending work, running on the
 // timing-wheel scheduler unless WithScheduler overrides it. Fast-forward is
-// enabled by default; it only takes effect while every registered ticker
-// implements FastForwarder, so engines driving plain Tickers behave exactly
-// as before.
+// enabled by default; only Sleepers ever leave the active set, so a plain
+// Ticker ticks every cycle and keeps the clock from jumping.
 func New(opts ...Option) *Engine {
-	e := &Engine{fastForward: true, allFF: true, sched: NewWheelScheduler()}
+	e := &Engine{fastForward: true, sched: NewWheelScheduler()}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -145,37 +183,46 @@ func (e *Engine) Now() uint64 { return e.now }
 // need to inspect which implementation is driving the run).
 func (e *Engine) SchedulerImpl() Scheduler { return e.sched }
 
-// AddTicker registers t to be invoked every cycle. Tickers run in
-// registration order. A ticker that does not implement FastForwarder
-// disables fast-forward for the whole engine (conservative: the engine can
-// no longer prove a span is quiescent).
+// AddTicker registers t, awake. Tickers run in registration order. If t
+// implements Sleeper, AddTicker hands it the Waker for its slot in the
+// active set.
 func (e *Engine) AddTicker(t Ticker) {
+	i := len(e.tickers)
 	e.tickers = append(e.tickers, t)
-	if f, ok := t.(FastForwarder); ok && e.allFF {
-		e.ff = append(e.ff, f)
-	} else {
-		e.allFF = false
-		e.ff = nil
+	if i%64 == 0 {
+		e.awake = append(e.awake, 0)
+	}
+	w := Waker{e: e, word: i / 64, bit: 1 << (i % 64)}
+	w.Wake()
+	if s, ok := t.(Sleeper); ok {
+		s.SetWaker(w)
 	}
 }
 
-// SetFastForward enables or disables idle-cycle fast-forward. It is on by
-// default; disabling forces the engine to step every cycle (the -no-ff
-// escape hatch, and the reference behaviour the equivalence tests compare
-// against).
-func (e *Engine) SetFastForward(on bool) { e.fastForward = on }
+// SetFastForward switches activity-driven ticking on or off. It is on by
+// default; switching it off wakes every ticker and forces the engine to
+// step and tick every cycle (the -no-ff escape hatch, and the polled
+// reference the equivalence tests compare against).
+func (e *Engine) SetFastForward(on bool) {
+	e.fastForward = on
+	if !on {
+		for i := range e.tickers {
+			e.awake[i/64] |= 1 << (i % 64)
+		}
+	}
+}
 
-// FastForwardEnabled reports whether fast-forward is switched on (it may
-// still be inert if a registered ticker does not support it).
+// FastForwardEnabled reports whether fast-forward is switched on.
 func (e *Engine) FastForwardEnabled() bool { return e.fastForward }
 
-// SkippedCycles returns the total cycles bulk-advanced by fast-forward
-// jumps. Deliberately not part of the metrics snapshot: it differs between
-// fast-forward on and off, and snapshots must be byte-identical across the
-// two (it surfaces through the host-side self-profile instead).
+// SkippedCycles returns the total cycles the clock jumped over while no
+// ticker was awake. Deliberately not part of the metrics snapshot: it
+// differs between fast-forward on and off, and snapshots must be
+// byte-identical across the two (it surfaces through the host-side
+// self-profile instead).
 func (e *Engine) SkippedCycles() uint64 { return e.skipped }
 
-// Jumps returns the number of fast-forward jumps taken.
+// Jumps returns the number of clock jumps taken.
 func (e *Engine) Jumps() uint64 { return e.jumps }
 
 // Schedule runs fn delay cycles from now. A delay of 0 runs fn later in the
@@ -193,8 +240,9 @@ func (e *Engine) At(cycle uint64, fn func()) {
 }
 
 // SetSampler registers fn to run every `every` cycles, after that cycle's
-// tickers and events. The metrics registry hangs its time-series sampling
-// off this hook. A nil fn or zero period disables sampling.
+// tickers and events, with every sleeper settled. The metrics registry
+// hangs its time-series sampling off this hook. A nil fn or zero period
+// disables sampling.
 func (e *Engine) SetSampler(every uint64, fn func(now uint64)) {
 	if every == 0 || fn == nil {
 		e.sampleFn = nil
@@ -220,10 +268,11 @@ func (e *Engine) SampleWindow() uint64 {
 // with the measured region. A nil fn disables the hook.
 //
 // Boundary exactness is a contract: the hook fires at every elapsed
-// boundary with the boundary cycle as now, and fast-forward jumps never
-// pass nextInterval (tryJump bounds on it), so hook-driven captures — the
-// metrics timeline and the interval digest chains — observe identical
-// machine state at identical cycles across engines and fast-forward modes.
+// boundary with the boundary cycle as now, every sleeper is settled first,
+// and clock jumps never pass nextInterval (tryJump bounds on it), so
+// hook-driven captures — the metrics timeline and the interval digest
+// chains — observe identical machine state at identical cycles across
+// engines and fast-forward modes.
 func (e *Engine) SetInterval(every uint64, fn func(now uint64)) {
 	if fn == nil {
 		e.intervalFn = nil
@@ -252,20 +301,33 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Step advances the clock by one cycle: any event still due at the current
 // cycle first (events scheduled for cycle N outside a Step — engine setup at
 // cycle 0, hook callbacks — run before cycle N ends, observing Now() == N),
-// then tickers, then every event due at the new cycle (including events
-// those events schedule for the same cycle), then the sampler and interval
-// hooks for every window boundary that has elapsed.
+// then the awake tickers, then every event due at the new cycle (including
+// events those events schedule for the same cycle), then — with every
+// sleeper settled — the sampler and interval hooks for every window
+// boundary that has elapsed.
 func (e *Engine) Step() {
 	// Unconditional Advance: besides draining stragglers, it slides the
 	// scheduler's clock to e.now, so events the tickers are about to
 	// schedule take the wheel's O(1) near-window path even right after a
-	// fast-forward jump.
+	// jump.
 	e.executed += e.sched.Advance(e.now)
 	e.now++
-	for _, t := range e.tickers {
-		t.Tick(e.now)
+	for w := range e.awake {
+		for set := e.awake[w]; set != 0; {
+			b := bits.TrailingZeros64(set)
+			e.tickers[w*64+b].Tick(e.now)
+			// Re-read the word past b: a ticker woken by this one (or by
+			// any lower one) ticks in this cycle too.
+			set = e.awake[w] & (^uint64(1) << b)
+		}
 	}
 	e.executed += e.sched.Advance(e.now)
+	if check.Enabled {
+		e.auditSleepers()
+	}
+	if (e.sampleFn != nil && e.now >= e.nextSample) || (e.intervalFn != nil && e.now >= e.nextInterval) {
+		e.settle()
+	}
 	// Both hooks catch up to every elapsed boundary, each firing with the
 	// boundary cycle as now, so a multi-window advance cannot shift the
 	// window phase. (Single-cycle steps hit each boundary exactly; the
@@ -292,29 +354,44 @@ func (e *Engine) Step() {
 	}
 }
 
-// minJump is the smallest span worth jumping over. A jump's fixed cost —
-// polling every ticker, bulk-accounting, one landing Step — is comparable
-// to stepping a handful of quiescent cycles, so shorter spans are cheaper
-// to step. Skipping a span is always optional, so the threshold cannot
-// affect results, only throughput.
-const minJump = 8
+// settle brings every sleeper's counters up to the current cycle.
+func (e *Engine) settle() {
+	for _, t := range e.tickers {
+		if s, ok := t.(Sleeper); ok {
+			s.Settle(e.now)
+		}
+	}
+}
 
-// tryJump attempts one fast-forward jump, never advancing past limit (the
-// last cycle the caller may reach). It returns false — leaving the clock
-// untouched — when fast-forward is inert or the nearest ticker wake-up,
-// event, or hook boundary is within minJump cycles. On success the skipped
-// span (now+1 .. target-1) is bulk-accounted through every ticker's
-// SkipCycles and the clock lands on the target via one normal Step, so
-// ticker/event/hook ordering at the target is identical to the stepped
-// engine.
+// auditSleepers asks every sleeping ticker to check that it still holds
+// the bucket it recorded on falling asleep (invariants builds only).
+func (e *Engine) auditSleepers() {
+	for i, t := range e.tickers {
+		if e.awake[i/64]&(1<<(i%64)) != 0 {
+			continue
+		}
+		if a, ok := t.(sleepAuditor); ok {
+			a.AuditSleep(e.now)
+		}
+	}
+}
+
+// tryJump moves the clock, never past limit (the last cycle the caller may
+// reach), when no ticker is awake: straight to the earliest of the next
+// due event, the next hook boundary and limit, landing there with one
+// normal Step so event/hook ordering at the target is the stepped engine's.
+// It returns false, leaving the clock untouched, when fast-forward is off,
+// a ticker is awake, or the target is the next cycle anyway.
 func (e *Engine) tryJump(limit uint64) bool {
-	if !e.fastForward || !e.allFF {
+	if !e.fastForward {
 		return false
 	}
+	for _, w := range e.awake {
+		if w != 0 {
+			return false
+		}
+	}
 	target := limit
-	// The scheduler's NextDue is the cheapest bound and, in busy phases,
-	// the one that usually forbids jumping — check it before polling
-	// tickers.
 	if due := e.sched.NextDue(); due < target {
 		target = due
 	}
@@ -324,21 +401,12 @@ func (e *Engine) tryJump(limit uint64) bool {
 	if e.intervalFn != nil && e.nextInterval < target {
 		target = e.nextInterval
 	}
-	if target < e.now+1+minJump {
+	if target <= e.now+1 {
 		return false
-	}
-	for _, f := range e.ff {
-		if w := f.NextWork(e.now); w < target {
-			if w < e.now+1+minJump {
-				return false
-			}
-			target = w
-		}
 	}
 	if check.Enabled {
 		// A jump must never pass a due event or hook boundary: everything
 		// that can happen before the target is provably nothing.
-		check.Assert(target > e.now+1, "sim: jump to %d from %d saves nothing", target, e.now)
 		check.Assert(e.sched.NextDue() >= target,
 			"sim: jump to %d passes event due at %d", target, e.sched.NextDue())
 		check.Assert(e.sampleFn == nil || e.nextSample >= target,
@@ -347,19 +415,16 @@ func (e *Engine) tryJump(limit uint64) bool {
 			"sim: jump to %d passes interval boundary %d", target, e.nextInterval)
 		check.Assert(target <= limit, "sim: jump to %d passes caller limit %d", target, limit)
 	}
-	n := target - e.now - 1
-	for _, f := range e.ff {
-		f.SkipCycles(e.now, n)
-	}
-	e.skipped += n
+	e.skipped += target - e.now - 1
 	e.jumps++
 	e.now = target - 1
 	e.Step()
 	return true
 }
 
-// Run advances the clock by cycles cycles, fast-forwarding across quiescent
-// spans when enabled (the observable end state is identical either way).
+// Run advances the clock by cycles cycles, jumping across spans in which
+// no ticker is awake (the observable end state is identical either way),
+// and returns with every sleeper settled.
 func (e *Engine) Run(cycles uint64) {
 	end := e.now + cycles
 	for e.now < end {
@@ -367,24 +432,29 @@ func (e *Engine) Run(cycles uint64) {
 			e.Step()
 		}
 	}
+	e.settle()
 }
 
-// RunUntil advances the clock until pred returns true or maxCycles elapse.
-// It reports whether pred was satisfied. pred is evaluated at every cycle
-// the engine actually executes; fast-forward skips only spans in which no
-// ticker, event, or hook runs, so a pred that depends on simulation
-// progress (retired instructions, completed events) is checked at exactly
-// the cycles where its value can change.
+// RunUntil advances the clock until pred returns true or maxCycles elapse,
+// and returns with every sleeper settled. It reports whether pred was
+// satisfied. pred is evaluated at every cycle the engine actually executes,
+// before sleepers are settled, so it must read only state that changes when
+// a ticker ticks or an event runs (retired instructions, completed events),
+// not counters a sleeper charges lazily. Jumps skip only spans in which no
+// ticker is awake and no event or hook runs, so such a pred is checked at
+// exactly the cycles where its value can change.
 func (e *Engine) RunUntil(pred func() bool, maxCycles uint64) bool {
 	end := e.now + maxCycles
 	for e.now < end {
 		if pred() {
+			e.settle()
 			return true
 		}
 		if !e.tryJump(end) {
 			e.Step()
 		}
 	}
+	e.settle()
 	return pred()
 }
 

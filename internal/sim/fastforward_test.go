@@ -2,30 +2,72 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
-// ffTicker is a test FastForwarder: quiescent except at the cycles in busy,
-// recording every Tick and every SkipCycles span.
-type ffTicker struct {
-	busy  map[uint64]bool // cycles at which the ticker claims work
-	ticks []uint64
-	skips [][2]uint64 // (first, last) skipped cycle per SkipCycles call
+// sleepTicker is a test Sleeper modelled on a core: each cycle it ticks it
+// does one unit of queued work or charges one idle cycle, and it sleeps
+// whenever its queue is empty, charging the idle cycles it slept through
+// lazily. Settled, idle+len(done) equals the cycles since registration at
+// cycle 0.
+type sleepTicker struct {
+	id      int
+	w       Waker
+	queued  int
+	idle    uint64
+	ticks   []uint64 // cycles Tick ran
+	done    []uint64 // cycles a unit of work ran
+	asleep  bool
+	sleptAt uint64
+	// log, when set, records (cycle, id) for every unit of work across
+	// tickers; onWork runs after each unit.
+	log    *[][2]uint64
+	onWork func()
 }
 
-func (f *ffTicker) Tick(now uint64) { f.ticks = append(f.ticks, now) }
+func (s *sleepTicker) SetWaker(w Waker) { s.w = w }
 
-func (f *ffTicker) NextWork(now uint64) uint64 {
-	for c := now + 1; c <= now+1_000_000; c++ {
-		if f.busy[c] {
-			return c
-		}
+func (s *sleepTicker) Tick(now uint64) {
+	s.ticks = append(s.ticks, now)
+	if s.asleep {
+		s.asleep = false
+		s.idle += now - 1 - s.sleptAt
 	}
-	return NoWork
+	if s.queued > 0 {
+		s.queued--
+		s.done = append(s.done, now)
+		if s.log != nil {
+			*s.log = append(*s.log, [2]uint64{now, uint64(s.id)})
+		}
+		if s.onWork != nil {
+			s.onWork()
+		}
+	} else {
+		s.idle++
+	}
+	if s.queued == 0 && s.w.Sleep() {
+		s.asleep, s.sleptAt = true, now
+	}
 }
 
-func (f *ffTicker) SkipCycles(now, n uint64) {
-	f.skips = append(f.skips, [2]uint64{now + 1, now + n})
+func (s *sleepTicker) Settle(now uint64) {
+	if s.asleep {
+		s.idle += now - s.sleptAt
+		s.sleptAt = now
+	}
+}
+
+// give queues one unit of work and wakes the ticker.
+func (s *sleepTicker) give() {
+	s.queued++
+	s.w.Wake()
+}
+
+// settled reports whether the ticker's counters account for every cycle
+// up to now.
+func (s *sleepTicker) settled(now uint64) bool {
+	return s.idle+uint64(len(s.done)) == now
 }
 
 // TestCycleZeroEventObservesNowZero pins the cycle-0 fix: an event scheduled
@@ -124,12 +166,13 @@ func TestHookReRegisterInsideCallback(t *testing.T) {
 	}
 }
 
-// TestFastForwardSkipsIdleSpan: a fully quiescent engine with one pending
-// event jumps straight to the event cycle.
+// TestFastForwardSkipsIdleSpan: with every ticker asleep, the clock jumps
+// straight to the pending event, then to the run limit, and the sleeper is
+// settled for every skipped cycle on return.
 func TestFastForwardSkipsIdleSpan(t *testing.T) {
 	e := New()
-	f := &ffTicker{busy: map[uint64]bool{}}
-	e.AddTicker(f)
+	s := &sleepTicker{}
+	e.AddTicker(s)
 	fired := uint64(0)
 	e.Schedule(100, func() { fired = e.Now() })
 	e.Run(200)
@@ -139,43 +182,102 @@ func TestFastForwardSkipsIdleSpan(t *testing.T) {
 	if e.Now() != 200 {
 		t.Fatalf("clock at %d, want 200", e.Now())
 	}
-	// Two jumps: to the event at 100, then to the run limit at 200. Each
-	// jump lands with one real Step; every other cycle is skipped.
-	if e.Jumps() != 2 {
-		t.Fatalf("Jumps = %d, want 2", e.Jumps())
+	// The sleeper ticks once, at cycle 1, and sleeps; then two jumps: to
+	// the event at 100 and to the limit at 200, each landing with a Step.
+	if !reflect.DeepEqual(s.ticks, []uint64{1}) {
+		t.Fatalf("ticks = %v, want [1]", s.ticks)
 	}
-	if e.SkippedCycles() != 198 {
-		t.Fatalf("SkippedCycles = %d, want 198", e.SkippedCycles())
+	if e.Jumps() != 2 || e.SkippedCycles() != 197 {
+		t.Fatalf("Jumps = %d, SkippedCycles = %d; want 2 and 197", e.Jumps(), e.SkippedCycles())
 	}
-	if len(f.ticks) != 2 || f.ticks[0] != 100 || f.ticks[1] != 200 {
-		t.Fatalf("ticks = %v, want [100 200]", f.ticks)
-	}
-	if len(f.skips) != 2 || f.skips[0] != [2]uint64{1, 99} || f.skips[1] != [2]uint64{101, 199} {
-		t.Fatalf("skips = %v, want [[1 99] [101 199]]", f.skips)
+	if s.idle != 200 {
+		t.Fatalf("idle = %d after Run(200), want 200 (settled)", s.idle)
 	}
 }
 
-// TestFastForwardHonorsNextWork: the jump stops at the earliest ticker
-// wake-up even with no events pending.
-func TestFastForwardHonorsNextWork(t *testing.T) {
+// TestFastForwardWakeOrder pins when a woken ticker ticks: in the same cycle
+// when a lower-index ticker woke it during the ticker phase, in the next
+// cycle when a higher-index ticker or an event woke it — exactly when a
+// ticker polled every cycle first sees the work.
+func TestFastForwardWakeOrder(t *testing.T) {
+	for _, ff := range []bool{true, false} {
+		e := New()
+		e.SetFastForward(ff)
+		a, b, c := &sleepTicker{id: 0}, &sleepTicker{id: 1}, &sleepTicker{id: 2}
+		for _, s := range []*sleepTicker{a, b, c} {
+			e.AddTicker(s)
+		}
+		a.onWork = b.give      // lower wakes higher
+		c.onWork = b.give      // higher wakes lower
+		e.Schedule(4, a.give)  // a works at 5, b at 5
+		e.Schedule(9, c.give)  // c works at 10, b at 11
+		e.Schedule(15, b.give) // b works at 16
+		e.Run(30)
+		if want := []uint64{5, 11, 16}; !reflect.DeepEqual(b.done, want) {
+			t.Errorf("ff=%v: b worked at %v, want %v", ff, b.done, want)
+		}
+		if ff && len(b.ticks) != 4 {
+			// Cycle 1 (every ticker starts awake) plus its three work cycles.
+			t.Errorf("b ticked at %v, want 4 ticks", b.ticks)
+		}
+	}
+}
+
+// TestFastForwardHooksSeeSettledCounters: sampler and interval hooks, and
+// Run/RunUntil returns, observe every sleeper charged up to the clock.
+func TestFastForwardHooksSeeSettledCounters(t *testing.T) {
 	e := New()
-	f := &ffTicker{busy: map[uint64]bool{40: true}}
-	e.AddTicker(f)
-	e.Run(50)
-	// The ticker must be stepped (not skipped) at its busy cycle.
-	for _, s := range f.skips {
-		if s[0] <= 40 && 40 <= s[1] {
-			t.Fatalf("busy cycle 40 was skipped: %v", f.skips)
+	ts := []*sleepTicker{{id: 0}, {id: 1}}
+	for _, s := range ts {
+		e.AddTicker(s)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 40; i++ {
+		e.Schedule(uint64(1+rng.Intn(500)), ts[rng.Intn(2)].give)
+	}
+	hooks := 0
+	check := func(where string) {
+		for _, s := range ts {
+			if !s.settled(e.Now()) {
+				t.Fatalf("%s at %d: ticker %d has idle %d + work %d", where, e.Now(), s.id, s.idle, len(s.done))
+			}
 		}
 	}
-	seen := false
-	for _, c := range f.ticks {
-		if c == 40 {
-			seen = true
+	e.SetSampler(10, func(uint64) { hooks++; check("sampler") })
+	e.SetInterval(25, func(uint64) { hooks++; check("interval") })
+	e.Run(503)
+	check("Run")
+	e.RunUntil(func() bool { return false }, 17)
+	check("RunUntil")
+	if hooks != 52+20 {
+		t.Fatalf("hooks fired %d times, want 72", hooks)
+	}
+	if e.Jumps() == 0 {
+		t.Fatal("never jumped: the settle path went untested")
+	}
+}
+
+// TestFastForwardJumpsOnlyWhenNothingAwake: one awake ticker keeps the
+// clock stepping; the jump comes only once the last one sleeps.
+func TestFastForwardJumpsOnlyWhenNothingAwake(t *testing.T) {
+	e := New()
+	busy, idle := &sleepTicker{queued: 50}, &sleepTicker{}
+	e.AddTicker(idle) // asleep from cycle 1
+	e.AddTicker(busy) // awake through cycle 50
+	e.Run(200)
+	for i, c := range busy.ticks {
+		if c != uint64(i+1) {
+			t.Fatalf("busy ticker missed cycle %d while awake: ticks %v", i+1, busy.ticks)
 		}
 	}
-	if !seen {
-		t.Fatalf("busy cycle 40 never ticked: %v", f.ticks)
+	if len(busy.ticks) != 50 {
+		t.Fatalf("busy ticker ticked %d times, want 50", len(busy.ticks))
+	}
+	if e.Jumps() != 1 || e.SkippedCycles() != 149 {
+		t.Fatalf("Jumps = %d, SkippedCycles = %d; want one jump over 51..199", e.Jumps(), e.SkippedCycles())
+	}
+	if !busy.settled(200) || !idle.settled(200) {
+		t.Fatalf("unsettled after Run: busy idle %d, idle idle %d", busy.idle, idle.idle)
 	}
 }
 
@@ -183,30 +285,27 @@ func TestFastForwardHonorsNextWork(t *testing.T) {
 // boundaries so hooks fire at exactly the same cycles as a stepped run.
 func TestFastForwardHonorsHookBoundaries(t *testing.T) {
 	e := New()
-	e.AddTicker(&ffTicker{busy: map[uint64]bool{}})
+	e.AddTicker(&sleepTicker{})
 	var samples, intervals []uint64
 	e.SetSampler(10, func(now uint64) { samples = append(samples, now) })
 	e.SetInterval(25, func(now uint64) { intervals = append(intervals, now) })
 	e.Run(50)
-	wantS := []uint64{10, 20, 30, 40, 50}
-	if len(samples) != len(wantS) {
-		t.Fatalf("sampler fired at %v, want %v", samples, wantS)
+	if want := []uint64{10, 20, 30, 40, 50}; !reflect.DeepEqual(samples, want) {
+		t.Fatalf("sampler fired at %v, want %v", samples, want)
 	}
-	for i := range wantS {
-		if samples[i] != wantS[i] {
-			t.Fatalf("sampler fired at %v, want %v", samples, wantS)
-		}
+	if want := []uint64{25, 50}; !reflect.DeepEqual(intervals, want) {
+		t.Fatalf("interval hook fired at %v, want %v", intervals, want)
 	}
-	if len(intervals) != 2 || intervals[0] != 25 || intervals[1] != 50 {
-		t.Fatalf("interval hook fired at %v, want [25 50]", intervals)
+	if e.Jumps() == 0 {
+		t.Fatal("never jumped between boundaries")
 	}
 }
 
-// TestFastForwardInertWithPlainTicker: one non-FastForwarder ticker disables
-// jumping entirely.
+// TestFastForwardInertWithPlainTicker: a plain Ticker never sleeps, so it
+// ticks every cycle and the clock never jumps.
 func TestFastForwardInertWithPlainTicker(t *testing.T) {
 	e := New()
-	e.AddTicker(&ffTicker{busy: map[uint64]bool{}})
+	e.AddTicker(&sleepTicker{})
 	n := 0
 	e.AddTicker(TickerFunc(func(uint64) { n++ }))
 	e.Run(100)
@@ -218,82 +317,87 @@ func TestFastForwardInertWithPlainTicker(t *testing.T) {
 	}
 }
 
-// TestFastForwardDisabledBySwitch: SetFastForward(false) forces per-cycle
-// stepping even for all-FastForwarder engines.
+// TestFastForwardDisabledBySwitch: SetFastForward(false) wakes a sleeping
+// ticker and then ticks every ticker every cycle, never jumping.
 func TestFastForwardDisabledBySwitch(t *testing.T) {
 	e := New()
-	f := &ffTicker{busy: map[uint64]bool{}}
-	e.AddTicker(f)
+	s := &sleepTicker{}
+	e.AddTicker(s)
+	e.Run(10) // asleep since cycle 1
 	e.SetFastForward(false)
 	if e.FastForwardEnabled() {
 		t.Fatal("FastForwardEnabled after SetFastForward(false)")
 	}
+	jumps, skipped := e.Jumps(), e.SkippedCycles()
 	e.Run(100)
-	if e.Jumps() != 0 || e.SkippedCycles() != 0 {
-		t.Fatalf("jumped while disabled: jumps=%d skipped=%d", e.Jumps(), e.SkippedCycles())
+	if e.Jumps() != jumps || e.SkippedCycles() != skipped {
+		t.Fatalf("jumped while disabled: jumps %d->%d skipped %d->%d", jumps, e.Jumps(), skipped, e.SkippedCycles())
 	}
-	if len(f.ticks) != 100 {
-		t.Fatalf("ticker ran %d times, want 100", len(f.ticks))
+	if len(s.ticks) != 101 || s.ticks[1] != 11 || s.ticks[100] != 110 {
+		t.Fatalf("ticks = %v, want 1 then every cycle 11..110", s.ticks)
+	}
+	if !s.settled(110) {
+		t.Fatalf("idle = %d at 110", s.idle)
 	}
 }
 
-// TestFastForwardEquivalence runs randomized schedules through a
-// fast-forwarding engine and a stepped engine and requires identical event
-// firing cycles, hook firings, tick counts at busy cycles, and final state.
+// TestFastForwardEquivalence runs randomized programs — events and tickers
+// handing work to lower- and higher-index tickers — through the
+// activity-driven engine and the polled one, and requires the same work at
+// the same cycles in the same order, the same event and hook cycles, and
+// the same settled counters at every hook.
 func TestFastForwardEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		busy := map[uint64]bool{}
-		for i := 0; i < 10; i++ {
-			busy[uint64(1+rng.Intn(400))] = true
-		}
 		type trace struct {
+			work    [][2]uint64
 			events  []uint64
-			samples []uint64
-			ticks   []uint64
+			samples [][]uint64 // idle per ticker at each sample
 		}
 		run := func(ff bool) trace {
 			var tr trace
 			e := New()
 			e.SetFastForward(ff)
-			f := &ffTicker{busy: busy}
-			e.AddTicker(f)
-			e.SetSampler(37, func(now uint64) { tr.samples = append(tr.samples, now) })
-			r := rand.New(rand.NewSource(seed + 1))
-			for i := 0; i < 30; i++ {
-				e.Schedule(uint64(1+r.Intn(400)), func() { tr.events = append(tr.events, e.Now()) })
+			// Consumed in execution order, so an ordering difference
+			// derails the rest of the program instead of hiding.
+			r := rand.New(rand.NewSource(seed))
+			ts := make([]*sleepTicker, 5)
+			for i := range ts {
+				ts[i] = &sleepTicker{id: i, log: &tr.work}
+				e.AddTicker(ts[i])
 			}
-			e.Run(450)
-			// Keep only the ticks a stepped and jumped run must share:
-			// busy cycles (quiescent-span ticks are exactly what jumps
-			// elide, by contract equivalent to SkipCycles).
-			for _, c := range f.ticks {
-				if busy[c] {
-					tr.ticks = append(tr.ticks, c)
+			for _, s := range ts {
+				s.onWork = func() {
+					if r.Intn(3) == 0 {
+						ts[r.Intn(len(ts))].give()
+					}
 				}
 			}
+			e.SetSampler(37, func(uint64) {
+				idle := make([]uint64, len(ts))
+				for i, s := range ts {
+					idle[i] = s.idle
+				}
+				tr.samples = append(tr.samples, idle)
+			})
+			for i := 0; i < 30; i++ {
+				s := ts[r.Intn(len(ts))]
+				e.Schedule(uint64(1+r.Intn(400)), func() {
+					tr.events = append(tr.events, e.Now())
+					s.give()
+				})
+			}
+			e.Run(450)
 			return tr
 		}
 		a, b := run(true), run(false)
-		eq := func(x, y []uint64) bool {
-			if len(x) != len(y) {
-				return false
-			}
-			for i := range x {
-				if x[i] != y[i] {
-					return false
-				}
-			}
-			return true
+		if !reflect.DeepEqual(a.work, b.work) {
+			t.Fatalf("seed %d: work differs:\n  ff:     %v\n  polled: %v", seed, a.work, b.work)
 		}
-		if !eq(a.events, b.events) {
-			t.Fatalf("seed %d: event cycles differ: ff=%v stepped=%v", seed, a.events, b.events)
+		if !reflect.DeepEqual(a.events, b.events) {
+			t.Fatalf("seed %d: event cycles differ: ff=%v polled=%v", seed, a.events, b.events)
 		}
-		if !eq(a.samples, b.samples) {
-			t.Fatalf("seed %d: sample cycles differ: ff=%v stepped=%v", seed, a.samples, b.samples)
-		}
-		if !eq(a.ticks, b.ticks) {
-			t.Fatalf("seed %d: busy-cycle ticks differ: ff=%v stepped=%v", seed, a.ticks, b.ticks)
+		if !reflect.DeepEqual(a.samples, b.samples) {
+			t.Fatalf("seed %d: settled counters at samples differ:\n  ff:     %v\n  polled: %v", seed, a.samples, b.samples)
 		}
 	}
 }
@@ -394,10 +498,10 @@ func TestRunUntilBoundaries(t *testing.T) {
 		t.Fatalf("clock at %d after exhaustion, want 25", e3.Now())
 	}
 
-	// Fast-forward variant: pred driven by an event, engine fully
-	// quiescent, same stopping cycle as the stepped run above.
+	// Fast-forward variant: pred driven by an event, every ticker asleep,
+	// same stopping cycle as the stepped run above.
 	e4 := New()
-	e4.AddTicker(&ffTicker{busy: map[uint64]bool{}})
+	e4.AddTicker(&sleepTicker{})
 	done4 := false
 	e4.Schedule(10, func() { done4 = true })
 	if !e4.RunUntil(func() bool { return done4 }, 10) {

@@ -9,10 +9,11 @@ import (
 )
 
 // TestFastForwardByteIdentical is the fast-forward correctness contract: for
-// every scheme, a run with idle-cycle fast-forward must produce byte-for-byte
-// the same metrics snapshot (counters, timeline, trace summary) and the same
-// Perfetto trace as the same run stepped cycle by cycle. Only the host-side
-// skip counters may differ.
+// every scheme, a run with activity-driven ticking (sleeping components,
+// lazily charged stall cycles, clock jumps) must produce byte-for-byte the
+// same metrics snapshot (counters, timeline, trace summary) and the same
+// Perfetto trace as the same run with every component ticked every cycle.
+// Only the host-side skip counters may differ.
 func TestFastForwardByteIdentical(t *testing.T) {
 	anySkipped := false
 	for _, s := range AllSchemes() {

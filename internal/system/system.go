@@ -114,12 +114,15 @@ type Config struct {
 	// Result.Host. Host readings are inherently non-deterministic, so this
 	// is off by default and never part of the metrics snapshot.
 	SelfProfile bool
-	// FastForward enables idle-cycle fast-forward in the engine: when every
-	// core is OS-suspended or head-of-ROB stalled and every DRAM channel is
-	// drained, the clock jumps straight to the next event or hook boundary
-	// with bulk stall accounting. The run's observable output (Snapshot,
-	// Timeline, traces) is byte-identical either way; DefaultConfig enables
-	// it, and the CLIs expose -no-ff to switch it off.
+	// FastForward enables activity-driven ticking in the engine: a core
+	// that is OS-suspended or stuck on a head-of-ROB load, and a DRAM
+	// device with no request it can issue, sleep until a wake gives them
+	// work and charge their skipped stall cycles lazily, and when nothing
+	// is awake the clock jumps straight to the next event or hook
+	// boundary. Off, every component ticks every cycle. The run's
+	// observable output (Snapshot, Timeline, traces) is byte-identical
+	// either way; DefaultConfig enables it, and the CLIs expose -no-ff to
+	// switch it off.
 	FastForward bool
 	// Engine selects the event-queue implementation driving the run:
 	// sim.KindWheel (the default timing wheel) or sim.KindHeap (the
@@ -233,7 +236,7 @@ func (m *Machine) runMemOp(op *memOp, e tlb.Entry) {
 		return
 	}
 	if probe != nil {
-		probe.Cause = mem.StallSRAM
+		probe.SetCause(mem.StallSRAM)
 		if probe.SpanID != 0 {
 			m.reg.Spans().Emit(metrics.Span{ID: probe.SpanID, Kind: metrics.SpanTLB,
 				Core: probe.Core, Start: start, End: m.eng.Now()})
@@ -281,7 +284,7 @@ type port struct {
 
 func (p port) Load(coreID int, vaddr uint64, probe *mem.Probe, done func()) {
 	if probe != nil {
-		probe.Cause = mem.StallTLB
+		probe.SetCause(mem.StallTLB)
 	}
 	op := p.m.getMemOp()
 	op.start = p.m.eng.Now()
@@ -473,9 +476,12 @@ func (m *Machine) finishPhase() {
 // cycle-accurate prefix of the full one.
 // It returns false on timeout and a non-nil error only on cancellation.
 func (m *Machine) runUntilRetired(ctx context.Context, base []uint64, target uint64, maxCycles, stopAt uint64) (bool, error) {
+	// Retired counts only grow, so cores before the cursor stay done and
+	// pred costs amortized O(1) per executed cycle.
+	next := 0
 	pred := func() bool {
-		for i, c := range m.cores {
-			if c.Stats().Instructions-base[i] < target {
+		for ; next < len(m.cores); next++ {
+			if m.cores[next].Stats().Instructions-base[next] < target {
 				return false
 			}
 		}

@@ -161,9 +161,9 @@ type HostProfile struct {
 	// GCPauses / GCPauseTotalNs cover the profiled span only.
 	GCPauses       uint32 `json:"gc_pauses"`
 	GCPauseTotalNs uint64 `json:"gc_pause_total_ns"`
-	// SkippedCycles / Jumps report the engine's idle-cycle fast-forward
-	// effectiveness (sim.skipped_cycles / sim.jumps): cycles bulk-advanced
-	// across quiescent spans, and the jumps that advanced them.
+	// SkippedCycles / Jumps report the engine's fast-forward effectiveness
+	// (sim.skipped_cycles / sim.jumps): cycles the clock jumped over while
+	// no component was awake, and the jumps that advanced them.
 	// SkippedCycles/SimCycles is the run's skip ratio; both read 0 with
 	// Config.NoFastForward set. They are host-report fields (not snapshot
 	// metrics) because they differ between fast-forward on and off while
