@@ -89,14 +89,13 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // BenchmarkSimulatorThroughputTimeline is BenchmarkSimulatorThroughput with
 // interval telemetry enabled at the default 100k-cycle window. Comparing the
 // two cycles/s numbers demonstrates the timeline capture's overhead (the
-// design target is under 5%; cmd/bench records the same measurement in its
-// timeline_overhead section).
+// design target is under 5%).
 func BenchmarkSimulatorThroughputTimeline(b *testing.B) {
 	benchThroughput(b, Config{
 		Scheme:             SchemeNOMAD,
 		WarmupInstructions: 1,
 		ROIInstructions:    200_000,
-		Timeline:           true,
+		Telemetry:          Telemetry{Timeline: true},
 	})
 }
 

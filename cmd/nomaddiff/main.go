@@ -31,7 +31,6 @@ import (
 	"nomad/internal/diag"
 	"nomad/internal/harness"
 	"nomad/internal/metrics"
-	"nomad/internal/sim"
 	"nomad/internal/system"
 	"nomad/internal/workload"
 )
@@ -46,7 +45,6 @@ func run() int {
 		bisect  = flag.Bool("bisect", false, "replay the divergent prefix with event tracing and write Perfetto traces (implies -run)")
 		fast    = flag.Bool("fast", false, "with -run: shrink warmup/ROI for quick runs")
 		noFF    = flag.Bool("no-ff", false, "with -run: tick every component every cycle instead of letting idle ones sleep and the clock jump (results are byte-identical either way)")
-		engine  = flag.String("engine", "", "with -run: event-queue implementation (wheel or heap)")
 		top     = flag.Int("top", 10, "show at most this many metric deltas per table")
 		out     = flag.String("out", ".", "with -bisect: directory for the per-run Perfetto traces")
 		format  = flag.String("format", "text", "output format: text or json")
@@ -54,10 +52,6 @@ func run() int {
 	flag.Parse()
 	if *format != "text" && *format != "json" {
 		fmt.Fprintf(os.Stderr, "unknown format %q; use text, json\n", *format)
-		return 2
-	}
-	if _, err := sim.NewScheduler(sim.Kind(*engine)); err != nil {
-		fmt.Fprintf(os.Stderr, "-engine %q: use %q or %q\n", *engine, sim.KindWheel, sim.KindHeap)
 		return 2
 	}
 	if flag.NArg() != 2 {
@@ -73,12 +67,12 @@ func run() int {
 		return diffFiles(argA, argB, *format, *top)
 	}
 
-	specA, err := parseSpec(argA, *fast, *noFF, *engine)
+	specA, err := parseSpec(argA, *fast, *noFF)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	specB, err := parseSpec(argB, *fast, *noFF, *engine)
+	specB, err := parseSpec(argB, *fast, *noFF)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -90,7 +84,7 @@ func run() int {
 }
 
 // parseSpec builds a diag.RunSpec from "scheme/workload[/seed]".
-func parseSpec(s string, fast, noFF bool, engine string) (diag.RunSpec, error) {
+func parseSpec(s string, fast, noFF bool) (diag.RunSpec, error) {
 	parts := strings.Split(s, "/")
 	if len(parts) != 2 && len(parts) != 3 {
 		return diag.RunSpec{}, fmt.Errorf("run spec %q: want scheme/workload[/seed]", s)
@@ -123,7 +117,6 @@ func parseSpec(s string, fast, noFF bool, engine string) (diag.RunSpec, error) {
 		cfg.ROIInstructions = 400_000
 	}
 	cfg.FastForward = !noFF
-	cfg.Engine = sim.Kind(engine)
 	return diag.RunSpec{Key: s, Cfg: cfg, Spec: sp}, nil
 }
 

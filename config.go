@@ -3,22 +3,9 @@ package nomad
 import (
 	"fmt"
 
+	"nomad/internal/osmem"
 	"nomad/internal/sim"
 	"nomad/internal/system"
-)
-
-// EngineKind selects the simulation event-queue implementation. Runs are
-// byte-identical across engines — the knob exists for differential testing
-// and performance comparison, not because results differ.
-type EngineKind string
-
-const (
-	// EngineWheel is the hierarchical timing wheel (the default): O(1)
-	// schedule and dispatch, allocation-free steady state.
-	EngineWheel EngineKind = "wheel"
-	// EngineHeap is the binary min-heap the wheel replaced, kept as the
-	// differential-testing oracle.
-	EngineHeap EngineKind = "heap"
 )
 
 // Telemetry groups the observability knobs of a simulation. The zero value
@@ -74,7 +61,8 @@ type Telemetry struct {
 type Config struct {
 	// Scheme under test; defaults to NOMAD.
 	Scheme Scheme
-	// Cores in the chip multiprocessor; defaults to 8.
+	// Cores in the chip multiprocessor, at most 64 (the OS keeps one TLB
+	// directory bit per core); defaults to 8.
 	Cores int
 	// PCSHRs in the NOMAD back-end; defaults to 16.
 	PCSHRs int
@@ -101,15 +89,8 @@ type Config struct {
 	Seed uint64
 
 	// Telemetry groups the observability knobs (traces, spans, timeline,
-	// self-profiling). The flat fields below are deprecated aliases kept
-	// for compatibility; a knob set both ways to conflicting values is a
-	// Validate error.
+	// digests, self-profiling).
 	Telemetry Telemetry
-
-	// Engine selects the event-queue implementation ("" and EngineWheel
-	// run the timing wheel, EngineHeap the binary-heap oracle). Results
-	// are byte-identical across engines.
-	Engine EngineKind
 
 	// NoFastForward disables the engine's activity-driven ticking (on by
 	// default), forcing every component to tick on every cycle. Results
@@ -117,21 +98,6 @@ type Config struct {
 	// for measuring the speedup. With self-profiling enabled,
 	// Host().SkippedCycles reports how many cycles the clock jumped over.
 	NoFastForward bool
-
-	// Deprecated: use Telemetry.TraceDepth.
-	TraceDepth int
-	// Deprecated: use Telemetry.SpanDepth.
-	SpanDepth int
-	// Deprecated: use Telemetry.SpanSampleEvery.
-	SpanSampleEvery uint64
-	// Deprecated: use Telemetry.Timeline.
-	Timeline bool
-	// Deprecated: use Telemetry.TimelineInterval.
-	TimelineInterval uint64
-	// Deprecated: use Telemetry.TimelineMetrics.
-	TimelineMetrics []string
-	// Deprecated: use Telemetry.SelfProfile.
-	SelfProfile bool
 }
 
 // DefaultConfig returns the paper's evaluation configuration with every
@@ -148,7 +114,6 @@ func DefaultConfig() Config {
 		WarmupInstructions: 700_000,
 		ROIInstructions:    1_200_000,
 		Seed:               1,
-		Engine:             EngineWheel,
 		Telemetry: Telemetry{
 			SpanSampleEvery:  64,
 			TimelineInterval: 100_000,
@@ -172,13 +137,11 @@ func (c Config) Validate() *Error {
 	default:
 		return c.validationError("unknown scheme %q", c.Scheme)
 	}
-	switch c.Engine {
-	case "", EngineWheel, EngineHeap:
-	default:
-		return c.validationError("unknown engine %q (want %q or %q)", c.Engine, EngineWheel, EngineHeap)
-	}
 	if c.Cores < 0 {
 		return c.validationError("negative core count %d", c.Cores)
+	}
+	if c.Cores > osmem.MaxCores {
+		return c.validationError("%d cores exceed the limit of %d", c.Cores, osmem.MaxCores)
 	}
 	if c.PCSHRs < 0 {
 		return c.validationError("negative PCSHR count %d", c.PCSHRs)
@@ -189,25 +152,11 @@ func (c Config) Validate() *Error {
 	if c.CopyBuffers > 0 && c.PCSHRs > 0 && c.CopyBuffers > c.PCSHRs {
 		return c.validationError("copy buffers (%d) exceed PCSHRs (%d); buffers beyond one per PCSHR are unreachable", c.CopyBuffers, c.PCSHRs)
 	}
-	if c.Telemetry.TraceDepth < 0 || c.TraceDepth < 0 {
+	if c.Telemetry.TraceDepth < 0 {
 		return c.validationError("negative trace depth")
 	}
-	if c.Telemetry.SpanDepth < 0 || c.SpanDepth < 0 {
+	if c.Telemetry.SpanDepth < 0 {
 		return c.validationError("negative span depth")
-	}
-	// A knob set through both the Telemetry group and its deprecated flat
-	// alias must agree: silently preferring one would hide a caller bug.
-	if c.TraceDepth != 0 && c.Telemetry.TraceDepth != 0 && c.TraceDepth != c.Telemetry.TraceDepth {
-		return c.validationError("TraceDepth set to %d and Telemetry.TraceDepth to %d; use only Telemetry.TraceDepth", c.TraceDepth, c.Telemetry.TraceDepth)
-	}
-	if c.SpanDepth != 0 && c.Telemetry.SpanDepth != 0 && c.SpanDepth != c.Telemetry.SpanDepth {
-		return c.validationError("SpanDepth set to %d and Telemetry.SpanDepth to %d; use only Telemetry.SpanDepth", c.SpanDepth, c.Telemetry.SpanDepth)
-	}
-	if c.SpanSampleEvery != 0 && c.Telemetry.SpanSampleEvery != 0 && c.SpanSampleEvery != c.Telemetry.SpanSampleEvery {
-		return c.validationError("SpanSampleEvery set to %d and Telemetry.SpanSampleEvery to %d; use only Telemetry.SpanSampleEvery", c.SpanSampleEvery, c.Telemetry.SpanSampleEvery)
-	}
-	if c.TimelineInterval != 0 && c.Telemetry.TimelineInterval != 0 && c.TimelineInterval != c.Telemetry.TimelineInterval {
-		return c.validationError("TimelineInterval set to %d and Telemetry.TimelineInterval to %d; use only Telemetry.TimelineInterval", c.TimelineInterval, c.Telemetry.TimelineInterval)
 	}
 	return nil
 }
@@ -217,31 +166,6 @@ func (c Config) effectiveScheme() Scheme {
 		return SchemeNOMAD
 	}
 	return c.Scheme
-}
-
-// effectiveTelemetry merges the Telemetry group with the deprecated flat
-// aliases: the grouped field wins when set, the alias fills it otherwise
-// (Validate rejects conflicting non-zero settings).
-func (c Config) effectiveTelemetry() Telemetry {
-	t := c.Telemetry
-	if t.TraceDepth == 0 {
-		t.TraceDepth = c.TraceDepth
-	}
-	if t.SpanDepth == 0 {
-		t.SpanDepth = c.SpanDepth
-	}
-	if t.SpanSampleEvery == 0 {
-		t.SpanSampleEvery = c.SpanSampleEvery
-	}
-	t.Timeline = t.Timeline || c.Timeline
-	if t.TimelineInterval == 0 {
-		t.TimelineInterval = c.TimelineInterval
-	}
-	if len(t.TimelineMetrics) == 0 {
-		t.TimelineMetrics = c.TimelineMetrics
-	}
-	t.SelfProfile = t.SelfProfile || c.SelfProfile
-	return t
 }
 
 func (c Config) toInternal() system.Config {
@@ -273,7 +197,7 @@ func (c Config) toInternal() system.Config {
 	if c.Seed > 0 {
 		cfg.Seed = c.Seed
 	}
-	tel := c.effectiveTelemetry()
+	tel := c.Telemetry
 	cfg.TraceDepth = tel.TraceDepth
 	cfg.SpanDepth = tel.SpanDepth
 	cfg.SpanSampleEvery = tel.SpanSampleEvery
@@ -289,9 +213,5 @@ func (c Config) toInternal() system.Config {
 	cfg.Digests = tel.Digests
 	cfg.SelfProfile = tel.SelfProfile
 	cfg.FastForward = !c.NoFastForward
-	cfg.Engine = sim.Kind(c.Engine)
-	if cfg.Engine == "" {
-		cfg.Engine = sim.KindWheel
-	}
 	return cfg
 }

@@ -21,51 +21,6 @@ func TestDefaultConfigMatchesZero(t *testing.T) {
 	}
 }
 
-// TestDeprecatedTelemetryAliases pins the compatibility contract of the
-// Telemetry regrouping: a Config written against the old flat fields must
-// resolve to exactly the same internal configuration as the grouped form.
-func TestDeprecatedTelemetryAliases(t *testing.T) {
-	flat := Config{
-		TraceDepth:       512,
-		SpanDepth:        128,
-		SpanSampleEvery:  32,
-		Timeline:         true,
-		TimelineInterval: 50_000,
-		TimelineMetrics:  []string{"core.", "hbm.gbs."},
-		SelfProfile:      true,
-	}
-	grouped := Config{Telemetry: Telemetry{
-		TraceDepth:       512,
-		SpanDepth:        128,
-		SpanSampleEvery:  32,
-		Timeline:         true,
-		TimelineInterval: 50_000,
-		TimelineMetrics:  []string{"core.", "hbm.gbs."},
-		SelfProfile:      true,
-	}}
-	if err := flat.Validate(); err != nil {
-		t.Fatalf("flat legacy config does not validate: %v", err)
-	}
-	if !reflect.DeepEqual(flat.toInternal(), grouped.toInternal()) {
-		t.Fatalf("flat aliases resolve differently from Telemetry group:\n flat:    %+v\n grouped: %+v", flat.toInternal(), grouped.toInternal())
-	}
-	// Agreeing values set both ways are fine; conflicting ones are a
-	// Validate error rather than a silent preference.
-	both := flat
-	both.Telemetry.TraceDepth = 512
-	if err := both.Validate(); err != nil {
-		t.Fatalf("agreeing alias + group rejected: %v", err)
-	}
-	both.Telemetry.TraceDepth = 1024
-	err := both.Validate()
-	if err == nil {
-		t.Fatal("conflicting TraceDepth alias accepted")
-	}
-	if err.Op != "validate" {
-		t.Fatalf("Op = %q, want validate", err.Op)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -73,12 +28,12 @@ func TestValidate(t *testing.T) {
 		want string // substring of the error, "" for valid
 	}{
 		{"zero", Config{}, ""},
-		{"engine wheel", Config{Engine: EngineWheel}, ""},
-		{"engine heap", Config{Engine: EngineHeap}, ""},
 		{"bad scheme", Config{Scheme: "Nope"}, "unknown scheme"},
-		{"bad engine", Config{Engine: "splay"}, "unknown engine"},
 		{"negative cores", Config{Cores: -1}, "negative core count"},
-		{"negative trace depth", Config{TraceDepth: -4}, "negative trace depth"},
+		{"most cores", Config{Cores: 64}, ""},
+		{"too many cores", Config{Cores: 65}, "exceed the limit of 64"},
+		{"huge core count", Config{Cores: 1 << 40}, "exceed the limit of 64"},
+		{"negative trace depth", Config{Telemetry: Telemetry{TraceDepth: -4}}, "negative trace depth"},
 		{"buffers beyond pcshrs", Config{PCSHRs: 4, CopyBuffers: 8}, "exceed"},
 	}
 	for _, tc := range cases {
@@ -101,7 +56,7 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rerr := Run(Config{Engine: "splay"}, w)
+	_, rerr := Run(Config{Scheme: "Nope"}, w)
 	var e *Error
 	if !errors.As(rerr, &e) {
 		t.Fatalf("err = %T, want *nomad.Error", rerr)

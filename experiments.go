@@ -34,8 +34,8 @@ type ExperimentOptions struct {
 	SpanDepth       int
 	SpanSampleEvery uint64
 	// Timeline enables interval time-series capture in every underlying run
-	// (see Config.Timeline); TimelineInterval and TimelineMetrics carry the
-	// same meaning as their Config counterparts.
+	// (see Config.Telemetry.Timeline); TimelineInterval and TimelineMetrics
+	// carry the same meaning as their Config.Telemetry counterparts.
 	Timeline         bool
 	TimelineInterval uint64
 	TimelineMetrics  []string

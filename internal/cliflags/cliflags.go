@@ -1,8 +1,7 @@
 // Package cliflags centralises the command-line flags the nomad CLIs share,
-// so cmd/nomadsim, cmd/experiments, and cmd/bench parse
-// -timeline/-trace/-profile/-no-ff/-format/-engine (and friends) with one
-// canonical name, default, and help string each, instead of keeping three
-// hand-rolled copies that drift apart.
+// so cmd/nomadsim and cmd/experiments parse -timeline/-trace/-profile/
+// -no-ff/-format (and friends) with one canonical name, default, and help
+// string each, instead of keeping hand-rolled copies that drift apart.
 package cliflags
 
 import (
@@ -17,7 +16,6 @@ import (
 
 	"nomad/internal/harness"
 	"nomad/internal/obs"
-	"nomad/internal/sim"
 	"nomad/internal/system"
 )
 
@@ -46,9 +44,6 @@ type Common struct {
 	Profile bool
 	// NoFF disables activity-driven ticking and clock jumps (-no-ff).
 	NoFF bool
-	// Engine names the event-queue implementation (-engine): "" or
-	// "wheel" for the timing wheel, "heap" for the binary-heap oracle.
-	Engine string
 	// Format selects the output rendering (-format); each CLI validates
 	// it against its supported set with CheckFormat.
 	Format string
@@ -73,7 +68,6 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.StringVar(&c.Trace, "trace", "", "write a Perfetto trace to this file (open at ui.perfetto.dev)")
 	fs.BoolVar(&c.Profile, "profile", false, "self-profile the simulator (wall-clock cycles/sec, heap, GC pauses)")
 	fs.BoolVar(&c.NoFF, "no-ff", false, "tick every component every cycle instead of letting idle ones sleep and the clock jump (results are byte-identical either way)")
-	fs.StringVar(&c.Engine, "engine", "", "event-queue implementation: wheel (default) or heap (the differential-testing oracle)")
 	fs.StringVar(&c.Format, "format", "text", "output format")
 	fs.StringVar(&c.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. :6060) while running")
 	fs.StringVar(&c.HTTP, "http", "", "serve live introspection on this address (e.g. :6060): /metrics, /runs, /runs/{key}/timeline, /debug/pprof")
@@ -81,13 +75,10 @@ func Register(fs *flag.FlagSet) *Common {
 	return c
 }
 
-// Check validates the flag values that have a closed domain: -engine, and
-// -format against the formats this CLI supports. It returns a user-facing
-// error (the caller prints it and exits 2).
+// Check validates the flag values that have a closed domain: -http,
+// -log-format, and -format against the formats this CLI supports. It
+// returns a user-facing error (the caller prints it and exits 2).
 func (c *Common) Check(formats ...string) error {
-	if _, err := sim.NewScheduler(sim.Kind(c.Engine)); err != nil {
-		return fmt.Errorf("-engine %q: use %q or %q", c.Engine, sim.KindWheel, sim.KindHeap)
-	}
 	if c.HTTP != "" {
 		if _, _, err := net.SplitHostPort(c.HTTP); err != nil {
 			return fmt.Errorf("-http %q: want host:port or :port", c.HTTP)
@@ -103,9 +94,6 @@ func (c *Common) Check(formats ...string) error {
 	}
 	return fmt.Errorf("unknown format %q; use %s", c.Format, strings.Join(formats, ", "))
 }
-
-// Kind returns the -engine selection as a sim.Kind.
-func (c *Common) Kind() sim.Kind { return sim.Kind(c.Engine) }
 
 // Metrics returns the -timeline-metrics prefixes, nil when unset.
 func (c *Common) Metrics() []string {
@@ -127,7 +115,6 @@ func (c *Common) ApplySystem(cfg *system.Config) {
 	cfg.Digests = c.Digests
 	cfg.SelfProfile = c.Profile
 	cfg.FastForward = !c.NoFF
-	cfg.Engine = c.Kind()
 }
 
 // ApplyOptions writes the shared knobs into harness.Options
@@ -143,7 +130,6 @@ func (c *Common) ApplyOptions(o *harness.Options) {
 	o.Digests = c.Digests
 	o.SelfProfile = c.Profile
 	o.NoFastForward = c.NoFF
-	o.Engine = c.Kind()
 }
 
 // Logger builds the host-side structured logger writing to w in the

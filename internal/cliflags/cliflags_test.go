@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"nomad/internal/harness"
-	"nomad/internal/sim"
 	"nomad/internal/system"
 )
 
@@ -29,7 +28,7 @@ func TestDefaults(t *testing.T) {
 	if c.Timeline || c.Interval != 0 || c.TimelineMetrics != "" || c.Trace != "" {
 		t.Errorf("timeline defaults wrong: %+v", c)
 	}
-	if c.Profile || c.NoFF || c.Engine != "" || c.Pprof != "" || c.HTTP != "" {
+	if c.Profile || c.NoFF || c.Pprof != "" || c.HTTP != "" {
 		t.Errorf("host defaults wrong: %+v", c)
 	}
 	if c.Format != "text" || c.LogFormat != "text" {
@@ -37,23 +36,6 @@ func TestDefaults(t *testing.T) {
 	}
 	if err := c.Check("text"); err != nil {
 		t.Errorf("defaults fail Check: %v", err)
-	}
-}
-
-func TestEngineFlag(t *testing.T) {
-	for _, eng := range []string{"", "wheel", "heap"} {
-		c := parse(t, "-engine", eng)
-		if err := c.Check("text"); err != nil {
-			t.Errorf("-engine %q rejected: %v", eng, err)
-		}
-	}
-	c := parse(t, "-engine", "heap")
-	if c.Kind() != sim.KindHeap {
-		t.Errorf("Kind() = %q, want heap", c.Kind())
-	}
-	c = parse(t, "-engine", "quantum")
-	if err := c.Check("text"); err == nil || !strings.Contains(err.Error(), "-engine") {
-		t.Errorf("bad engine not rejected: %v", err)
 	}
 }
 

@@ -317,7 +317,7 @@ func TestNoCriticalFirstAblation(t *testing.T) {
 func TestCopier(t *testing.T) {
 	eng := sim.New()
 	hbm, ddr := testDevices(eng)
-	c := NewCopier(eng, 4)
+	c := NewCopier(4)
 	done := false
 	c.Copy(ddr, 5, hbm, 9, mem.KindFill, func() { done = true })
 	waitFor(t, eng, func() bool { return done }, 200_000)
@@ -335,7 +335,7 @@ func TestCopierDoesNotAllocate(t *testing.T) {
 	}
 	eng := sim.New()
 	hbm, ddr := testDevices(eng)
-	c := NewCopier(eng, 0)
+	c := NewCopier(0)
 	n := 0
 	done := func() { n++ }
 	pred := func() bool { return n == 2 }

@@ -3,7 +3,6 @@ package core
 import (
 	"nomad/internal/dram"
 	"nomad/internal/mem"
-	"nomad/internal/sim"
 )
 
 // Copier performs OS-driven page copies without back-end hardware. The
@@ -16,7 +15,6 @@ import (
 // in flight — the same data movement the NOMAD back-end performs, minus the
 // PCSHRs, buffersharing, and critical-data-first logic.
 type Copier struct {
-	eng              *sim.Engine
 	maxReadsInFlight int
 	// ops is the freelist of pooled in-flight copies.
 	//nomad:ephemeral copy pacing state; divergence surfaces in the DRAM devices' registered counters
@@ -46,11 +44,11 @@ const (
 )
 
 // NewCopier builds a Copier with the given read pacing (<=0 selects 8).
-func NewCopier(eng *sim.Engine, maxReadsInFlight int) *Copier {
+func NewCopier(maxReadsInFlight int) *Copier {
 	if maxReadsInFlight <= 0 {
 		maxReadsInFlight = 8
 	}
-	return &Copier{eng: eng, maxReadsInFlight: maxReadsInFlight}
+	return &Copier{maxReadsInFlight: maxReadsInFlight}
 }
 
 // Copy moves srcFrame on src to dstFrame on dst, tagging all traffic with

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"nomad/internal/obs"
-	"nomad/internal/sim"
 	"nomad/internal/system"
 	"nomad/internal/workload"
 )
@@ -60,10 +59,6 @@ type Options struct {
 	// NoFastForward disables activity-driven ticking in every run (see
 	// system.Config.FastForward); results are byte-identical either way.
 	NoFastForward bool
-	// Engine selects the event-queue implementation for every run ("" is
-	// the timing wheel; sim.KindHeap runs on the binary-heap oracle).
-	// Results are byte-identical across engines.
-	Engine sim.Kind
 	// Progress, when non-nil, is called once per run with its key and must
 	// return a Machine.SetProgress callback (or nil). Callbacks fire on
 	// worker goroutines; system.ProgressPrinter returns a suitable one.
@@ -98,7 +93,6 @@ func (o Options) BaseConfig() system.Config {
 	cfg.Digests = o.Digests
 	cfg.SelfProfile = o.SelfProfile
 	cfg.FastForward = !o.NoFastForward
-	cfg.Engine = o.Engine
 	return cfg
 }
 

@@ -31,7 +31,7 @@ import (
 // cache (ROADMAP: simulation-as-a-service) stores results under.
 //
 // Host-only knobs that provably do not change results are excluded from the
-// hash: Engine and FastForward (byte-identity across both is the engine's
+// hash: FastForward (byte-identity with it on and off is the engine's
 // load-bearing contract) and SelfProfile (host profiling never touches the
 // snapshot). Everything else in system.Config participates, including knobs
 // like TraceDepth or Timeline that change which sections a Snapshot carries.
@@ -116,9 +116,8 @@ func buildStamp() BuildStamp {
 // after, or instead of one.
 func NewManifest(cfg system.Config, spec workload.Spec) *Manifest {
 	// Zero the result-neutral knobs so equivalent runs collide on purpose:
-	// wheel-vs-heap, fast-forward on/off, and profiling on/off all produce
-	// byte-identical snapshots.
-	cfg.Engine = ""
+	// fast-forward on/off and profiling on/off produce byte-identical
+	// snapshots.
 	cfg.FastForward = false
 	cfg.SelfProfile = false
 	st := buildStamp()

@@ -5,7 +5,6 @@ import (
 	"regexp"
 	"testing"
 
-	"nomad/internal/sim"
 	"nomad/internal/system"
 	"nomad/internal/workload"
 )
@@ -32,7 +31,7 @@ func testSpec() workload.Spec {
 
 // TestManifestStable is the content-address contract: the address is
 // identical across repeated computations and across every host-only knob
-// (engine, fast-forward, self-profiling) — backed by actually running the
+// (fast-forward, self-profiling) — backed by actually running the
 // variants and checking their snapshots really are byte-identical — and
 // differs as soon as a result-bearing knob changes.
 func TestManifestStable(t *testing.T) {
@@ -47,11 +46,6 @@ func TestManifestStable(t *testing.T) {
 		cfg  system.Config
 	}{
 		{"repeat", testConfig()},
-		{"heap engine", func() system.Config {
-			c := testConfig()
-			c.Engine = sim.KindHeap
-			return c
-		}()},
 		{"no fast-forward", func() system.Config {
 			c := testConfig()
 			c.FastForward = false
@@ -121,7 +115,7 @@ func TestManifestFields(t *testing.T) {
 	if err := json.Unmarshal(man.Canonical(), &doc); err != nil {
 		t.Fatalf("canonical does not parse: %v", err)
 	}
-	if doc.Config.Engine != "" || doc.Config.FastForward || doc.Config.SelfProfile {
+	if doc.Config.FastForward || doc.Config.SelfProfile {
 		t.Errorf("canonical config retains host-only knobs: %+v", doc.Config)
 	}
 	if doc.Config.Seed != 7 {

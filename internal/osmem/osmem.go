@@ -67,6 +67,9 @@ type CPD struct {
 	TLBDir uint64
 }
 
+// MaxCores is the most cores a Manager tracks: TLBDir has one bit per core.
+const MaxCores = 64
+
 // Manager owns page tables, descriptors, and the cache-frame free queue.
 //
 //nomad:ephemeral OS placement bookkeeping; divergence surfaces in the registered migration and walk counters
@@ -84,8 +87,11 @@ type Manager struct {
 }
 
 // New creates a Manager for the given core count and DRAM-cache capacity in
-// frames.
+// frames. Callers reject more than MaxCores cores before building one.
 func New(cores int, cacheFrames uint64) *Manager {
+	if cores > MaxCores {
+		panic(fmt.Sprintf("osmem: %d cores exceed MaxCores (%d)", cores, MaxCores))
+	}
 	m := &Manager{
 		cores:      cores,
 		pageTables: make([]map[uint64]*PTE, cores),

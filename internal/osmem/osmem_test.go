@@ -87,6 +87,23 @@ func TestTLBDirectorySkip(t *testing.T) {
 	}
 }
 
+// TestTLBDirectoryCoreLimit: the last core's residency bit fits the
+// directory, and a Manager for one core more refuses to be built rather
+// than silently drop that core's bits.
+func TestTLBDirectoryCoreLimit(t *testing.T) {
+	m := New(MaxCores, 1)
+	m.TLBSet(0, MaxCores-1, true)
+	if m.CPDOf(0).TLBDir == 0 {
+		t.Fatalf("core %d's TLB directory bit was dropped", MaxCores-1)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("New(%d, 1) did not panic", MaxCores+1)
+		}
+	}()
+	New(MaxCores+1, 1)
+}
+
 func TestHeadSkipsValidFrames(t *testing.T) {
 	m := New(1, 4)
 	// Fill all 4, evict 1..3 but leave 0 valid (as if TLB-resident kept

@@ -21,10 +21,10 @@ type TDC struct {
 	eng      *sim.Engine
 	hbm, ddr *dram.Device
 	mm       *osmem.Manager
-	//nomad:ephemeral tag-engine working state; divergence surfaces in the registered scheme counters
+	//nomad:ephemeral tag engine working state; divergence surfaces in the registered scheme counters
 	frontend *core.Frontend
 	stats    AccessStats
-	//nomad:ephemeral tag-engine working state; divergence surfaces in the registered scheme counters
+	//nomad:ephemeral tag engine working state; divergence surfaces in the registered scheme counters
 	inflightCopies int
 	spanTap
 }
@@ -40,7 +40,7 @@ func NewTDC(eng *sim.Engine, hbm, ddr *dram.Device, mm *osmem.Manager,
 	// bandwidth on Excess-class workloads while NOMAD's back-end can
 	// (§II-B: the miss is "penalized by thousands of cycles mainly due to
 	// the cache-fill execution").
-	copier := core.NewCopier(eng, 2)
+	copier := core.NewCopier(2)
 	fill := func(pfn, cfn uint64, done mem.Done) {
 		t.inflightCopies++
 		copier.Copy(ddr, pfn, hbm, cfn, mem.KindFill, func() {

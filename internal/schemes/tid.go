@@ -114,26 +114,26 @@ type TiD struct {
 
 	// lines is the tag array, one flat slice: set s's ways are
 	// lines[s*tidWays : (s+1)*tidWays] (see ways).
-	//nomad:ephemeral tag-engine working state; divergence surfaces in the registered tid.* counters
+	//nomad:ephemeral tag engine working state; divergence surfaces in the registered tid.* counters
 	lines   []tidLine
 	numSets uint64
-	//nomad:ephemeral tag-engine working state; divergence surfaces in the registered tid.* counters
+	//nomad:ephemeral tag engine working state; divergence surfaces in the registered tid.* counters
 	mshrs   map[uint64]*tidMSHR
 	maxMSHR int
 	// pending holds accesses stalled on a full MSHR file, FIFO; pendHead
 	// indexes the next one so pops keep the backing array (re-slicing would
 	// bleed capacity and force reallocations).
-	//nomad:ephemeral tag-engine working state; divergence surfaces in the registered tid.* counters
+	//nomad:ephemeral tag engine working state; divergence surfaces in the registered tid.* counters
 	pending []tidPending
-	//nomad:ephemeral tag-engine working state; divergence surfaces in the registered tid.* counters
+	//nomad:ephemeral tag engine working state; divergence surfaces in the registered tid.* counters
 	pendHead int
 	// freeMSHRs and retries are the freelists of the pooled carriers.
-	//nomad:ephemeral tag-engine working state; divergence surfaces in the registered tid.* counters
+	//nomad:ephemeral tag engine working state; divergence surfaces in the registered tid.* counters
 	freeMSHRs []*tidMSHR
-	//nomad:ephemeral tag-engine working state; divergence surfaces in the registered tid.* counters
+	//nomad:ephemeral tag engine working state; divergence surfaces in the registered tid.* counters
 	retries []*tidRetry
 	wb      tidWriteback
-	//nomad:ephemeral tag-engine working state; divergence surfaces in the registered tid.* counters
+	//nomad:ephemeral tag engine working state; divergence surfaces in the registered tid.* counters
 	lruTick  uint64
 	metaBase uint64
 

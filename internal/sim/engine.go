@@ -114,7 +114,7 @@ func (f TickerFunc) Tick(now uint64) { f(now) }
 
 // Engine is the simulation clock. The zero value is not usable; call New.
 //
-//nomad:ephemeral event-engine bookkeeping; the interval digest chain derived from it is the observable record
+//nomad:ephemeral event engine bookkeeping; the interval digest chain derived from it is the observable record
 type Engine struct {
 	now      uint64
 	executed uint64
@@ -154,8 +154,8 @@ const DefaultInterval = 100_000
 type Option func(*Engine)
 
 // WithScheduler selects the event-queue implementation. The default is the
-// timing wheel; pass NewHeapScheduler() (or NewScheduler(KindHeap)) to run
-// on the binary-heap oracle instead.
+// timing wheel; the differential tests pass NewHeapScheduler() to run on
+// the binary-heap oracle instead.
 func WithScheduler(s Scheduler) Option {
 	return func(e *Engine) {
 		if s != nil {

@@ -8,8 +8,8 @@ const NoEvent = ^uint64(0)
 // Scheduler is the event-queue half of the engine: it owns every scheduled
 // closure and the clock-ordered dispatch of those closures. The Engine owns
 // tickers, hooks, and fast-forward; it talks to the queue exclusively
-// through this interface, so queue implementations are swappable (the
-// -engine=heap|wheel CLI flag, Config.Engine in the public API).
+// through this interface, so queue implementations are swappable
+// (WithScheduler).
 //
 // The determinism contract a Scheduler must satisfy:
 //
@@ -42,28 +42,6 @@ type Scheduler interface {
 	Advance(now uint64) uint64
 	// Pending reports how many events are queued.
 	Pending() int
-}
-
-// Kind names a Scheduler implementation for config/CLI selection.
-type Kind string
-
-const (
-	// KindWheel selects the hierarchical timing wheel (the default).
-	KindWheel Kind = "wheel"
-	// KindHeap selects the binary-heap oracle.
-	KindHeap Kind = "heap"
-)
-
-// NewScheduler builds a scheduler of the given kind ("" selects the wheel).
-func NewScheduler(k Kind) (Scheduler, error) {
-	switch k {
-	case KindWheel, "":
-		return NewWheelScheduler(), nil
-	case KindHeap:
-		return NewHeapScheduler(), nil
-	default:
-		return nil, fmt.Errorf("sim: unknown scheduler kind %q (want %q or %q)", k, KindWheel, KindHeap)
-	}
 }
 
 // event is one scheduled closure, keyed by (cycle, seq): seq is the global

@@ -181,11 +181,7 @@ func TestWheelNextDueMemo(t *testing.T) {
 // event and advance one cycle against a background of pending work, the
 // sequence every DRAM/cache callback follows. The wheel must report ~0
 // allocs/op here.
-func benchPushPop(b *testing.B, k Kind) {
-	s, err := NewScheduler(k)
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchPushPop(b *testing.B, s Scheduler) {
 	fn := func() {}
 	for i := 0; i < 64; i++ {
 		s.Schedule(uint64(i%16)+1, fn)
@@ -203,11 +199,7 @@ func benchPushPop(b *testing.B, k Kind) {
 // benchBurst measures batched same-cycle dispatch: 64 events into one cycle,
 // drained in one Advance — the wheel's bucket drain against the heap's 64
 // pops.
-func benchBurst(b *testing.B, k Kind) {
-	s, err := NewScheduler(k)
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchBurst(b *testing.B, s Scheduler) {
 	fn := func() {}
 	var now uint64
 	b.ReportAllocs()
@@ -224,11 +216,7 @@ func benchBurst(b *testing.B, k Kind) {
 // benchNextDue measures the per-cycle idle poll (the fast-forward jump
 // bound): NextDue with one far-future event pending. The wheel memoizes
 // this; the heap peeks its root.
-func benchNextDue(b *testing.B, k Kind) {
-	s, err := NewScheduler(k)
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchNextDue(b *testing.B, s Scheduler) {
 	s.Schedule(1<<20, func() {})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -239,9 +227,9 @@ func benchNextDue(b *testing.B, k Kind) {
 	}
 }
 
-func BenchmarkSchedulerWheelPushPop(b *testing.B) { benchPushPop(b, KindWheel) }
-func BenchmarkSchedulerHeapPushPop(b *testing.B)  { benchPushPop(b, KindHeap) }
-func BenchmarkSchedulerWheelBurst(b *testing.B)   { benchBurst(b, KindWheel) }
-func BenchmarkSchedulerHeapBurst(b *testing.B)    { benchBurst(b, KindHeap) }
-func BenchmarkSchedulerWheelNextDue(b *testing.B) { benchNextDue(b, KindWheel) }
-func BenchmarkSchedulerHeapNextDue(b *testing.B)  { benchNextDue(b, KindHeap) }
+func BenchmarkSchedulerWheelPushPop(b *testing.B) { benchPushPop(b, NewWheelScheduler()) }
+func BenchmarkSchedulerHeapPushPop(b *testing.B)  { benchPushPop(b, NewHeapScheduler()) }
+func BenchmarkSchedulerWheelBurst(b *testing.B)   { benchBurst(b, NewWheelScheduler()) }
+func BenchmarkSchedulerHeapBurst(b *testing.B)    { benchBurst(b, NewHeapScheduler()) }
+func BenchmarkSchedulerWheelNextDue(b *testing.B) { benchNextDue(b, NewWheelScheduler()) }
+func BenchmarkSchedulerHeapNextDue(b *testing.B)  { benchNextDue(b, NewHeapScheduler()) }

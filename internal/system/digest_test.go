@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"nomad/internal/sim"
 )
 
 // digestConfig is smallConfig with digest capture on at a short interval so
@@ -29,16 +27,11 @@ func TestDigestChainByteIdentical(t *testing.T) {
 		t.Run(string(s), func(t *testing.T) {
 			var ref []byte
 			var refVariant string
-			for _, kind := range []sim.Kind{sim.KindWheel, sim.KindHeap} {
+			for _, engine := range engines {
 				for _, ff := range []bool{true, false} {
 					cfg := digestConfig(s)
-					cfg.Engine = kind
 					cfg.FastForward = ff
-					m, err := New(cfg, smallSpec())
-					if err != nil {
-						t.Fatal(err)
-					}
-					r, err := m.Run()
+					r, err := newOn(t, engine, cfg).Run()
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -53,7 +46,7 @@ func TestDigestChainByteIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					variant := fmt.Sprintf("engine=%s/ff=%v", kind, ff)
+					variant := fmt.Sprintf("engine=%s/ff=%v", engine, ff)
 					if ref == nil {
 						ref, refVariant = enc, variant
 						continue
@@ -147,33 +140,28 @@ func TestROICycleLimit(t *testing.T) {
 	stop := fullDC.Cycles[1]
 
 	var ref *Result
-	for _, kind := range []sim.Kind{sim.KindWheel, sim.KindHeap} {
+	for _, engine := range engines {
 		for _, ff := range []bool{true, false} {
 			cfg := digestConfig(SchemeTDC)
 			cfg.Timeline = true
 			cfg.ROICycleLimit = stop
-			cfg.Engine = kind
 			cfg.FastForward = ff
-			m, err := New(cfg, smallSpec())
+			r, err := newOn(t, engine, cfg).Run()
 			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := m.Run()
-			if err != nil {
-				t.Fatalf("cutoff run (engine=%s ff=%v): %v", kind, ff, err)
+				t.Fatalf("cutoff run (engine=%s ff=%v): %v", engine, ff, err)
 			}
 			if r.Cycles != stop {
-				t.Fatalf("engine=%s ff=%v: cutoff run ended at cycle %d, want exactly %d", kind, ff, r.Cycles, stop)
+				t.Fatalf("engine=%s ff=%v: cutoff run ended at cycle %d, want exactly %d", engine, ff, r.Cycles, stop)
 			}
 			// The partial chain must be a prefix of the full run's chain.
 			pdc := r.Metrics.Digests
 			if pdc.Windows() != 2 {
-				t.Fatalf("engine=%s ff=%v: cutoff run collected %d windows, want 2", kind, ff, pdc.Windows())
+				t.Fatalf("engine=%s ff=%v: cutoff run collected %d windows, want 2", engine, ff, pdc.Windows())
 			}
 			for i := 0; i < 2; i++ {
 				if pdc.Digests[i] != fullDC.Digests[i] || pdc.Cycles[i] != fullDC.Cycles[i] {
 					t.Errorf("engine=%s ff=%v: window %d = (%d, %s), full run has (%d, %s): not a prefix",
-						kind, ff, i, pdc.Cycles[i], pdc.Digests[i], fullDC.Cycles[i], fullDC.Digests[i])
+						engine, ff, i, pdc.Cycles[i], pdc.Digests[i], fullDC.Cycles[i], fullDC.Digests[i])
 				}
 			}
 			if ref == nil {
@@ -182,7 +170,7 @@ func TestROICycleLimit(t *testing.T) {
 			}
 			// Cutoff runs must also be variant-invariant among themselves.
 			if !reflect.DeepEqual(r.Metrics, ref.Metrics) {
-				t.Errorf("engine=%s ff=%v: cutoff snapshot differs from first variant", kind, ff)
+				t.Errorf("engine=%s ff=%v: cutoff snapshot differs from first variant", engine, ff)
 			}
 		}
 	}

@@ -22,24 +22,16 @@ func TestEngineByteIdentical(t *testing.T) {
 		for _, ff := range []bool{true, false} {
 			ff := ff
 			t.Run(fmt.Sprintf("%s/ff=%v", s, ff), func(t *testing.T) {
-				run := func(kind sim.Kind) ([]byte, []byte) {
+				run := func(engine string) ([]byte, []byte) {
 					cfg := smallConfig(s)
 					cfg.Timeline = true
 					cfg.Interval = 20_000
 					cfg.TraceDepth = 1 << 12
 					cfg.SpanDepth = 1 << 11
 					cfg.FastForward = ff
-					cfg.Engine = kind
-					m, err := New(cfg, smallSpec())
+					r, err := newOn(t, engine, cfg).Run()
 					if err != nil {
-						t.Fatalf("New(%s, %s): %v", s, kind, err)
-					}
-					if got := m.Engine().SchedulerImpl(); fmt.Sprintf("%T", got) == "*sim.HeapScheduler" != (kind == sim.KindHeap) {
-						t.Fatalf("engine %q built scheduler %T", kind, got)
-					}
-					r, err := m.Run()
-					if err != nil {
-						t.Fatalf("Run(%s, %s): %v", s, kind, err)
+						t.Fatalf("Run(%s, %s): %v", s, engine, err)
 					}
 					snap, err := json.Marshal(r.Metrics)
 					if err != nil {
@@ -51,8 +43,8 @@ func TestEngineByteIdentical(t *testing.T) {
 					}
 					return snap, trace.Bytes()
 				}
-				wheelSnap, wheelTrace := run(sim.KindWheel)
-				heapSnap, heapTrace := run(sim.KindHeap)
+				wheelSnap, wheelTrace := run("wheel")
+				heapSnap, heapTrace := run("heap")
 				if !bytes.Equal(wheelSnap, heapSnap) {
 					t.Errorf("metrics snapshot differs between wheel and heap engines\nwheel: %.400s\nheap:  %.400s", wheelSnap, heapSnap)
 				}
@@ -64,11 +56,26 @@ func TestEngineByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineUnknownKind pins the configuration error path.
-func TestEngineUnknownKind(t *testing.T) {
-	cfg := smallConfig(SchemeNOMAD)
-	cfg.Engine = "splay"
-	if _, err := New(cfg, smallSpec()); err == nil {
-		t.Fatal("unknown engine kind accepted")
+// engines names the two event queues the differential suites compare: the
+// timing wheel every run uses and the binary-heap oracle.
+var engines = []string{"wheel", "heap"}
+
+// newOn builds cfg's machine on the named event queue. It fails t unless
+// the engine runs on the heap exactly when asked to, so a dropped option
+// cannot turn a differential suite into a comparison of the wheel with
+// itself.
+func newOn(t *testing.T, engine string, cfg Config) *Machine {
+	t.Helper()
+	var opts []sim.Option
+	if engine == "heap" {
+		opts = append(opts, sim.WithScheduler(sim.NewHeapScheduler()))
 	}
+	m, err := newMachine(cfg, smallSpec(), opts...)
+	if err != nil {
+		t.Fatalf("New(%s, %s): %v", cfg.Scheme, engine, err)
+	}
+	if _, heap := m.Engine().SchedulerImpl().(*sim.HeapScheduler); heap != (engine == "heap") {
+		t.Fatalf("engine %q built scheduler %T", engine, m.Engine().SchedulerImpl())
+	}
+	return m
 }

@@ -3,6 +3,7 @@ package system
 import (
 	"testing"
 
+	"nomad/internal/osmem"
 	"nomad/internal/workload"
 )
 
@@ -138,6 +139,12 @@ func TestInvalidConfigRejected(t *testing.T) {
 	cfg.Cores = 0
 	if _, err := New(cfg, stressSpec()); err == nil {
 		t.Fatal("zero cores accepted")
+	}
+	// One core past the width of the OS's per-frame TLB directory would
+	// lose that core's residency bits.
+	cfg.Cores = osmem.MaxCores + 1
+	if _, err := New(cfg, stressSpec()); err == nil {
+		t.Fatalf("%d cores accepted", cfg.Cores)
 	}
 	cfg = smallConfig("Bogus")
 	if _, err := New(cfg, stressSpec()); err == nil {

@@ -124,11 +124,6 @@ type Config struct {
 	// either way; DefaultConfig enables it, and the CLIs expose -no-ff to
 	// switch it off.
 	FastForward bool
-	// Engine selects the event-queue implementation driving the run:
-	// sim.KindWheel (the default timing wheel) or sim.KindHeap (the
-	// binary-heap oracle). Results are byte-identical across engines; the
-	// knob exists for differential testing and performance comparison.
-	Engine sim.Kind
 }
 
 // DefaultSpanSampleEvery is the span sampling period used when
@@ -307,14 +302,16 @@ func (p port) Store(coreID int, vaddr uint64) {
 // New builds a machine running spec on every core (rate mode, as in the
 // paper: one single-threaded program per CPU).
 func New(cfg Config, spec workload.Spec) (*Machine, error) {
-	if cfg.Cores <= 0 {
-		return nil, fmt.Errorf("system: core count must be positive, got %d", cfg.Cores)
+	return newMachine(cfg, spec)
+}
+
+// newMachine is New with engine options: the differential tests pass
+// sim.WithScheduler to run the same machine on the binary-heap oracle.
+func newMachine(cfg Config, spec workload.Spec, opts ...sim.Option) (*Machine, error) {
+	if cfg.Cores <= 0 || cfg.Cores > osmem.MaxCores {
+		return nil, fmt.Errorf("system: core count must be in 1..%d, got %d", osmem.MaxCores, cfg.Cores)
 	}
-	sched, err := sim.NewScheduler(cfg.Engine)
-	if err != nil {
-		return nil, err
-	}
-	m := &Machine{cfg: cfg, workload: spec.Abbr, eng: sim.New(sim.WithScheduler(sched))}
+	m := &Machine{cfg: cfg, workload: spec.Abbr, eng: sim.New(opts...)}
 	m.eng.SetFastForward(cfg.FastForward)
 	m.hbm = dram.New(m.eng, cfg.HBM)
 	m.ddr = dram.New(m.eng, cfg.DDR)

@@ -146,8 +146,9 @@ func fromObsManifest(m *obs.Manifest) *Manifest {
 func (r *Result) Manifest() *Manifest { return r.manifest }
 
 // HostProfile reports the simulator's own host-side performance during one
-// run (Config.SelfProfile): wall-clock time, simulated-cycles/sec, engine
-// events/sec, peak heap-in-use, and GC pauses over the profiled span.
+// run (Config.Telemetry.SelfProfile): wall-clock time,
+// simulated-cycles/sec, engine events/sec, peak heap-in-use, and GC pauses
+// over the profiled span.
 // Host readings are inherently non-deterministic (they derive from the wall
 // clock and the Go runtime) and are never part of the metrics Snapshot.
 type HostProfile struct {
@@ -219,10 +220,10 @@ func (r *Result) HasTrace() bool { return r.trace != nil }
 // WriteTrace renders the run's event/span capture as Perfetto/Chrome
 // trace-event JSON, loadable at https://ui.perfetto.dev. The output is
 // byte-identical across same-seed runs. It fails unless the run was
-// configured with Config.TraceDepth or Config.SpanDepth.
+// configured with Config.Telemetry.TraceDepth or Config.Telemetry.SpanDepth.
 func (r *Result) WriteTrace(w io.Writer) error {
 	if r.trace == nil {
-		return fmt.Errorf("nomad: no trace captured; set Config.TraceDepth or Config.SpanDepth")
+		return fmt.Errorf("nomad: no trace captured; set Config.Telemetry.TraceDepth or Config.Telemetry.SpanDepth")
 	}
 	run := metrics.PerfettoRun{Name: string(r.Scheme) + "/" + r.Workload, Dump: r.trace}
 	return metrics.WritePerfetto(w, run)
@@ -234,7 +235,7 @@ func (r *Result) WriteTrace(w io.Writer) error {
 func (r *Result) Metrics() *Snapshot { return r.metrics }
 
 // Timeline returns the interval time-series capture of the measured region,
-// or nil unless the run was configured with Config.Timeline.
+// or nil unless the run was configured with Config.Telemetry.Timeline.
 func (r *Result) Timeline() *Timeline {
 	if r.metrics == nil {
 		return nil
@@ -252,7 +253,7 @@ func (r *Result) Digests() *DigestChain {
 }
 
 // Host returns the simulator's own host-side performance profile, or nil
-// unless the run was configured with Config.SelfProfile.
+// unless the run was configured with Config.Telemetry.SelfProfile.
 func (r *Result) Host() *HostProfile { return r.host }
 
 // Breakdown returns the on-package bandwidth of one traffic category.

@@ -28,10 +28,10 @@ type Snapshot struct {
 	Histograms map[string]Histogram `json:"histograms,omitempty"`
 	Series     map[string]Series    `json:"series,omitempty"`
 	// Trace summarises the event/span capture; nil unless tracing was
-	// enabled (Config.TraceDepth / Config.SpanDepth).
+	// enabled (Config.Telemetry.TraceDepth / Config.Telemetry.SpanDepth).
 	Trace *TraceSummary `json:"trace,omitempty"`
 	// Timeline is the interval time-series capture; nil unless
-	// Config.Timeline was set.
+	// Config.Telemetry.Timeline was set.
 	Timeline *Timeline `json:"timeline,omitempty"`
 	// Digests is the interval digest chain; nil unless Telemetry.Digests
 	// was set.
@@ -97,8 +97,9 @@ type Series struct {
 	Values []float64 `json:"values"`
 }
 
-// Timeline is the interval time-series capture of one run (Config.Timeline):
-// one column per metric, one row per interval window of the measured region.
+// Timeline is the interval time-series capture of one run
+// (Config.Telemetry.Timeline): one column per metric, one row per interval
+// window of the measured region.
 // Cycles[i] is the END of window i relative to StartCycle (the ROI boundary),
 // so the first full window ends at exactly Interval cycles; a final partial
 // window ends wherever the run did. Like the rest of the snapshot, the

@@ -10,8 +10,8 @@ import (
 
 func timelineFastConfig(s Scheme) Config {
 	cfg := fastConfig(s)
-	cfg.Timeline = true
-	cfg.TimelineInterval = 50_000
+	cfg.Telemetry.Timeline = true
+	cfg.Telemetry.TimelineInterval = 50_000
 	return cfg
 }
 
@@ -23,7 +23,7 @@ func TestPublicTimelineAccessor(t *testing.T) {
 	}
 	tl := res.Timeline()
 	if tl == nil {
-		t.Fatal("Timeline() nil despite Config.Timeline")
+		t.Fatal("Timeline() nil despite Config.Telemetry.Timeline")
 	}
 	if tl != res.Metrics().Timeline {
 		t.Fatal("Timeline() disagrees with Snapshot.Timeline")
@@ -80,14 +80,14 @@ func TestPublicTimelineByteIdentical(t *testing.T) {
 func TestPublicSelfProfile(t *testing.T) {
 	w, _ := WorkloadByAbbr("tc")
 	cfg := fastConfig(SchemeNOMAD)
-	cfg.SelfProfile = true
+	cfg.Telemetry.SelfProfile = true
 	res, err := Run(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := res.Host()
 	if h == nil {
-		t.Fatal("Host() nil despite Config.SelfProfile")
+		t.Fatal("Host() nil despite Config.Telemetry.SelfProfile")
 	}
 	if h.SimCyclesPerSec <= 0 || h.WallSeconds <= 0 || h.EventsExecuted == 0 {
 		t.Fatalf("degenerate host profile: %+v", h)
