@@ -27,8 +27,6 @@ type Lower interface {
 }
 
 // Config describes one cache level.
-//
-//nomad:ephemeral run configuration, fixed before the first cycle and hashed into the manifest
 type Config struct {
 	Name    string
 	Sets    int
@@ -72,8 +70,6 @@ const invalidTag = ^uint64(0)
 // wayMeta is the per-way state other than the tag. Tags live in their own
 // packed uint64 array so the per-lookup way scan touches a couple of cache
 // lines instead of every way's full record.
-//
-//nomad:ephemeral per-way tag metadata; divergence surfaces in the registered hit/miss and writeback counters
 type wayMeta struct {
 	lru   uint64
 	dirty bool
@@ -87,8 +83,6 @@ type waiter struct {
 // mshr is one slot of the cache's fixed MSHR file. Slots live in a flat
 // array (cache-friendly scan, no map or per-miss allocation); fillFn is the
 // slot's permanent fill callback, built once at construction.
-//
-//nomad:ephemeral miss-status-register working state; divergence surfaces in the registered MSHR stall counters
 type mshr struct {
 	block   uint64
 	waiters []waiter
@@ -121,7 +115,6 @@ type Cache struct {
 	lower Lower
 	// tags[set*Ways+way] holds each way's tag (invalidTag when empty);
 	// meta is the parallel dirty/LRU state.
-	//nomad:ephemeral SRAM pipeline working state; divergence surfaces in the registered hit/miss/writeback counters
 	tags []uint64
 	meta []wayMeta
 	// mshrFile is the fixed MSHR array. Allocation goes through mshrFreeIdx
@@ -129,33 +122,25 @@ type Cache struct {
 	// walks mshrActive, a compact array of the active slots' block numbers
 	// (mshrActiveIdx maps each entry back to its slot), so its length is
 	// the actual occupancy, not the file size.
-	mshrFile   []mshr
-	mshrActive []uint64
-	//nomad:ephemeral SRAM pipeline working state; divergence surfaces in the registered hit/miss/writeback counters
+	mshrFile      []mshr
+	mshrActive    []uint64
 	mshrActiveIdx []int32
-	//nomad:ephemeral SRAM pipeline working state; divergence surfaces in the registered hit/miss/writeback counters
-	mshrFreeIdx []int32
+	mshrFreeIdx   []int32
 	// ops is the accessOp freelist; wbReq and fillReq are scratch requests
 	// for writebacks and downstream fills (Lower.Access copies its
 	// argument, per its contract, so a single scratch per purpose suffices
 	// and keeps the miss path allocation-free — a local request would
 	// escape through the interface call).
-	//nomad:ephemeral SRAM pipeline working state; divergence surfaces in the registered hit/miss/writeback counters
-	ops []*accessOp
-	//nomad:ephemeral SRAM pipeline working state; divergence surfaces in the registered hit/miss/writeback counters
-	wbReq mem.Request
-	//nomad:ephemeral SRAM pipeline working state; divergence surfaces in the registered hit/miss/writeback counters
+	ops     []*accessOp
+	wbReq   mem.Request
 	fillReq mem.Request
 	// pending holds accesses stalled on MSHR exhaustion, serviced FIFO as
 	// MSHRs free; pendHead indexes the next one so pops keep the backing
 	// array (re-slicing would bleed capacity and force reallocations).
-	//nomad:ephemeral SRAM pipeline working state; divergence surfaces in the registered hit/miss/writeback counters
-	pending []pendingAccess
-	//nomad:ephemeral SRAM pipeline working state; divergence surfaces in the registered hit/miss/writeback counters
+	pending  []pendingAccess
 	pendHead int
-	//nomad:ephemeral SRAM pipeline working state; divergence surfaces in the registered hit/miss/writeback counters
-	lruTick uint64
-	stats   Stats
+	lruTick  uint64
+	stats    Stats
 	// mshrOcc samples MSHR occupancy at each allocation (nil until
 	// RegisterMetrics; Observe on nil is a no-op).
 	mshrOcc *metrics.Histogram

@@ -44,8 +44,6 @@ type Command struct {
 }
 
 // BackendConfig sizes the back-end hardware.
-//
-//nomad:ephemeral run configuration, fixed before the first cycle and hashed into the manifest
 type BackendConfig struct {
 	// PCSHRs is the total number of page copy status registers.
 	PCSHRs int
@@ -154,7 +152,6 @@ type subEntry struct {
 	parkedAt uint64
 }
 
-//nomad:ephemeral PCSHR working state; divergence surfaces in the registered backend.* counters and occupancy histograms
 type pcshr struct {
 	// b is the owning Backend: the register itself is the dram.Completer
 	// for its sub-block bursts, so issuing a read or write costs no
@@ -196,7 +193,6 @@ type pendingCmd struct {
 	done    mem.Done
 }
 
-//nomad:ephemeral copy-buffer group working state; divergence surfaces in the registered buffer-wait counters and histograms
 type group struct {
 	regs     []*pcshr
 	freeBufs int
@@ -219,11 +215,9 @@ type Backend struct {
 	groups []group
 	// byCFN indexes active PCSHRs by CFN for O(1) access checks (models
 	// the CAM).
-	//nomad:ephemeral fill/writeback routing indexes; divergence surfaces in the registered backend.* counters
 	byCFN map[uint64]*pcshr
 	// byPFN indexes active *writeback* PCSHRs by PFN so physical-space
 	// accesses racing a writeback are serviced coherently.
-	//nomad:ephemeral fill/writeback routing indexes; divergence surfaces in the registered backend.* counters
 	byPFN map[uint64]*pcshr
 	stats BackendStats
 	// pcshrOcc samples register occupancy at each acceptance; bufInUse

@@ -17,7 +17,6 @@ import (
 type Copier struct {
 	maxReadsInFlight int
 	// ops is the freelist of pooled in-flight copies.
-	//nomad:ephemeral copy pacing state; divergence surfaces in the DRAM devices' registered counters
 	ops []*pageCopier
 }
 

@@ -51,8 +51,6 @@ type transferTracker interface {
 }
 
 // FrontendConfig parameterises the OS routines.
-//
-//nomad:ephemeral run configuration, fixed before the first cycle and hashed into the manifest
 type FrontendConfig struct {
 	// TagMgmtLatency is the handler's critical-section occupancy: two
 	// dependent on-package reads plus synchronization, conservatively
@@ -147,8 +145,6 @@ func (s *FrontendStats) AvgTagMgmtLatency() float64 {
 
 // mutexSim models the cache_frame_management_mutex: a FIFO critical
 // section in simulated time.
-//
-//nomad:ephemeral modeled lock word; contention surfaces in the registered OS-blocked cycle counters
 type mutexSim struct {
 	busy    bool
 	waiters []func()
@@ -177,22 +173,19 @@ func (m *mutexSim) unlock() {
 // Frontend implements the NOMAD OS routines (and, with Blocking set, the
 // TDC variant). It satisfies tlb.Walker and tlb.Directory.
 type Frontend struct {
-	cfg     FrontendConfig
-	eng     *sim.Engine
-	mm      *osmem.Manager
-	backend FillBackend // non-blocking mode
-	//nomad:ephemeral walk orchestration state; divergence surfaces in the registered frontend.* counters
+	cfg      FrontendConfig
+	eng      *sim.Engine
+	mm       *osmem.Manager
+	backend  FillBackend                                // non-blocking mode
 	tracker  transferTracker                            // backend's in-flight-fill view, if any
 	copier   func(srcPFN, dstCFN uint64, done mem.Done) // blocking fills
 	wbCopier func(srcCFN, dstPFN uint64, done mem.Done) // blocking writebacks
 	threads  []Thread
 	flusher  Flusher
 
-	//nomad:ephemeral walk orchestration state; divergence surfaces in the registered frontend.* counters
 	shootdowner Shootdowner
 
-	mu mutexSim
-	//nomad:ephemeral walk orchestration state; divergence surfaces in the registered frontend.* counters
+	mu            mutexSim
 	daemonRunning bool
 	stats         FrontendStats
 	// tagLat observes each tag miss handler's arrival-to-resume latency
@@ -201,7 +194,6 @@ type Frontend struct {
 	trace  *metrics.Trace
 
 	// walks is the freelist of pooled in-flight page-table walks.
-	//nomad:ephemeral walk orchestration state; divergence surfaces in the registered frontend.* counters
 	walks []*fwalkOp
 }
 

@@ -50,8 +50,6 @@ type MemPort interface {
 }
 
 // Config sizes one core.
-//
-//nomad:ephemeral run configuration, fixed before the first cycle and hashed into the manifest
 type Config struct {
 	Width    int // issue/retire width
 	ROBSize  int
@@ -103,7 +101,6 @@ func (s *Stats) StallRatio() float64 {
 	return float64(s.OSBlockedCycles) / float64(s.Cycles)
 }
 
-//nomad:ephemeral load-queue slot working state; divergence surfaces in the registered stall-cause counters
 type loadSlot struct {
 	pos   uint64 // absolute instruction index
 	done  bool
@@ -122,35 +119,25 @@ type Core struct {
 	port MemPort
 	wl   *workload.Stream
 
-	//nomad:ephemeral ROB and load-queue working state; divergence surfaces in the registered instruction and stall counters
 	insertSeq uint64 // next instruction index to insert
-	//nomad:ephemeral ROB and load-queue working state; divergence surfaces in the registered instruction and stall counters
 	retireSeq uint64 // next instruction index to retire
 
-	loads []loadSlot // ring, program order; cap = ROBSize
-	//nomad:ephemeral ROB and load-queue working state; divergence surfaces in the registered instruction and stall counters
-	loadHead int
-	//nomad:ephemeral ROB and load-queue working state; divergence surfaces in the registered instruction and stall counters
+	loads     []loadSlot // ring, program order; cap = ROBSize
+	loadHead  int
 	loadCount int
-	//nomad:ephemeral ROB and load-queue working state; divergence surfaces in the registered instruction and stall counters
-	inFlight int // issued loads whose data has not returned
+	inFlight  int // issued loads whose data has not returned
 
-	//nomad:ephemeral ROB and load-queue working state; divergence surfaces in the registered instruction and stall counters
 	gapLeft uint64
-	//nomad:ephemeral ROB and load-queue working state; divergence surfaces in the registered instruction and stall counters
-	memOp *workload.Op // fetched op whose memory access is not yet inserted
-	//nomad:ephemeral ROB and load-queue working state; divergence surfaces in the registered instruction and stall counters
-	opBuf workload.Op
+	memOp   *workload.Op // fetched op whose memory access is not yet inserted
+	opBuf   workload.Op
 
 	// blockCount tracks overlapping suspensions (a core can have several
 	// tag misses in flight). The thread runs only when it is zero.
-	//nomad:ephemeral ROB and load-queue working state; divergence surfaces in the registered instruction and stall counters
 	blockCount int
 
 	// Span sampling: 1-in-sampleEvery loads (deterministic, by load
 	// sequence number) get a nonzero SpanID and emit latency spans.
-	spans *metrics.SpanRing
-	//nomad:ephemeral ROB and load-queue working state; divergence surfaces in the registered instruction and stall counters
+	spans       *metrics.SpanRing
 	sampleEvery uint64
 
 	// Sleep state. While asleep, every cycle after sleptAt (the last
@@ -158,16 +145,11 @@ type Core struct {
 	// if sleepOS, else MemStallByCause[sleepCause], the head load's cause
 	// when the core fell asleep (the head probe is watched, so a cause
 	// change wakes the core).
-	//nomad:ephemeral engine wiring, set once at registration
-	wake sim.Waker
-	//nomad:ephemeral sleep bookkeeping; the cycles it defers are charged to the registered stall counters before any hook reads them
-	asleep bool
-	//nomad:ephemeral sleep bookkeeping; the cycles it defers are charged to the registered stall counters before any hook reads them
-	sleepOS bool
-	//nomad:ephemeral sleep bookkeeping; the cycles it defers are charged to the registered stall counters before any hook reads them
+	wake       sim.Waker
+	asleep     bool
+	sleepOS    bool
 	sleepCause mem.StallCause
-	//nomad:ephemeral sleep bookkeeping; the cycles it defers are charged to the registered stall counters before any hook reads them
-	sleptAt uint64
+	sleptAt    uint64
 
 	stats Stats
 }

@@ -147,7 +147,6 @@ type request struct {
 	priority   bool
 }
 
-//nomad:ephemeral DRAM timing state; divergence surfaces in the registered row-hit/busy counters
 type bank struct {
 	openRow int64 // -1 = closed
 	readyAt uint64
@@ -158,7 +157,6 @@ type bank struct {
 	rowConflicts uint64
 }
 
-//nomad:ephemeral DRAM timing state; divergence surfaces in the registered row-hit/busy counters
 type channel struct {
 	idx       int // channel index within the device (trace labels)
 	queue     []*request
@@ -172,12 +170,11 @@ type channel struct {
 // queued request and a free in-flight slot; an enqueue or a completion
 // wakes it. Callers enqueue requests with Access.
 type Device struct {
-	cfg   Config
-	eng   *sim.Engine
-	chans []channel
-	stats Stats
-	trace *metrics.Trace
-	//nomad:ephemeral DRAM device wiring and timing state; divergence surfaces in the registered channel counters
+	cfg     Config
+	eng     *sim.Engine
+	chans   []channel
+	stats   Stats
+	trace   *metrics.Trace
 	devID   uint64 // trace device tag (0 = hbm, 1 = ddr)
 	latHist *metrics.Histogram
 
@@ -188,15 +185,12 @@ type Device struct {
 	// queued counts requests waiting in all channel queues, so the
 	// per-cycle Tick skips the channel sweep entirely when nothing is
 	// waiting (the common cycle: in-flight bursts complete via events).
-	//nomad:ephemeral DRAM device wiring and timing state; divergence surfaces in the registered channel counters
 	queued int
 
 	// free is the request freelist. The device is single-threaded (engine
 	// discipline), so a plain slice beats sync.Pool and is deterministic.
-	//nomad:ephemeral DRAM device wiring and timing state; divergence surfaces in the registered channel counters
 	free []*request
 
-	//nomad:ephemeral engine wiring, set once at registration
 	wake sim.Waker
 }
 

@@ -46,7 +46,8 @@ func TestFloatClockMetricsExempt(t *testing.T) {
 func ok() {}
 `, Config{ModelPackages: []string{"model", "internal/metrics"}},
 		map[string]map[string]string{
-			"m/internal/metrics": {"metrics.go": fakeStd["m/internal/metrics"]["metrics.go"] + `
+			"m/internal/metrics": {"metrics.go": `package metrics
+
 func Percentile(samples []float64, p float64) uint64 {
 	if len(samples) == 0 {
 		return 0

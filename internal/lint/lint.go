@@ -27,11 +27,9 @@ var RuleNames = []string{
 	"wallclock",
 	"maporder",
 	"concurrency",
-	"metricname",
 	"floatclock",
 	"poolalloc",
 	"obsboundary",
-	"statecover",
 	"directive",
 }
 
@@ -60,16 +58,6 @@ type Config struct {
 	AllowFiles []string
 	// Rules restricts the run to a subset of RuleNames; empty means all.
 	Rules []string
-	// MetricInventory, when non-nil, is the committed inventory the
-	// collected metric registrations are compared against (one
-	// "namespace<TAB>pattern" per line). Nil skips the comparison.
-	MetricInventory []string
-	// StateCoverPackages are the import-path suffixes where the
-	// interprocedural state-coverage rule applies: the model packages
-	// holding simulation state (internal/metrics is model scope for the
-	// syntactic rules but hosts the observability machinery, so it is not
-	// state-coverage scope). Empty disables the rule.
-	StateCoverPackages []string
 }
 
 // DefaultConfig returns the contract for this repository: every package
@@ -93,20 +81,6 @@ func DefaultConfig() Config {
 			"internal/metrics",
 		},
 		AllowFiles: []string{"internal/metrics/hostprof.go"},
-		StateCoverPackages: []string{
-			"internal/sim",
-			"internal/mem",
-			"internal/dram",
-			"internal/cache",
-			"internal/core",
-			"internal/cpu",
-			"internal/osmem",
-			"internal/schemes",
-			"internal/tlb",
-			"internal/replacement",
-			"internal/workload",
-			"internal/system",
-		},
 	}
 }
 
@@ -127,17 +101,6 @@ func (c *Config) ruleEnabled(name string) bool {
 // scope.
 func (c *Config) isModel(modPath, ip string) bool {
 	for _, m := range c.ModelPackages {
-		if ip == modPath+"/"+m || ip == m {
-			return true
-		}
-	}
-	return false
-}
-
-// isStateCover reports whether the package at import path ip is in
-// state-coverage scope.
-func (c *Config) isStateCover(modPath, ip string) bool {
-	for _, m := range c.StateCoverPackages {
 		if ip == modPath+"/"+m || ip == m {
 			return true
 		}
@@ -182,9 +145,6 @@ func Run(mod *Module, cfg Config) []Diagnostic {
 	if cfg.ruleEnabled("concurrency") {
 		diags = append(diags, checkConcurrency(mod, &cfg)...)
 	}
-	if cfg.ruleEnabled("metricname") {
-		diags = append(diags, checkMetricNames(mod, &cfg)...)
-	}
 	if cfg.ruleEnabled("floatclock") {
 		diags = append(diags, checkFloatClock(mod, &cfg)...)
 	}
@@ -193,12 +153,6 @@ func Run(mod *Module, cfg Config) []Diagnostic {
 	}
 	if cfg.ruleEnabled("obsboundary") {
 		diags = append(diags, checkObsBoundary(mod, &cfg)...)
-	}
-	if len(cfg.StateCoverPackages) > 0 && cfg.ruleEnabled("statecover") {
-		ann := parseAnnotations(mod)
-		diags = append(diags, ann.diags...)
-		cg := buildCallGraph(mod)
-		diags = append(diags, checkStateCover(mod, &cfg, ann, cg, collectAccesses(mod, cg))...)
 	}
 
 	kept := diags[:0]

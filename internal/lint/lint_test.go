@@ -41,16 +41,6 @@ func Println(a ...any) (int, error)
 func Strings(x []string)
 func Ints(x []int)
 `},
-	"m/internal/metrics": {"metrics.go": `package metrics
-type Registry struct{}
-type Histogram struct{}
-func (r *Registry) Counter(name string) *Histogram
-func (r *Registry) CounterFunc(name string, fn func() uint64)
-func (r *Registry) GaugeFunc(name string, fn func() float64)
-func (r *Registry) Histogram(name string) *Histogram
-func (r *Registry) SeriesFunc(name string, fn func(now uint64) float64)
-func (r *Registry) IntervalFunc(name string, prime func(now uint64), sample func(now uint64) float64)
-`},
 }
 
 // snippetConfig treats m/model as the single model package.
@@ -107,8 +97,8 @@ func wantDiags(t *testing.T, diags []Diagnostic, want ...[2]any) {
 }
 
 // TestRepoIsClean is the meta-test: nomadlint must exit clean on the module
-// that ships it, with the committed inventory. Skipped under -short (it
-// type-checks the whole module, including stdlib imports from source).
+// that ships it. Skipped under -short (it type-checks the whole module,
+// including stdlib imports from source).
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module lint is not a -short test")
@@ -124,33 +114,9 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadDir: %v", err)
 	}
-	cfg := DefaultConfig()
-	cfg.MetricInventory = EmbeddedInventory()
-	diags := Run(mod, cfg)
+	diags := Run(mod, DefaultConfig())
 	for _, d := range diags {
 		t.Errorf("unexpected diagnostic: %s", d)
-	}
-}
-
-// TestInventoryMatchesTree guards the committed inventory file itself: the
-// lines collected from the live tree must equal the embedded file. Also not
-// a -short test.
-func TestInventoryMatchesTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module lint is not a -short test")
-	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := LoadDir(root)
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
-	got := strings.Join(InventoryLines(mod), "\n")
-	want := strings.Join(EmbeddedInventory(), "\n")
-	if got != want {
-		t.Errorf("inventory drift; run `go run ./cmd/nomadlint -write-inventory ./...`\ncollected:\n%s\nembedded:\n%s", got, want)
 	}
 }
 
@@ -158,14 +124,14 @@ func TestCheckRules(t *testing.T) {
 	if err := CheckRules(nil); err != nil {
 		t.Errorf("no rules: %v", err)
 	}
-	if err := CheckRules([]string{"wallclock", "statecover", "directive"}); err != nil {
+	if err := CheckRules([]string{"wallclock", "poolalloc", "directive"}); err != nil {
 		t.Errorf("known rules: %v", err)
 	}
 	err := CheckRules([]string{"wallclock", "nosuchrule"})
 	if err == nil {
 		t.Fatal("unknown rule accepted")
 	}
-	for _, want := range []string{`"nosuchrule"`, "statecover"} {
+	for _, want := range []string{`"nosuchrule"`, "poolalloc"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %s", err, want)
 		}
@@ -173,4 +139,18 @@ func TestCheckRules(t *testing.T) {
 	if err := CheckRules([]string{"ownership"}); err == nil {
 		t.Error("the deleted ownership rule is still accepted")
 	}
+}
+
+// TestBuildTaggedFileExcluded: files behind a build constraint the simulator
+// does not ship with are not loaded, matching the compiled build graph, so
+// only the untagged file's goroutine is reported.
+func TestBuildTaggedFileExcluded(t *testing.T) {
+	diags := lintSnippet(t, `package model
+`, Config{ModelPackages: []string{"model", "hooks"}}, map[string]map[string]string{
+		"m/hooks": {
+			"m/hooks/hooks.go": "package hooks\n\nfunc spawn() { go spawn() }\n",
+			"m/hooks/debug.go": "//go:build debughooks\n\npackage hooks\n\nfunc spawnDebug() { go spawnDebug() }\n",
+		},
+	})
+	wantDiags(t, diags, [2]any{"concurrency", 3})
 }

@@ -2,8 +2,9 @@
 // enforces the simulator's determinism contract (DESIGN.md): model packages
 // must not read wall-clock time, global randomness, or the environment; must
 // not iterate maps in observable order; must not use goroutines or channels;
-// must register metrics under literal, unique, subsys.name-style names; and
-// must not push cycle counts through floating point.
+// must not push cycle counts through floating point; must take pooled
+// objects from their freelists; and must not import the host-side
+// observability packages.
 //
 // The analyzer is built purely on go/ast, go/parser, go/token, and go/types
 // with the source importer — no golang.org/x/tools dependency — so the
@@ -213,10 +214,9 @@ func (l *loader) check(ip string) (*types.Package, error) {
 	}
 
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	var terrs []error
 	conf := types.Config{

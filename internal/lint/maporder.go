@@ -25,9 +25,10 @@ var orderInsensitiveBuiltins = map[string]bool{
 //   - key collection: append of values into a slice for a subsequent sort
 //     (the collect-then-sort idiom).
 //
-// Anything that calls a user function per iteration, or accumulates floats,
-// is flagged: either restructure over sorted keys or annotate with
-// //nomadlint:ignore maporder -- <why order cannot matter>.
+// Anything that calls a user function per iteration, accumulates floats, or
+// leaves the loop early (return, break, goto: the first element the map
+// yields wins) is flagged: either restructure over sorted keys or annotate
+// with //nomadlint:ignore maporder -- <why order cannot matter>.
 func checkMapOrder(mod *Module, cfg *Config) []Diagnostic {
 	var diags []Diagnostic
 	for _, p := range mod.Sorted() {
@@ -101,5 +102,42 @@ func orderSensitive(info *types.Info, body *ast.BlockStmt) (why string, bad bool
 		}
 		return true
 	})
+	if !bad && leavesLoop(body) {
+		why, bad = "leaves the iteration early with break or goto", true
+	}
 	return why, bad
+}
+
+// leavesLoop reports whether a loop body holds a branch that ends the loop:
+// a break or goto to a label declared outside the body, or an unlabeled
+// break that no inner for, switch or select binds.
+func leavesLoop(body *ast.BlockStmt) bool {
+	declared, targets := map[string]bool{}, []string{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.LabeledStmt:
+			declared[n.Label.Name] = true
+		case *ast.BranchStmt:
+			if n.Label != nil && n.Tok != token.CONTINUE {
+				targets = append(targets, n.Label.Name)
+			}
+		}
+		return true
+	})
+	for _, l := range targets {
+		if !declared[l] {
+			return true
+		}
+	}
+	leaves := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt, *ast.FuncLit:
+			return false
+		case *ast.BranchStmt:
+			leaves = leaves || (n.Tok == token.BREAK && n.Label == nil)
+		}
+		return true
+	})
+	return leaves
 }

@@ -31,11 +31,32 @@ func find(m map[string]int) int {
 	}
 	return 0
 }
+
+func first(m map[uint64]bool) (x uint64) {
+	for k := range m { // line 31: the first key yielded wins
+		x = k
+		break
+	}
+	return x
+}
+
+func firstLabeled(m map[uint64]bool) (x uint64) {
+outer:
+	for {
+		for k := range m { // line 41: break to a label outside the loop
+			x = k
+			break outer
+		}
+	}
+	return x
+}
 `, snippetConfig(), nil)
 	wantDiags(t, diags,
 		[2]any{"maporder", 7},
 		[2]any{"maporder", 15},
 		[2]any{"maporder", 22},
+		[2]any{"maporder", 31},
+		[2]any{"maporder", 41},
 	)
 }
 
@@ -72,6 +93,32 @@ func victim(m map[uint64]uint64) uint64 {
 		}
 	}
 	return best
+}
+
+// A break bound by an inner loop or switch, or a continue, does not end
+// the map iteration.
+func counts(m map[uint64][]uint64) (n, odd uint64) {
+next:
+	for _, vs := range m {
+		if len(vs) == 0 {
+			continue
+		}
+		for _, v := range vs {
+			if v == 0 {
+				break
+			}
+			if v == 1 {
+				continue next
+			}
+			n++
+		}
+		switch vs[0] % 2 {
+		case 1:
+			odd++
+			break
+		}
+	}
+	return n, odd
 }
 
 // Ranging a slice is always fine.

@@ -180,8 +180,6 @@ func (c StallCause) String() string {
 // are recorded. The issuing core allocates one Probe per in-flight load and
 // charges each cycle the load blocks retirement to its cause. The zero
 // Probe's cause is StallSRAM.
-//
-//nomad:ephemeral request descriptor payload; consumed and counted by the receiving engine
 type Probe struct {
 	// SpanID is nonzero only for span-sampled loads; it ties the span
 	// records of one access together across components.
@@ -225,8 +223,6 @@ func (p *Probe) Watch(w Waker) { p.watcher = w }
 // Request is a single memory access. One Request flows from the core through
 // the SRAM hierarchy; below the LLC the scheme may spawn further Requests
 // (fills, metadata, writebacks) tagged with the appropriate Kind.
-//
-//nomad:ephemeral request descriptor payload; consumed and counted by the receiving engine
 type Request struct {
 	// Addr is the byte address in the space indicated by Space. Above the
 	// TLB it is virtual; below it is physical or cache.

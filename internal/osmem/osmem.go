@@ -19,8 +19,6 @@ import (
 
 // PTE is a page-table entry with the NOMAD extension (Fig. 4). Frame holds a
 // PFN when Cached is false and a CFN when Cached is true.
-//
-//nomad:ephemeral page-table state; divergence surfaces in the registered walk and migration counters
 type PTE struct {
 	Frame        uint64
 	Present      bool
@@ -40,8 +38,6 @@ type Mapping struct {
 // non-cacheable (NC) bits (Fig. 4). Reverse mappings let the eviction daemon
 // find every PTE of a physical frame (Algorithm 2, lines 12-15), including
 // shared pages.
-//
-//nomad:ephemeral frame placement state; divergence surfaces in the registered migration counters
 type PPD struct {
 	Cached       bool
 	NonCacheable bool
@@ -56,8 +52,6 @@ type PPD struct {
 
 // CPD is a cache page descriptor (Fig. 4): the state of one DRAM-cache
 // frame.
-//
-//nomad:ephemeral cache-frame placement state; divergence surfaces in the registered migration counters
 type CPD struct {
 	Valid        bool
 	DirtyInCache bool   // DC bit: writeback required on eviction
@@ -71,8 +65,6 @@ type CPD struct {
 const MaxCores = 64
 
 // Manager owns page tables, descriptors, and the cache-frame free queue.
-//
-//nomad:ephemeral OS placement bookkeeping; divergence surfaces in the registered migration and walk counters
 type Manager struct {
 	cores      int
 	pageTables []map[uint64]*PTE // per core: VPN -> PTE

@@ -43,8 +43,6 @@ func MissRate(p Policy) float64 {
 // FIFO is a fully associative cache with first-in-first-out replacement —
 // the OS-managed organization of TDC and NOMAD (circular free queue,
 // Fig. 5).
-//
-//nomad:ephemeral replacement bookkeeping; divergence surfaces in the registered eviction counters
 type FIFO struct {
 	counts
 	capacity int
@@ -85,8 +83,6 @@ func (f *FIFO) Access(page uint64) bool {
 
 // LRUFA is a fully associative cache with least-recently-used replacement
 // (an upper-bound reference point: what FIFO gives up by not profiling).
-//
-//nomad:ephemeral replacement bookkeeping; divergence surfaces in the registered eviction counters
 type LRUFA struct {
 	counts
 	capacity int
@@ -135,7 +131,6 @@ type SetAssocLRU struct {
 	sets []setState
 }
 
-//nomad:ephemeral replacement bookkeeping; divergence surfaces in the registered eviction counters
 type setState struct {
 	pages []uint64 // index 0 = LRU
 }

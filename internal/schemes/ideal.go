@@ -32,7 +32,6 @@ type Ideal struct {
 	WouldFillBytes uint64
 	TagMisses      uint64
 
-	//nomad:ephemeral oracle bookkeeping; divergence surfaces in the registered scheme counters
 	sd core.Shootdowner
 	spanTap
 }

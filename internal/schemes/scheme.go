@@ -50,7 +50,6 @@ type AccessStats struct {
 
 	// recs is the readRec freelist: recordRead recycles its latency
 	// wrappers so the per-read hot path does not allocate.
-	//nomad:ephemeral read-latency ring consumed by the registered latency histogram at flush
 	recs []*readRec
 }
 

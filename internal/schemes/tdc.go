@@ -18,13 +18,11 @@ import (
 // critical PTEs are locked) and no tag-management penalty is charged, which
 // isolates the blocking-vs-non-blocking comparison.
 type TDC struct {
-	eng      *sim.Engine
-	hbm, ddr *dram.Device
-	mm       *osmem.Manager
-	//nomad:ephemeral tag engine working state; divergence surfaces in the registered scheme counters
-	frontend *core.Frontend
-	stats    AccessStats
-	//nomad:ephemeral tag engine working state; divergence surfaces in the registered scheme counters
+	eng            *sim.Engine
+	hbm, ddr       *dram.Device
+	mm             *osmem.Manager
+	frontend       *core.Frontend
+	stats          AccessStats
 	inflightCopies int
 	spanTap
 }

@@ -19,8 +19,6 @@ const (
 )
 
 // TiDConfig sizes the HW-based scheme.
-//
-//nomad:ephemeral run configuration, derived from system.Config before the first cycle and hashed into the manifest with it
 type TiDConfig struct {
 	// CapacityBytes is the DRAM cache capacity (same on-package DRAM as
 	// the OS-managed schemes).
@@ -46,7 +44,6 @@ func (s *TiDStats) MissRate() float64 {
 	return float64(s.Misses) / float64(t)
 }
 
-//nomad:ephemeral tag array working state; divergence surfaces in the registered tid.* counters
 type tidLine struct {
 	tag   uint64
 	valid bool
@@ -64,8 +61,6 @@ type tidWaiter struct {
 // instance: arrive[si] fires when sub-block si arrives from DDR, fill when
 // one of the line's HBM fill writes completes. An MSHR goes back to the
 // freelist when its last fill write lands; nothing of it is in flight then.
-//
-//nomad:ephemeral tag MSHR working state; divergence surfaces in the registered tid.* counters
 type tidMSHR struct {
 	lineAddr uint64 // PA >> tidLineBits
 	set      uint64
@@ -114,28 +109,21 @@ type TiD struct {
 
 	// lines is the tag array, one flat slice: set s's ways are
 	// lines[s*tidWays : (s+1)*tidWays] (see ways).
-	//nomad:ephemeral tag engine working state; divergence surfaces in the registered tid.* counters
 	lines   []tidLine
 	numSets uint64
-	//nomad:ephemeral tag engine working state; divergence surfaces in the registered tid.* counters
 	mshrs   map[uint64]*tidMSHR
 	maxMSHR int
 	// pending holds accesses stalled on a full MSHR file, FIFO; pendHead
 	// indexes the next one so pops keep the backing array (re-slicing would
 	// bleed capacity and force reallocations).
-	//nomad:ephemeral tag engine working state; divergence surfaces in the registered tid.* counters
-	pending []tidPending
-	//nomad:ephemeral tag engine working state; divergence surfaces in the registered tid.* counters
+	pending  []tidPending
 	pendHead int
 	// freeMSHRs and retries are the freelists of the pooled carriers.
-	//nomad:ephemeral tag engine working state; divergence surfaces in the registered tid.* counters
 	freeMSHRs []*tidMSHR
-	//nomad:ephemeral tag engine working state; divergence surfaces in the registered tid.* counters
-	retries []*tidRetry
-	wb      tidWriteback
-	//nomad:ephemeral tag engine working state; divergence surfaces in the registered tid.* counters
-	lruTick  uint64
-	metaBase uint64
+	retries   []*tidRetry
+	wb        tidWriteback
+	lruTick   uint64
+	metaBase  uint64
 
 	stats    AccessStats
 	tidStats TiDStats

@@ -113,8 +113,6 @@ type TickerFunc func(now uint64)
 func (f TickerFunc) Tick(now uint64) { f(now) }
 
 // Engine is the simulation clock. The zero value is not usable; call New.
-//
-//nomad:ephemeral event engine bookkeeping; the interval digest chain derived from it is the observable record
 type Engine struct {
 	now      uint64
 	executed uint64

@@ -109,8 +109,6 @@ func (h *eventHeap) pop() event {
 // (cycle, seq). O(log n) per operation, but with a trivially auditable
 // ordering proof — which is why it survives as the oracle the randomized
 // differential tests compare the wheel against.
-//
-//nomad:ephemeral scheduler queue state; event order is digested by the interval digest chain
 type HeapScheduler struct {
 	now     uint64
 	seq     uint64

@@ -37,8 +37,6 @@ const (
 // events migrate into their bucket in (cycle, seq) order exactly when the
 // window first reaches them — before any direct insert for that cycle is
 // possible — so bucket order is globally FIFO.
-//
-//nomad:ephemeral scheduler queue state; event order is digested by the interval digest chain
 type WheelScheduler struct {
 	now uint64
 	seq uint64

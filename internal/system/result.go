@@ -10,8 +10,6 @@ import (
 // Result is the measured region-of-interest outcome of one run. All rates
 // use the 3.2 GHz clock. The scalar fields are derived views over Metrics,
 // the full ROI stats snapshot.
-//
-//nomad:ephemeral run output, built from the final metrics snapshot after the last cycle
 type Result struct {
 	Scheme   SchemeName
 	Workload string
@@ -98,8 +96,6 @@ type Result struct {
 // The invariant Compute+TagMiss+Frontend+ΣMem == Cycles×Cores holds exactly:
 // each stalled cycle is attributed to the oldest outstanding load's current
 // position in the memory system, and Compute absorbs the rest.
-//
-//nomad:ephemeral run output, built from the final metrics snapshot after the last cycle
 type CPIStack struct {
 	// Compute is cycles the core retired work or was limited by issue
 	// width, not by the memory system or the OS.

@@ -46,8 +46,6 @@ func AllSchemes() []SchemeName {
 }
 
 // Config describes one simulated machine.
-//
-//nomad:ephemeral run configuration, fixed before the first cycle and hashed into the manifest
 type Config struct {
 	Cores int
 	Core  cpu.Config
@@ -156,8 +154,6 @@ func DefaultConfig() Config {
 }
 
 // Machine is one assembled system.
-//
-//nomad:ephemeral machine wiring and run-phase bookkeeping; every referenced component registers its own metrics
 type Machine struct {
 	cfg      Config
 	workload string

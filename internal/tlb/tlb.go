@@ -74,8 +74,6 @@ func (s *Stats) MissRate() float64 {
 
 // slot is one entry of a level's slot array, linked into the level's
 // recency list by index.
-//
-//nomad:ephemeral TLB array working state; divergence surfaces in the registered hit/miss counters
 type slot struct {
 	e          Entry
 	prev, next int32 // neighbours toward the MRU and LRU ends; -1 at the ends
@@ -85,8 +83,6 @@ type slot struct {
 // doubly linked MRU→LRU by index, found through a VPN→slot map, so lookup,
 // insert, eviction and invalidation are all O(1): the victim is the list
 // tail, never a scan.
-//
-//nomad:ephemeral TLB array working state; divergence surfaces in the registered hit/miss counters
 type level struct {
 	index map[uint64]int32
 	// slots grows on demand up to cap, so a level that never fills never
@@ -220,7 +216,6 @@ type TLB struct {
 	dir    Directory
 	l1, l2 *level
 	// inFlight coalesces concurrent walks to the same VPN.
-	//nomad:ephemeral lookup/walk working state; divergence surfaces in the registered hit/miss and walk counters
 	inFlight map[uint64]*walkOp
 	stats    Stats
 	// walkLat records page-table-walk latency per walk (nil until
@@ -228,10 +223,8 @@ type TLB struct {
 	walkLat *metrics.Histogram
 	// hits is the freelist of pooled L2-hit completions (the deferred
 	// done(entry) call after the L2 latency), so L2 hits do not allocate.
-	//nomad:ephemeral lookup/walk working state; divergence surfaces in the registered hit/miss and walk counters
 	hits []*hitOp
 	// walks is the freelist of pooled in-flight page-table walks.
-	//nomad:ephemeral lookup/walk working state; divergence surfaces in the registered hit/miss and walk counters
 	walks []*walkOp
 }
 

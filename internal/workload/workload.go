@@ -20,8 +20,6 @@ type Op struct {
 }
 
 // Spec parameterises one synthetic benchmark.
-//
-//nomad:ephemeral workload description, fixed before the first cycle and hashed into the manifest
 type Spec struct {
 	Name  string
 	Abbr  string
@@ -73,8 +71,6 @@ type Spec struct {
 func (s Spec) FootprintBytes() uint64 { return s.FootprintPages * 4096 }
 
 // rng is a splitmix64 generator: tiny, fast, and deterministic across runs.
-//
-//nomad:ephemeral deterministic xorshift state; the generated address stream is the observable record
 type rng struct{ s uint64 }
 
 func (r *rng) next() uint64 {
@@ -101,8 +97,6 @@ func (r *rng) intn(n uint64) uint64 {
 // Stream produces the access sequence of one core running a Spec. Streams
 // are infinite; the simulation decides when to stop. Distinct cores use
 // distinct seeds so their address phases differ.
-//
-//nomad:ephemeral synthetic stream cursor; the generated accesses drive every downstream counter
 type Stream struct {
 	spec Spec
 	r    rng
