@@ -22,8 +22,8 @@
 // is written (with whatever completed) even when the batch is interrupted.
 //
 // -fast trades precision for speed (short warmup/ROI), useful for smoke
-// checks. Interrupting (Ctrl-C) cancels in-flight simulations at their next
-// sampling window.
+// checks. Interrupting (Ctrl-C) cancels in-flight simulations within 8192
+// simulated cycles.
 package main
 
 import (
@@ -87,7 +87,6 @@ func main() {
 		}
 	}
 	opts.Tracker = cf.StartObs(logger)
-	cf.StartPprof(os.Stderr)
 	var exps []harness.Experiment
 	if *runIDs == "all" {
 		exps = harness.All()

@@ -44,7 +44,6 @@ func run() int {
 		runMode = flag.Bool("run", false, "arguments are run specs (scheme/workload[/seed]) to execute fresh, not files")
 		bisect  = flag.Bool("bisect", false, "replay the divergent prefix with event tracing and write Perfetto traces (implies -run)")
 		fast    = flag.Bool("fast", false, "with -run: shrink warmup/ROI for quick runs")
-		noFF    = flag.Bool("no-ff", false, "with -run: tick every component every cycle instead of letting idle ones sleep and the clock jump (results are byte-identical either way)")
 		top     = flag.Int("top", 10, "show at most this many metric deltas per table")
 		out     = flag.String("out", ".", "with -bisect: directory for the per-run Perfetto traces")
 		format  = flag.String("format", "text", "output format: text or json")
@@ -67,12 +66,12 @@ func run() int {
 		return diffFiles(argA, argB, *format, *top)
 	}
 
-	specA, err := parseSpec(argA, *fast, *noFF)
+	specA, err := parseSpec(argA, *fast)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	specB, err := parseSpec(argB, *fast, *noFF)
+	specB, err := parseSpec(argB, *fast)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -84,7 +83,7 @@ func run() int {
 }
 
 // parseSpec builds a diag.RunSpec from "scheme/workload[/seed]".
-func parseSpec(s string, fast, noFF bool) (diag.RunSpec, error) {
+func parseSpec(s string, fast bool) (diag.RunSpec, error) {
 	parts := strings.Split(s, "/")
 	if len(parts) != 2 && len(parts) != 3 {
 		return diag.RunSpec{}, fmt.Errorf("run spec %q: want scheme/workload[/seed]", s)
@@ -116,7 +115,6 @@ func parseSpec(s string, fast, noFF bool) (diag.RunSpec, error) {
 		cfg.WarmupInstructions = 300_000
 		cfg.ROIInstructions = 400_000
 	}
-	cfg.FastForward = !noFF
 	return diag.RunSpec{Key: s, Cfg: cfg, Spec: sp}, nil
 }
 

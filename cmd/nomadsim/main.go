@@ -87,7 +87,6 @@ func main() {
 	cfg.Frontend.CacheTouchThreshold = *touch
 	cf.ApplySystem(&cfg)
 	tracker := cf.StartObs(logger)
-	cf.StartPprof(os.Stderr)
 
 	m, err := system.New(cfg, sp)
 	if err != nil {

@@ -3,10 +3,16 @@ package nomad
 import (
 	"fmt"
 
+	"nomad/internal/core"
 	"nomad/internal/osmem"
 	"nomad/internal/sim"
 	"nomad/internal/system"
 )
+
+// maxRingDepth bounds Telemetry.TraceDepth and Telemetry.SpanDepth: the
+// rings are allocated whole when the machine is built, and 1<<20 records
+// (tens of MB) is 16 times the event depth the CLIs' -trace uses.
+const maxRingDepth = 1 << 20
 
 // Telemetry groups the observability knobs of a simulation. The zero value
 // disables all capture, which is the right setting for plain measurement
@@ -15,10 +21,11 @@ type Telemetry struct {
 	// TraceDepth, when positive, records the last TraceDepth machine
 	// events (tag misses, PCSHR fills/writebacks, row conflicts) of the
 	// ROI. A run with capture enabled exposes it through Result.WriteTrace
-	// and summarises it in Snapshot.Trace.
+	// and summarises it in Snapshot.Trace. At most 1<<20.
 	TraceDepth int
 	// SpanDepth, when positive, records per-access latency spans for
 	// 1-in-SpanSampleEvery loads per core into a ring of this many spans.
+	// At most 1<<20.
 	SpanDepth int
 	// SpanSampleEvery is the span sampling period in loads; 0 samples
 	// 1 in 64.
@@ -64,18 +71,21 @@ type Config struct {
 	// Cores in the chip multiprocessor, at most 64 (the OS keeps one TLB
 	// directory bit per core); defaults to 8.
 	Cores int
-	// PCSHRs in the NOMAD back-end; defaults to 16.
+	// PCSHRs in the NOMAD back-end, at most 1024; defaults to 16.
 	PCSHRs int
-	// CopyBuffers in the NOMAD back-end; 0 pairs one buffer per PCSHR.
-	// Fewer buffers than PCSHRs selects the area-optimized design.
+	// CopyBuffers in the NOMAD back-end, at most one per PCSHR; 0 pairs one
+	// buffer per PCSHR. Fewer buffers than PCSHRs selects the
+	// area-optimized design.
 	CopyBuffers int
 	// DistributedBackends partitions the back-end per HBM channel.
 	DistributedBackends bool
 	// TagMgmtLatency is the NOMAD tag-miss handler critical-section
-	// occupancy in cycles; defaults to the paper's conservative 400.
+	// occupancy in cycles; defaults to the paper's conservative 400. It
+	// may not exceed a run's 400M-cycle limit.
 	TagMgmtLatency uint64
 	// VerifyLatency adds cycles to every DC access for the PCSHR lookup
 	// (0 per the paper's CACTI analysis; set 1 for the sensitivity study).
+	// It may not exceed a run's 400M-cycle limit.
 	VerifyLatency uint64
 	// CacheTouchThreshold enables selective caching for OS-managed
 	// schemes: a page is cached only on its Nth uncached page-table walk.
@@ -91,13 +101,6 @@ type Config struct {
 	// Telemetry groups the observability knobs (traces, spans, timeline,
 	// digests, self-profiling).
 	Telemetry Telemetry
-
-	// NoFastForward disables the engine's activity-driven ticking (on by
-	// default), forcing every component to tick on every cycle. Results
-	// are byte-identical either way; the switch exists for debugging and
-	// for measuring the speedup. With self-profiling enabled,
-	// Host().SkippedCycles reports how many cycles the clock jumped over.
-	NoFastForward bool
 }
 
 // DefaultConfig returns the paper's evaluation configuration with every
@@ -146,17 +149,35 @@ func (c Config) Validate() *Error {
 	if c.PCSHRs < 0 {
 		return c.validationError("negative PCSHR count %d", c.PCSHRs)
 	}
+	if c.PCSHRs > core.MaxPCSHRs {
+		return c.validationError("%d PCSHRs exceed the limit of %d", c.PCSHRs, core.MaxPCSHRs)
+	}
 	if c.CopyBuffers < 0 {
 		return c.validationError("negative copy buffer count %d", c.CopyBuffers)
 	}
-	if c.CopyBuffers > 0 && c.PCSHRs > 0 && c.CopyBuffers > c.PCSHRs {
-		return c.validationError("copy buffers (%d) exceed PCSHRs (%d); buffers beyond one per PCSHR are unreachable", c.CopyBuffers, c.PCSHRs)
+	icfg := c.toInternal()
+	if pcshrs := icfg.Backend.PCSHRs; c.CopyBuffers > pcshrs {
+		return c.validationError("copy buffers (%d) exceed PCSHRs (%d); buffers beyond one per PCSHR are unreachable", c.CopyBuffers, pcshrs)
+	}
+	// A longer latency could not complete within the run, and the event
+	// scheduled that far ahead would wrap the clock.
+	if c.TagMgmtLatency > icfg.MaxCycles {
+		return c.validationError("tag management latency of %d cycles exceeds the run limit of %d", c.TagMgmtLatency, icfg.MaxCycles)
+	}
+	if c.VerifyLatency > icfg.MaxCycles {
+		return c.validationError("verify latency of %d cycles exceeds the run limit of %d", c.VerifyLatency, icfg.MaxCycles)
 	}
 	if c.Telemetry.TraceDepth < 0 {
 		return c.validationError("negative trace depth")
 	}
+	if c.Telemetry.TraceDepth > maxRingDepth {
+		return c.validationError("trace depth %d exceeds the limit of %d", c.Telemetry.TraceDepth, maxRingDepth)
+	}
 	if c.Telemetry.SpanDepth < 0 {
 		return c.validationError("negative span depth")
+	}
+	if c.Telemetry.SpanDepth > maxRingDepth {
+		return c.validationError("span depth %d exceeds the limit of %d", c.Telemetry.SpanDepth, maxRingDepth)
 	}
 	return nil
 }
@@ -212,6 +233,5 @@ func (c Config) toInternal() system.Config {
 	cfg.TimelineMetrics = tel.TimelineMetrics
 	cfg.Digests = tel.Digests
 	cfg.SelfProfile = tel.SelfProfile
-	cfg.FastForward = !c.NoFastForward
 	return cfg
 }

@@ -45,9 +45,6 @@ type ExperimentOptions struct {
 	// SelfProfile attaches host-side simulator profiling to every run
 	// (Result.Host).
 	SelfProfile bool
-	// NoFastForward disables activity-driven ticking in every run (see
-	// Config.NoFastForward); results are byte-identical either way.
-	NoFastForward bool
 }
 
 // Experiments lists every reproducible table and figure.
@@ -101,7 +98,7 @@ func (r *ExperimentResult) WriteText(w io.Writer) error { return r.rep.WriteText
 
 // RunExperimentResult regenerates one paper artifact and returns it in
 // structured form. Cancelling ctx stops queued simulations before they start
-// and in-flight ones at their next sampling window;
+// and in-flight ones within 8192 simulated cycles;
 // errors.Is(err, context.Canceled) then holds.
 func RunExperimentResult(ctx context.Context, id string, opts ExperimentOptions) (*ExperimentResult, error) {
 	e, ok := harness.Get(id)
@@ -125,7 +122,6 @@ func RunExperimentResult(ctx context.Context, id string, opts ExperimentOptions)
 		TimelineMetrics: opts.TimelineMetrics,
 		Digests:         opts.Digests,
 		SelfProfile:     opts.SelfProfile,
-		NoFastForward:   opts.NoFastForward,
 	})
 	if err != nil {
 		return nil, err

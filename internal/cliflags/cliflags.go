@@ -1,6 +1,6 @@
 // Package cliflags centralises the command-line flags the nomad CLIs share,
 // so cmd/nomadsim and cmd/experiments parse -timeline/-trace/-profile/
-// -no-ff/-format (and friends) with one canonical name, default, and help
+// -format/-http (and friends) with one canonical name, default, and help
 // string each, instead of keeping hand-rolled copies that drift apart.
 package cliflags
 
@@ -10,8 +10,6 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"strings"
 
 	"nomad/internal/harness"
@@ -42,13 +40,9 @@ type Common struct {
 	Trace string
 	// Profile enables host-side self-profiling (-profile).
 	Profile bool
-	// NoFF disables activity-driven ticking and clock jumps (-no-ff).
-	NoFF bool
 	// Format selects the output rendering (-format); each CLI validates
 	// it against its supported set with CheckFormat.
 	Format string
-	// Pprof is the net/http/pprof listen address (-pprof, "" = off).
-	Pprof string
 	// HTTP is the introspection-server listen address (-http, "" = off):
 	// /metrics, /runs, /runs/{key}/timeline, /debug/pprof.
 	HTTP string
@@ -67,9 +61,7 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.BoolVar(&c.Digests, "digests", false, "capture interval digest chains (per-window chained registry digests; compare runs with nomaddiff)")
 	fs.StringVar(&c.Trace, "trace", "", "write a Perfetto trace to this file (open at ui.perfetto.dev)")
 	fs.BoolVar(&c.Profile, "profile", false, "self-profile the simulator (wall-clock cycles/sec, heap, GC pauses)")
-	fs.BoolVar(&c.NoFF, "no-ff", false, "tick every component every cycle instead of letting idle ones sleep and the clock jump (results are byte-identical either way)")
 	fs.StringVar(&c.Format, "format", "text", "output format")
-	fs.StringVar(&c.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. :6060) while running")
 	fs.StringVar(&c.HTTP, "http", "", "serve live introspection on this address (e.g. :6060): /metrics, /runs, /runs/{key}/timeline, /debug/pprof")
 	fs.StringVar(&c.LogFormat, "log-format", "text", "structured log format for warnings and progress: text or json")
 	return c
@@ -114,7 +106,6 @@ func (c *Common) ApplySystem(cfg *system.Config) {
 	cfg.TimelineMetrics = c.Metrics()
 	cfg.Digests = c.Digests
 	cfg.SelfProfile = c.Profile
-	cfg.FastForward = !c.NoFF
 }
 
 // ApplyOptions writes the shared knobs into harness.Options
@@ -129,7 +120,6 @@ func (c *Common) ApplyOptions(o *harness.Options) {
 	o.TimelineMetrics = c.Metrics()
 	o.Digests = c.Digests
 	o.SelfProfile = c.Profile
-	o.NoFastForward = c.NoFF
 }
 
 // Logger builds the host-side structured logger writing to w in the
@@ -160,18 +150,4 @@ func (c *Common) StartObs(log *slog.Logger) *obs.RunTracker {
 	}
 	log.Info("introspection server listening", "addr", addr.String())
 	return tracker
-}
-
-// StartPprof starts the net/http/pprof server when -pprof was given; serve
-// errors go to w. It returns immediately.
-func (c *Common) StartPprof(w io.Writer) {
-	if c.Pprof == "" {
-		return
-	}
-	addr := c.Pprof
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(w, "pprof: %v\n", err)
-		}
-	}()
 }

@@ -28,7 +28,7 @@ func TestDefaults(t *testing.T) {
 	if c.Timeline || c.Interval != 0 || c.TimelineMetrics != "" || c.Trace != "" {
 		t.Errorf("timeline defaults wrong: %+v", c)
 	}
-	if c.Profile || c.NoFF || c.Pprof != "" || c.HTTP != "" {
+	if c.Profile || c.HTTP != "" {
 		t.Errorf("host defaults wrong: %+v", c)
 	}
 	if c.Format != "text" || c.LogFormat != "text" {
@@ -36,26 +36,6 @@ func TestDefaults(t *testing.T) {
 	}
 	if err := c.Check("text"); err != nil {
 		t.Errorf("defaults fail Check: %v", err)
-	}
-}
-
-func TestNoFFFlag(t *testing.T) {
-	c := parse(t, "-no-ff")
-	var cfg system.Config
-	c.ApplySystem(&cfg)
-	if cfg.FastForward {
-		t.Error("-no-ff did not disable fast-forward in system.Config")
-	}
-	var o harness.Options
-	c.ApplyOptions(&o)
-	if !o.NoFastForward {
-		t.Error("-no-ff did not set harness NoFastForward")
-	}
-	c = parse(t)
-	cfg = system.Config{}
-	c.ApplySystem(&cfg)
-	if !cfg.FastForward {
-		t.Error("fast-forward not on by default")
 	}
 }
 
@@ -114,6 +94,11 @@ func TestTraceEnablesCapture(t *testing.T) {
 	c.ApplySystem(&cfg)
 	if cfg.TraceDepth != TraceEventDepth || cfg.SpanDepth != TraceSpanDepth {
 		t.Errorf("-trace did not set capture depths: %+v", cfg)
+	}
+	var o harness.Options
+	c.ApplyOptions(&o)
+	if o.TraceDepth != TraceEventDepth || o.SpanDepth != TraceSpanDepth {
+		t.Errorf("-trace did not set harness capture depths: %+v", o)
 	}
 }
 

@@ -43,9 +43,15 @@ type Command struct {
 	Offset uint64 // byte offset of the demand access (sets P/PI on fills)
 }
 
+// MaxPCSHRs bounds BackendConfig.PCSHRs: 32 times the largest count the
+// evaluation sweeps (Fig. 12), far beyond any modeled design. Callers reject
+// larger counts before building a back-end.
+const MaxPCSHRs = 1024
+
 // BackendConfig sizes the back-end hardware.
 type BackendConfig struct {
-	// PCSHRs is the total number of page copy status registers.
+	// PCSHRs is the total number of page copy status registers, at most
+	// MaxPCSHRs.
 	PCSHRs int
 	// CopyBuffers is the number of 4 KB page copy buffers; 0 means one
 	// per PCSHR (the default design). Fewer buffers than PCSHRs is the
@@ -293,7 +299,6 @@ func (b *Backend) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+".accept_count", func() uint64 { return s.AcceptCount })
 	reg.CounterFunc(prefix+".buffer_wait_sum", func() uint64 { return s.BufferWaitSum })
 	reg.CounterFunc(prefix+".pcshr_occupancy_sum", func() uint64 { return s.PCSHROccupancySum })
-	reg.SeriesFunc(prefix+".active_pcshrs", func(now uint64) float64 { return float64(b.ActivePCSHRs()) })
 	// Timeline column: per-interval PCSHR occupancy high-water. The peak is
 	// maintained at each allocation and read-and-reset once per window, so
 	// a burst that fills the registers mid-window is visible even if they

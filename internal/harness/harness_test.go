@@ -199,7 +199,7 @@ func TestExecuteBoundsParallelism(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		runs = append(runs, Run{Key: key("r", i), Cfg: cfg, Spec: sp})
 	}
-	// Each in-flight simulation polls ctx.Err() every sampling window, so
+	// Each in-flight simulation polls ctx.Err() every 8192 cycles, so
 	// the peak number of concurrent Err() sections bounds the number of
 	// concurrent runs. Exceeding the limit can only happen if Execute
 	// really runs too many simulations at once; the check cannot fail
@@ -216,7 +216,7 @@ func TestExecuteBoundsParallelism(t *testing.T) {
 
 // countingContext tracks the peak number of concurrent Err() sections. The
 // brief hold makes overlap between concurrently running simulations (which
-// poll Err() every sampling window) observable.
+// poll Err() every 8192 cycles) observable.
 type countingContext struct {
 	context.Context
 	inFlight *atomic.Int64

@@ -56,9 +56,6 @@ type Options struct {
 	// SelfProfile attaches host-side simulator profiling to every run
 	// (Result.Host). Host readings are non-deterministic.
 	SelfProfile bool
-	// NoFastForward disables activity-driven ticking in every run (see
-	// system.Config.FastForward); results are byte-identical either way.
-	NoFastForward bool
 	// Progress, when non-nil, is called once per run with its key and must
 	// return a Machine.SetProgress callback (or nil). Callbacks fire on
 	// worker goroutines; system.ProgressPrinter returns a suitable one.
@@ -92,7 +89,6 @@ func (o Options) BaseConfig() system.Config {
 	cfg.TimelineMetrics = o.TimelineMetrics
 	cfg.Digests = o.Digests
 	cfg.SelfProfile = o.SelfProfile
-	cfg.FastForward = !o.NoFastForward
 	return cfg
 }
 
@@ -130,8 +126,8 @@ type Results map[string]*RunResult
 // run that completed — including the partial result of a run cancelled
 // inside its measured region — so callers may render partial output.
 // Cancelling ctx stops queued runs before they start and in-flight
-// simulations at their next sampling window; ctx.Err() is then reported once
-// rather than per run.
+// simulations at their next cancellation check, at most 8192 simulated
+// cycles away; ctx.Err() is then reported once rather than per run.
 func Execute(ctx context.Context, opts Options, runs []Run) (Results, error) {
 	type outcome struct {
 		res *RunResult

@@ -75,7 +75,7 @@ func TestExecuteCancelledPartialResult(t *testing.T) {
 	opts := Options{
 		Parallelism: 1,
 		// Cancel deterministically once the run is inside its ROI: the next
-		// sampling-window boundary then stops it mid-region.
+		// cancellation check then stops it mid-region.
 		Progress: func(key string) func(system.Progress) {
 			return func(p system.Progress) {
 				if p.Phase == "roi" {

@@ -8,7 +8,7 @@ import (
 // digestFixture builds a registry with one of each metric kind and an
 // active digest chain anchored at 0 with interval 100.
 func digestFixture() (*Registry, *Counter, *Histogram, *float64) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	c := r.Counter("d.count")
 	g := new(float64)
 	r.GaugeFunc("d.gauge", func() float64 { return *g })
@@ -123,7 +123,7 @@ func TestFirstDivergenceCases(t *testing.T) {
 // TestDigestSnapshotJSON: digests are hex strings in JSON (uint64 survives
 // generic JSON tooling), and absent entirely before BeginDigests.
 func TestDigestSnapshotJSON(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	r.Counter("d.c").Add(1)
 	if r.Snapshot(50).Digests != nil {
 		t.Error("digests present before BeginDigests")

@@ -1,12 +1,13 @@
 // Package metrics is the simulator's observability layer: a stats registry
-// of named counters, gauges, log2-bucket histograms, and cycle-windowed time
-// series, plus an optional ring buffer of typed trace events.
+// of named counters, gauges and log2-bucket histograms, interval timeline
+// columns and digest chains, plus optional ring buffers of typed trace
+// events and access spans.
 //
 // Design constraints, in order:
 //
 //  1. Zero allocation on simulation hot paths. Components either keep plain
 //     uint64 fields and expose them lazily (CounterFunc / GaugeFunc read the
-//     live value only when a snapshot or sample is taken), or hold a
+//     live value only when a snapshot or interval sample is taken), or hold a
 //     *Histogram / *Trace whose Observe / Emit writes into fixed
 //     pre-allocated storage.
 //  2. Determinism. A snapshot of a deterministic simulation is itself
@@ -19,8 +20,8 @@
 //
 // The registry separates warmup from the measured region of interest:
 // MarkROI captures a baseline, and Snapshot reports counter and histogram
-// deltas against it (gauges are instantaneous; series keep only post-mark
-// samples).
+// deltas against it (gauges are instantaneous; the timeline and digest chain
+// restart at the mark).
 package metrics
 
 import (
@@ -111,24 +112,15 @@ type histEntry struct {
 	h    *Histogram
 }
 
-type seriesEntry struct {
-	name   string
-	sample func(now uint64) float64
-	cycles []uint64
-	values []float64
-}
-
 // Registry holds every metric of one simulated machine. It is not safe for
 // concurrent use; each Machine owns one (simulations are single-threaded).
 type Registry struct {
 	counters []counterEntry
 	gauges   []gaugeEntry
 	hists    []histEntry
-	series   []seriesEntry
 	names    map[string]bool
 	trace    *Trace
 	spans    *SpanRing
-	window   uint64
 
 	// Interval timeline state (timeline.go): registered columns, the name
 	// namespace, the registration filter, and the collected windows.
@@ -158,17 +150,12 @@ type Registry struct {
 	markCycle    uint64
 	baseCounters []uint64
 	baseHists    []histBase
-	markSample   []int // per-series index of the first post-mark sample
 }
 
-// NewRegistry returns an empty registry with the given sampling window (in
-// cycles; informational, recorded into snapshots).
-func NewRegistry(window uint64) *Registry {
-	return &Registry{names: map[string]bool{}, window: window}
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{names: map[string]bool{}}
 }
-
-// Window returns the sampling window the registry was built with.
-func (r *Registry) Window() uint64 { return r.window }
 
 func (r *Registry) claim(name string) {
 	if r.names[name] {
@@ -207,24 +194,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// SeriesFunc registers a time series sampled once per window by Sample. fn
-// receives the current cycle and returns the point value (typically a rate
-// over the elapsed window, computed from a delta the closure tracks).
-func (r *Registry) SeriesFunc(name string, fn func(now uint64) float64) {
-	r.claim(name)
-	r.series = append(r.series, seriesEntry{name: name, sample: fn})
-}
-
-// Sample appends one point to every registered series. The simulation
-// engine calls it once per sampling window.
-func (r *Registry) Sample(now uint64) {
-	for i := range r.series {
-		s := &r.series[i]
-		s.cycles = append(s.cycles, now)
-		s.values = append(s.values, s.sample(now))
-	}
-}
-
 // EnableTrace attaches a ring buffer of depth events and returns it.
 // Calling it again replaces the buffer.
 func (r *Registry) EnableTrace(depth int) *Trace {
@@ -246,9 +215,9 @@ func (r *Registry) EnableSpans(depth int) *SpanRing {
 func (r *Registry) Spans() *SpanRing { return r.spans }
 
 // MarkROI captures the current counter and histogram state as the baseline
-// that Snapshot diffs against, discards series samples taken so far, and
-// resets the event-trace and span rings so exported traces cover the
-// measured region only. Call it at the warmup / region-of-interest boundary.
+// that Snapshot diffs against, re-anchors an active timeline and digest
+// chain, and resets the event-trace and span rings so exported traces cover
+// the measured region only. Call it at the warmup / region-of-interest boundary.
 func (r *Registry) MarkROI(now uint64) {
 	r.trace.Reset()
 	r.spans.Reset()
@@ -272,10 +241,6 @@ func (r *Registry) MarkROI(now uint64) {
 	for i, he := range r.hists {
 		r.baseHists[i] = histBase{count: he.h.count, sum: he.h.sum, buckets: he.h.buckets}
 	}
-	r.markSample = make([]int, len(r.series))
-	for i := range r.series {
-		r.markSample[i] = len(r.series[i].cycles)
-	}
 }
 
 // Snapshot captures every metric at cycle now, as a delta against the
@@ -285,7 +250,6 @@ func (r *Registry) MarkROI(now uint64) {
 func (r *Registry) Snapshot(now uint64) *Snapshot {
 	s := &Snapshot{
 		Cycles:   now - r.markCycle,
-		Window:   r.window,
 		Counters: make(map[string]uint64, len(r.counters)),
 		Timeline: r.timelineSnapshot(),
 		Digests:  r.digestSnapshot(),
@@ -315,21 +279,6 @@ func (r *Registry) Snapshot(now uint64) *Snapshot {
 		s.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
 		for i, he := range r.hists {
 			s.Histograms[he.name] = r.histSnapshot(i, he.h)
-		}
-	}
-	if len(r.series) > 0 {
-		s.Series = make(map[string]SeriesSnapshot, len(r.series))
-		for i := range r.series {
-			se := &r.series[i]
-			from := 0
-			if r.marked {
-				from = r.markSample[i]
-			}
-			s.Series[se.name] = SeriesSnapshot{
-				Window: r.window,
-				Cycles: append([]uint64(nil), se.cycles[from:]...),
-				Values: append([]float64(nil), se.values[from:]...),
-			}
 		}
 	}
 	return s

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCounterAndFunc(t *testing.T) {
-	r := NewRegistry(64)
+	r := NewRegistry()
 	c := r.Counter("a.owned")
 	var raw uint64
 	r.CounterFunc("a.lazy", func() uint64 { return raw })
@@ -21,7 +21,7 @@ func TestCounterAndFunc(t *testing.T) {
 	if s.Counter("missing") != 0 {
 		t.Fatal("missing counter not zero")
 	}
-	if s.Cycles != 10 || s.Window != 64 {
+	if s.Cycles != 10 {
 		t.Fatalf("snapshot metadata wrong: %+v", s)
 	}
 }
@@ -32,13 +32,13 @@ func TestDuplicateNamePanics(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r := NewRegistry(1)
+	r := NewRegistry()
 	r.Counter("x")
 	r.Counter("x")
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry(1)
+	r := NewRegistry()
 	h := r.Histogram("lat")
 	for _, v := range []uint64{0, 1, 1, 3, 400, 400, 1 << 40} {
 		h.Observe(v)
@@ -69,17 +69,14 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestMarkROIDiffs(t *testing.T) {
-	r := NewRegistry(8)
+	r := NewRegistry()
 	c := r.Counter("n")
 	h := r.Histogram("h")
-	r.SeriesFunc("s", func(now uint64) float64 { return float64(now) })
 	c.Add(10)
 	h.Observe(100)
-	r.Sample(8)
 	r.MarkROI(16)
 	c.Add(3)
 	h.Observe(7)
-	r.Sample(24)
 	s := r.Snapshot(32)
 	if s.Cycles != 16 {
 		t.Fatalf("ROI cycles = %d, want 16", s.Cycles)
@@ -94,14 +91,10 @@ func TestMarkROIDiffs(t *testing.T) {
 	if hs.Min != 7 || hs.Max != 100 {
 		t.Fatalf("histogram min/max should span the whole run: %+v", hs)
 	}
-	se := s.Series["s"]
-	if len(se.Values) != 1 || se.Cycles[0] != 24 {
-		t.Fatalf("pre-mark samples not trimmed: %+v", se)
-	}
 }
 
 func TestGauges(t *testing.T) {
-	r := NewRegistry(1)
+	r := NewRegistry()
 	v := 1.5
 	r.GaugeFunc("g", func() float64 { return v })
 	r.MarkROI(0)
@@ -113,13 +106,11 @@ func TestGauges(t *testing.T) {
 
 func TestSnapshotJSONDeterministic(t *testing.T) {
 	build := func() []byte {
-		r := NewRegistry(4)
+		r := NewRegistry()
 		r.Counter("z.last").Add(3)
 		r.Counter("a.first").Add(1)
 		r.GaugeFunc("m.gauge", func() float64 { return 0.25 })
 		r.Histogram("h").Observe(9)
-		r.SeriesFunc("sr", func(now uint64) float64 { return 2 })
-		r.Sample(4)
 		b, err := json.Marshal(r.Snapshot(8))
 		if err != nil {
 			t.Fatal(err)
@@ -133,7 +124,7 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 }
 
 func TestTraceRing(t *testing.T) {
-	r := NewRegistry(1)
+	r := NewRegistry()
 	tr := r.EnableTrace(4)
 	if r.Trace() != tr {
 		t.Fatal("trace not attached")
@@ -180,7 +171,7 @@ func TestBucketBounds(t *testing.T) {
 }
 
 func TestCounterNamesSorted(t *testing.T) {
-	r := NewRegistry(1)
+	r := NewRegistry()
 	r.Counter("b")
 	r.Counter("a")
 	names := r.CounterNames()
@@ -222,7 +213,7 @@ func TestTraceRingExactCapacity(t *testing.T) {
 }
 
 func TestSpanRing(t *testing.T) {
-	r := NewRegistry(1)
+	r := NewRegistry()
 	sr := r.EnableSpans(2)
 	if r.Spans() != sr {
 		t.Fatal("span ring not attached")
@@ -248,7 +239,7 @@ func TestSpanRing(t *testing.T) {
 }
 
 func TestMarkROIResetsRings(t *testing.T) {
-	r := NewRegistry(1)
+	r := NewRegistry()
 	tr := r.EnableTrace(8)
 	sr := r.EnableSpans(8)
 	for i := uint64(0); i < 12; i++ {

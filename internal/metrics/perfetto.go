@@ -154,12 +154,7 @@ func (b *runBuilder) exportTimeline(tl *TimelineSnapshot) {
 	if tl == nil || len(tl.Cycles) == 0 {
 		return
 	}
-	names := make([]string, 0, len(tl.Metrics))
-	for name := range tl.Metrics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range tl.MetricNames() {
 		values := tl.Metrics[name]
 		for i, end := range tl.Cycles {
 			if i >= len(values) {

@@ -7,13 +7,10 @@ package metrics
 // runs marshal byte-identically.
 type Snapshot struct {
 	// Cycles is the span covered by the snapshot (since MarkROI).
-	Cycles uint64 `json:"cycles"`
-	// Window is the series sampling period in cycles.
-	Window     uint64                       `json:"window,omitempty"`
+	Cycles     uint64                       `json:"cycles"`
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Series     map[string]SeriesSnapshot    `json:"series,omitempty"`
 	// Trace summarizes the event-trace and span rings (present only when
 	// tracing was enabled) so truncated exports are visible, not silent.
 	Trace *TraceSummary `json:"trace,omitempty"`
@@ -78,11 +75,4 @@ type Bucket struct {
 	Lo    uint64 `json:"lo"`
 	Hi    uint64 `json:"hi"`
 	Count uint64 `json:"count"`
-}
-
-// SeriesSnapshot is one time series: Values[i] was sampled at Cycles[i].
-type SeriesSnapshot struct {
-	Window uint64    `json:"window"`
-	Cycles []uint64  `json:"cycles"`
-	Values []float64 `json:"values"`
 }

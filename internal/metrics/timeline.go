@@ -1,11 +1,10 @@
 // Interval time-series telemetry: windowed columns of registry-derived
 // values, sampled by the engine's interval hook (default every 100k
-// simulated cycles). Unlike the per-window Series (8192-cycle samples of two
-// whole-machine rates), timeline metrics are a configurable set of
-// per-interval columns — IPC per core, DC hit rate, PCSHR occupancy
-// high-water, bandwidth by category, row-conflict rate, MSHR occupancy —
-// designed for Fig. 14-style transient analysis (burst phases, warm-up,
-// tag-miss storms after MarkROI).
+// simulated cycles). Timeline metrics are a configurable set of
+// per-interval columns — IPC per core and system, DC hit rate, PCSHR
+// occupancy high-water, bandwidth by category, row-conflict rate, MSHR
+// occupancy, free frames — designed for Fig. 14-style transient analysis
+// (burst phases, warm-up, tag-miss storms after MarkROI).
 //
 // Determinism: every value derives from simulated state only, interval
 // boundaries are exact cycle counts re-anchored at MarkROI (the first window
@@ -13,7 +12,10 @@
 // same-seed runs marshal byte-identical timelines.
 package metrics
 
-import "strings"
+import (
+	"sort"
+	"strings"
+)
 
 // intervalEntry is one registered timeline metric.
 type intervalEntry struct {
@@ -128,6 +130,19 @@ func (t *TimelineSnapshot) Metric(name string) []float64 {
 		return nil
 	}
 	return t.Metrics[name]
+}
+
+// MetricNames returns the collected column names, sorted.
+func (t *TimelineSnapshot) MetricNames() []string {
+	if t == nil {
+		return nil
+	}
+	names := make([]string, 0, len(t.Metrics))
+	for name := range t.Metrics {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // timelineSnapshot renders the collected timeline, or nil when inactive.

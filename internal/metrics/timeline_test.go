@@ -6,7 +6,7 @@ import (
 )
 
 func TestIntervalFuncCollects(t *testing.T) {
-	r := NewRegistry(10)
+	r := NewRegistry()
 	var v uint64
 	var base uint64
 	r.IntervalFunc("x.rate",
@@ -43,7 +43,7 @@ func TestIntervalFuncCollects(t *testing.T) {
 }
 
 func TestTimelineInactiveIsNil(t *testing.T) {
-	r := NewRegistry(10)
+	r := NewRegistry()
 	r.IntervalFunc("x", nil, func(uint64) float64 { return 1 })
 	r.SampleInterval(100) // no BeginTimeline: must be a no-op
 	if tl := r.Snapshot(100).Timeline; tl != nil {
@@ -52,7 +52,7 @@ func TestTimelineInactiveIsNil(t *testing.T) {
 }
 
 func TestTimelineDuplicateNamePanics(t *testing.T) {
-	r := NewRegistry(10)
+	r := NewRegistry()
 	r.IntervalFunc("dup", nil, func(uint64) float64 { return 0 })
 	defer func() {
 		if recover() == nil {
@@ -65,7 +65,7 @@ func TestTimelineDuplicateNamePanics(t *testing.T) {
 func TestTimelineSeparateNamespace(t *testing.T) {
 	// An interval metric may share its name with a counter: they live in
 	// different namespaces (Counters vs Timeline.Metrics).
-	r := NewRegistry(10)
+	r := NewRegistry()
 	c := r.Counter("shared.name")
 	r.IntervalFunc("shared.name", nil, func(uint64) float64 { return 1 })
 	c.Add(3)
@@ -78,7 +78,7 @@ func TestTimelineSeparateNamespace(t *testing.T) {
 }
 
 func TestTimelineFilter(t *testing.T) {
-	r := NewRegistry(10)
+	r := NewRegistry()
 	r.SetTimelineFilter([]string{"core.", "hbm.gbs."})
 	r.IntervalFunc("core.0.ipc", nil, func(uint64) float64 { return 1 })
 	r.IntervalFunc("hbm.gbs.fill", nil, func(uint64) float64 { return 2 })
@@ -104,7 +104,7 @@ func TestTimelineFilter(t *testing.T) {
 func TestBeginTimelineReprimes(t *testing.T) {
 	// BeginTimeline discards earlier windows and re-runs prime closures, so
 	// delta metrics restart from the new anchor (the MarkROI property).
-	r := NewRegistry(10)
+	r := NewRegistry()
 	var v, base uint64
 	r.IntervalFunc("d", func(now uint64) { base = v },
 		func(now uint64) float64 { d := v - base; base = v; return float64(d) })
@@ -125,7 +125,7 @@ func TestBeginTimelineReprimes(t *testing.T) {
 }
 
 func TestSampleIntervalGuardsDuplicates(t *testing.T) {
-	r := NewRegistry(10)
+	r := NewRegistry()
 	r.IntervalFunc("x", nil, func(uint64) float64 { return 1 })
 	r.BeginTimeline(0, 100)
 	r.SampleInterval(100)
@@ -136,7 +136,7 @@ func TestSampleIntervalGuardsDuplicates(t *testing.T) {
 }
 
 func TestTimelineSnapshotIsDeepCopy(t *testing.T) {
-	r := NewRegistry(10)
+	r := NewRegistry()
 	r.IntervalFunc("x", nil, func(uint64) float64 { return 1 })
 	r.BeginTimeline(0, 100)
 	r.SampleInterval(100)
@@ -150,7 +150,7 @@ func TestTimelineSnapshotIsDeepCopy(t *testing.T) {
 
 func TestTimelineJSONDeterministic(t *testing.T) {
 	build := func() []byte {
-		r := NewRegistry(10)
+		r := NewRegistry()
 		for _, name := range []string{"b.two", "a.one", "c.three"} {
 			n := name
 			r.IntervalFunc(n, nil, func(now uint64) float64 { return float64(len(n)) + float64(now) })
@@ -170,7 +170,7 @@ func TestTimelineJSONDeterministic(t *testing.T) {
 }
 
 func TestMarkROIReanchorsTimeline(t *testing.T) {
-	r := NewRegistry(10)
+	r := NewRegistry()
 	r.IntervalFunc("x", nil, func(uint64) float64 { return 1 })
 	r.BeginTimeline(0, 100)
 	r.SampleInterval(100)

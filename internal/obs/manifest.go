@@ -28,13 +28,12 @@ import (
 // code version), and Address is the SHA-256 over exactly that triple. Two
 // processes given the same config and seed on the same build compute the same
 // address without running anything — the key a content-addressed result
-// cache (ROADMAP: simulation-as-a-service) stores results under.
+// cache stores results under.
 //
-// Host-only knobs that provably do not change results are excluded from the
-// hash: FastForward (byte-identity with it on and off is the engine's
-// load-bearing contract) and SelfProfile (host profiling never touches the
-// snapshot). Everything else in system.Config participates, including knobs
-// like TraceDepth or Timeline that change which sections a Snapshot carries.
+// SelfProfile, a host-only knob that provably does not change results (host
+// profiling never touches the snapshot), is excluded from the hash.
+// Everything else in system.Config participates, including knobs like
+// TraceDepth or Timeline that change which sections a Snapshot carries.
 type Manifest struct {
 	// Address is "sha256:<hex>" over the canonical config/workload/build
 	// JSON (see Canonical).
@@ -115,10 +114,8 @@ func buildStamp() BuildStamp {
 // configuration and workload. It never runs a simulation; call it before,
 // after, or instead of one.
 func NewManifest(cfg system.Config, spec workload.Spec) *Manifest {
-	// Zero the result-neutral knobs so equivalent runs collide on purpose:
-	// fast-forward on/off and profiling on/off produce byte-identical
-	// snapshots.
-	cfg.FastForward = false
+	// Zero the result-neutral knob so equivalent runs collide on purpose:
+	// profiling on and off produce byte-identical snapshots.
 	cfg.SelfProfile = false
 	st := buildStamp()
 	doc, err := json.Marshal(canonicalDoc{

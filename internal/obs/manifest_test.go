@@ -30,10 +30,10 @@ func testSpec() workload.Spec {
 }
 
 // TestManifestStable is the content-address contract: the address is
-// identical across repeated computations and across every host-only knob
-// (fast-forward, self-profiling) — backed by actually running the
-// variants and checking their snapshots really are byte-identical — and
-// differs as soon as a result-bearing knob changes.
+// identical across repeated computations and across the host-only
+// self-profiling knob — backed by actually running the variants and
+// checking their snapshots really are byte-identical — and differs as soon
+// as a result-bearing knob changes.
 func TestManifestStable(t *testing.T) {
 	spec := testSpec()
 	base := NewManifest(testConfig(), spec)
@@ -46,11 +46,6 @@ func TestManifestStable(t *testing.T) {
 		cfg  system.Config
 	}{
 		{"repeat", testConfig()},
-		{"no fast-forward", func() system.Config {
-			c := testConfig()
-			c.FastForward = false
-			return c
-		}()},
 		{"self-profile", func() system.Config {
 			c := testConfig()
 			c.SelfProfile = true
@@ -115,7 +110,7 @@ func TestManifestFields(t *testing.T) {
 	if err := json.Unmarshal(man.Canonical(), &doc); err != nil {
 		t.Fatalf("canonical does not parse: %v", err)
 	}
-	if doc.Config.FastForward || doc.Config.SelfProfile {
+	if doc.Config.SelfProfile {
 		t.Errorf("canonical config retains host-only knobs: %+v", doc.Config)
 	}
 	if doc.Config.Seed != 7 {

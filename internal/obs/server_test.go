@@ -207,7 +207,7 @@ func TestRunsEndpoint(t *testing.T) {
 func TestTimelineSSE(t *testing.T) {
 	tracker := NewRunTracker()
 	h := tracker.Start("x", nil)
-	reg := metrics.NewRegistry(0)
+	reg := metrics.NewRegistry()
 	n := 0.0
 	reg.IntervalFunc("t.v", nil, func(uint64) float64 { n++; return n })
 	reg.BeginTimeline(0, 100)
@@ -357,7 +357,7 @@ g{name="hbm.gbs"} 1.5e+03
 // sampled window ending at cycle 100.
 func digestRegistry(t *testing.T) *metrics.Registry {
 	t.Helper()
-	reg := metrics.NewRegistry(0)
+	reg := metrics.NewRegistry()
 	reg.Counter("d.c")
 	reg.BeginDigests(0, 100)
 	reg.SampleInterval(100)
@@ -392,7 +392,7 @@ func TestDigestsEndpoint(t *testing.T) {
 	}
 
 	// A run publishing digest-less snapshots still 404s.
-	plain := metrics.NewRegistry(0)
+	plain := metrics.NewRegistry()
 	plain.Counter("p.c")
 	h.Observe(system.Progress{Phase: "roi", Cycle: 100, Done: 1, Target: 4}, plain)
 	if code, _ := get("/runs/x/y/digests"); code != http.StatusNotFound {

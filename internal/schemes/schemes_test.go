@@ -362,41 +362,74 @@ func TestSchemeNames(t *testing.T) {
 	}
 }
 
-// TestTiDMissDoesNotAllocate: at steady state a TiD miss (MSHR, critical
-// sub-block first, line fill, dirty victim writeback) allocates nothing.
-func TestTiDMissDoesNotAllocate(t *testing.T) {
+// TestAccessDoesNotAllocate: at steady state a post-LLC access allocates
+// nothing. TiD's row covers a miss (MSHR, critical sub-block first, line
+// fill, dirty victim writeback); Ideal's mixes cache-space (HBM) and
+// physical (DDR) reads and writes.
+func TestAccessDoesNotAllocate(t *testing.T) {
 	if check.Enabled {
 		t.Skip("the invariants build allocates in its assertions")
 	}
-	e := newEnv(1, 1024)
-	// One set of four ways: cycling through eight lines misses every time
-	// and evicts the LRU line, dirty every other time.
-	s := NewTiD(e.eng, e.hbm, e.ddr, e.mm, 100, TiDConfig{CapacityBytes: 4 * 1024})
-	n := 0
-	done := func() { n++ }
-	pred := func() bool { return n > 0 && s.Drained() }
-	var req mem.Request
-	i := uint64(0)
-	run := func() {
-		n = 0
-		req = mem.Request{Addr: i%8*1024 + i%16*mem.BlockSize, Write: i%2 == 0, Kind: mem.KindDemand}
-		i++
-		s.Access(&req, done)
-		e.eng.RunUntil(pred, 1_000_000)
-	}
-	// Warm up until the engine's event-wheel buckets and the DRAM queues
-	// have grown to their steady-state capacity (about 4000 misses here).
-	for k := 0; k < 6000; k++ {
-		run()
-	}
-	st := *s.TiDStats()
-	if a := testing.AllocsPerRun(100, run); a != 0 {
-		t.Fatalf("TiD miss: %v allocs/op, want 0", a)
-	}
-	if got := s.TiDStats().Misses - st.Misses; got != 101 {
-		t.Fatalf("%d misses in 101 accesses", got)
-	}
-	if s.TiDStats().Writebacks == st.Writebacks {
-		t.Fatal("no dirty victim written back")
+	for _, tc := range []struct {
+		name string
+		new  func(e *env) Scheme
+	}{
+		// One set of four ways: cycling through eight lines misses every
+		// time and evicts the LRU line, dirty every other time.
+		{"TiD", func(e *env) Scheme { return NewTiD(e.eng, e.hbm, e.ddr, e.mm, 100, TiDConfig{CapacityBytes: 4 * 1024}) }},
+		{"Baseline", func(e *env) Scheme { return NewBaseline(e.eng, e.ddr, e.mm, 100) }},
+		{"Ideal", func(e *env) Scheme { return NewIdeal(e.eng, e.hbm, e.ddr, e.mm, 100) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(1, 1024)
+			s := tc.new(e)
+			n := 0
+			done := func() { n++ }
+			pred := func() bool { return n > 0 && s.Drained() }
+			var req mem.Request
+			i, completed := uint64(0), 0
+			access := func() {
+				n = 0
+				space := mem.SpacePhysical
+				if i%3 == 0 {
+					space = mem.SpaceCache
+				}
+				req = mem.Request{Addr: mem.TagSpace(i%8*1024+i%16*mem.BlockSize, space), Write: i%2 == 0, Kind: mem.KindDemand}
+				i++
+				s.Access(&req, done)
+				if e.eng.RunUntil(pred, 1_000_000) {
+					completed++
+				}
+			}
+			// One write and one read per op, so that AllocsPerRun's integer
+			// average cannot round a per-read allocation down to 0.
+			run := func() { access(); access() }
+			// Warm up until the engine's event-wheel buckets and the DRAM
+			// queues have grown to their steady-state capacity (about 4000
+			// TiD misses here).
+			for k := 0; k < 3000; k++ {
+				run()
+			}
+			completed = 0
+			td, isTiD := s.(*TiD)
+			var before TiDStats
+			if isTiD {
+				before = *td.TiDStats()
+			}
+			if a := testing.AllocsPerRun(100, run); a != 0 {
+				t.Fatalf("%v allocs/op, want 0", a)
+			}
+			if completed != 202 {
+				t.Fatalf("%d of 202 accesses completed", completed)
+			}
+			if isTiD {
+				if got := td.TiDStats().Misses - before.Misses; got != 202 {
+					t.Fatalf("%d misses in 202 accesses", got)
+				}
+				if td.TiDStats().Writebacks == before.Writebacks {
+					t.Fatal("no dirty victim written back")
+				}
+			}
+		})
 	}
 }

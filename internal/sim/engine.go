@@ -28,8 +28,8 @@
 // ticks in the same cycle, and any other wake takes effect the next cycle —
 // exactly when a ticker polled every cycle would first see the change. A
 // sleeper charges the cycles it slept through lazily, on its next Tick or
-// when the engine settles it (before the sampler and interval hooks run and
-// before Run/RunUntil return). When nothing is awake, Run/RunUntil jump the
+// when the engine settles it (before the interval hook runs and before
+// Run/RunUntil return). When nothing is awake, Run/RunUntil jump the
 // clock to the next event, hook boundary or run limit, landing on a normal
 // Step. With fast-forward off every ticker ticks every cycle: that polled
 // engine is the reference the byte-identity suites compare against. See
@@ -128,17 +128,11 @@ type Engine struct {
 	skipped     uint64
 	jumps       uint64
 
-	// Sampling hook: fn runs every sampleEvery cycles (metrics time
-	// series). Kept separate from tickers because it fires at window
-	// granularity, not per cycle.
-	sampleEvery uint64
-	sampleFn    func(now uint64)
-	nextSample  uint64
-
-	// Interval hook: a second, coarser windowed hook (default 100k cycles)
-	// used for timeline telemetry and progress reporting. Re-registering it
-	// re-anchors the phase, which is how interval boundaries are aligned to
-	// the region-of-interest start.
+	// Interval hook: the one windowed hook (default 100k cycles), used for
+	// timeline and digest sampling and progress reporting. Kept separate
+	// from tickers because it fires at window granularity, not per cycle.
+	// Re-registering it re-anchors the phase, which is how interval
+	// boundaries are aligned to the region-of-interest start.
 	intervalEvery uint64
 	intervalFn    func(now uint64)
 	nextInterval  uint64
@@ -199,8 +193,8 @@ func (e *Engine) AddTicker(t Ticker) {
 
 // SetFastForward switches activity-driven ticking on or off. It is on by
 // default; switching it off wakes every ticker and forces the engine to
-// step and tick every cycle (the -no-ff escape hatch, and the polled
-// reference the equivalence tests compare against).
+// step and tick every cycle: the polled reference the equivalence tests
+// compare against.
 func (e *Engine) SetFastForward(on bool) {
 	e.fastForward = on
 	if !on {
@@ -209,9 +203,6 @@ func (e *Engine) SetFastForward(on bool) {
 		}
 	}
 }
-
-// FastForwardEnabled reports whether fast-forward is switched on.
-func (e *Engine) FastForwardEnabled() bool { return e.fastForward }
 
 // SkippedCycles returns the total cycles the clock jumped over while no
 // ticker was awake. Deliberately not part of the metrics snapshot: it
@@ -237,31 +228,9 @@ func (e *Engine) At(cycle uint64, fn func()) {
 	e.sched.ScheduleAt(cycle, fn)
 }
 
-// SetSampler registers fn to run every `every` cycles, after that cycle's
-// tickers and events, with every sleeper settled. The metrics registry
-// hangs its time-series sampling off this hook. A nil fn or zero period
-// disables sampling.
-func (e *Engine) SetSampler(every uint64, fn func(now uint64)) {
-	if every == 0 || fn == nil {
-		e.sampleFn = nil
-		return
-	}
-	e.sampleEvery = every
-	e.sampleFn = fn
-	e.nextSample = e.now + every
-}
-
-// SampleWindow returns the configured sampling period (0 when disabled).
-func (e *Engine) SampleWindow() uint64 {
-	if e.sampleFn == nil {
-		return 0
-	}
-	return e.sampleEvery
-}
-
 // SetInterval registers fn to run every `every` cycles (0 selects
-// DefaultInterval), after that cycle's tickers, events, and sampler. The
-// first firing is exactly `every` cycles from now: re-registering at the
+// DefaultInterval), after that cycle's tickers and events. The first firing
+// is exactly `every` cycles from now: re-registering at the
 // region-of-interest boundary re-anchors the phase so interval windows align
 // with the measured region. A nil fn disables the hook.
 //
@@ -284,14 +253,6 @@ func (e *Engine) SetInterval(every uint64, fn func(now uint64)) {
 	e.nextInterval = e.now + every
 }
 
-// Interval returns the configured interval period (0 when disabled).
-func (e *Engine) Interval() uint64 {
-	if e.intervalFn == nil {
-		return 0
-	}
-	return e.intervalEvery
-}
-
 // Executed returns the number of events run so far — the denominator of the
 // simulator's own events/sec throughput (host self-profiling).
 func (e *Engine) Executed() uint64 { return e.executed }
@@ -301,8 +262,8 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // cycle 0, hook callbacks — run before cycle N ends, observing Now() == N),
 // then the awake tickers, then every event due at the new cycle (including
 // events those events schedule for the same cycle), then — with every
-// sleeper settled — the sampler and interval hooks for every window
-// boundary that has elapsed.
+// sleeper settled — the interval hook for every window boundary that has
+// elapsed.
 func (e *Engine) Step() {
 	// Unconditional Advance: besides draining stragglers, it slides the
 	// scheduler's clock to e.now, so events the tickers are about to
@@ -323,24 +284,13 @@ func (e *Engine) Step() {
 	if check.Enabled {
 		e.auditSleepers()
 	}
-	if (e.sampleFn != nil && e.now >= e.nextSample) || (e.intervalFn != nil && e.now >= e.nextInterval) {
+	if e.intervalFn != nil && e.now >= e.nextInterval {
 		e.settle()
-	}
-	// Both hooks catch up to every elapsed boundary, each firing with the
-	// boundary cycle as now, so a multi-window advance cannot shift the
-	// window phase. (Single-cycle steps hit each boundary exactly; the
-	// loops also keep the phase honest should the clock ever move faster.)
-	if e.sampleFn != nil {
-		for e.now >= e.nextSample {
-			boundary := e.nextSample
-			e.nextSample += e.sampleEvery
-			e.sampleFn(boundary)
-			if e.sampleFn == nil {
-				break
-			}
-		}
-	}
-	if e.intervalFn != nil {
+		// The hook catches up to every elapsed boundary, firing with the
+		// boundary cycle as now, so a multi-window advance cannot shift the
+		// window phase. (Single-cycle steps hit each boundary exactly; the
+		// loop also keeps the phase honest should the clock ever move
+		// faster.)
 		for e.now >= e.nextInterval {
 			boundary := e.nextInterval
 			e.nextInterval += e.intervalEvery
@@ -393,9 +343,6 @@ func (e *Engine) tryJump(limit uint64) bool {
 	if due := e.sched.NextDue(); due < target {
 		target = due
 	}
-	if e.sampleFn != nil && e.nextSample < target {
-		target = e.nextSample
-	}
 	if e.intervalFn != nil && e.nextInterval < target {
 		target = e.nextInterval
 	}
@@ -407,8 +354,6 @@ func (e *Engine) tryJump(limit uint64) bool {
 		// that can happen before the target is provably nothing.
 		check.Assert(e.sched.NextDue() >= target,
 			"sim: jump to %d passes event due at %d", target, e.sched.NextDue())
-		check.Assert(e.sampleFn == nil || e.nextSample >= target,
-			"sim: jump to %d passes sample boundary %d", target, e.nextSample)
 		check.Assert(e.intervalFn == nil || e.nextInterval >= target,
 			"sim: jump to %d passes interval boundary %d", target, e.nextInterval)
 		check.Assert(target <= limit, "sim: jump to %d passes caller limit %d", target, limit)

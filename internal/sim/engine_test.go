@@ -172,49 +172,12 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 }
 
-func TestSampler(t *testing.T) {
-	e := New()
-	var fired []uint64
-	e.SetSampler(10, func(now uint64) { fired = append(fired, now) })
-	if e.SampleWindow() != 10 {
-		t.Fatalf("SampleWindow = %d", e.SampleWindow())
-	}
-	e.Run(35)
-	if len(fired) != 3 || fired[0] != 10 || fired[1] != 20 || fired[2] != 30 {
-		t.Fatalf("sampler fired at %v, want [10 20 30]", fired)
-	}
-	// Disabling stops further samples.
-	e.SetSampler(0, nil)
-	if e.SampleWindow() != 0 {
-		t.Fatal("SampleWindow not zero after disable")
-	}
-	e.Run(20)
-	if len(fired) != 3 {
-		t.Fatalf("sampler fired after disable: %v", fired)
-	}
-}
-
-func TestSamplerReEnableResetsPhase(t *testing.T) {
-	e := New()
-	var fired []uint64
-	fn := func(now uint64) { fired = append(fired, now) }
-	e.SetSampler(10, fn)
-	e.Run(25) // fires at 10, 20
-	e.SetSampler(0, nil)
-	e.Run(30) // disabled: nothing fires, now = 55
-	e.SetSampler(10, fn)
-	e.Run(25) // re-enabled at 55: fires at 65, 75 — not at a stale nextSample
-	if len(fired) != 4 || fired[2] != 65 || fired[3] != 75 {
-		t.Fatalf("sampler fired at %v, want [10 20 65 75]", fired)
-	}
-}
-
 func TestIntervalHook(t *testing.T) {
 	e := New()
 	var fired []uint64
 	e.SetInterval(100, func(now uint64) { fired = append(fired, now) })
-	if e.Interval() != 100 {
-		t.Fatalf("Interval = %d", e.Interval())
+	if e.intervalEvery != 100 {
+		t.Fatalf("interval period = %d", e.intervalEvery)
 	}
 	e.Run(350)
 	if len(fired) != 3 || fired[0] != 100 || fired[1] != 200 || fired[2] != 300 {
@@ -222,8 +185,8 @@ func TestIntervalHook(t *testing.T) {
 	}
 	// Disabling stops further firings.
 	e.SetInterval(0, nil)
-	if e.Interval() != 0 {
-		t.Fatal("Interval not zero after disable")
+	if e.intervalFn != nil {
+		t.Fatal("interval hook still registered after disable")
 	}
 	e.Run(200)
 	if len(fired) != 3 {
@@ -234,8 +197,8 @@ func TestIntervalHook(t *testing.T) {
 func TestIntervalDefault(t *testing.T) {
 	e := New()
 	e.SetInterval(0, func(uint64) {})
-	if e.Interval() != DefaultInterval {
-		t.Fatalf("Interval = %d, want DefaultInterval %d", e.Interval(), DefaultInterval)
+	if e.intervalEvery != DefaultInterval {
+		t.Fatalf("interval period = %d, want DefaultInterval %d", e.intervalEvery, DefaultInterval)
 	}
 }
 
@@ -252,18 +215,14 @@ func TestIntervalReanchors(t *testing.T) {
 	if len(fired) != 4 || fired[2] != 350 || fired[3] != 450 {
 		t.Fatalf("interval hook fired at %v, want [100 200 350 450]", fired)
 	}
-}
-
-func TestIntervalAndSamplerCoexist(t *testing.T) {
-	// The sampler fires first within a cycle; both fire on their own period.
-	e := New()
-	var order []string
-	e.SetSampler(50, func(now uint64) { order = append(order, "s") })
-	e.SetInterval(100, func(now uint64) { order = append(order, "i") })
-	e.Run(101)
-	want := []string{"s", "s", "i"} // 50, 100(sampler), 100(interval)
-	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
-		t.Fatalf("order = %v, want %v", order, want)
+	// Re-enabling after a disable anchors at the current cycle too, not at
+	// the boundary left over from before the disable.
+	e.SetInterval(0, nil)
+	e.Run(300) // disabled: nothing fires; now = 800
+	e.SetInterval(100, fn)
+	e.Run(150) // fires at 900 only
+	if len(fired) != 5 || fired[4] != 900 {
+		t.Fatalf("interval hook fired at %v, want [100 200 350 450 900]", fired)
 	}
 }
 

@@ -111,47 +111,36 @@ func TestCycleZeroEventBeforeTickers(t *testing.T) {
 // once and drifting.
 func TestHookCatchUp(t *testing.T) {
 	e := New()
-	var samples, intervals []uint64
-	e.SetSampler(10, func(now uint64) { samples = append(samples, now) })
-	e.SetInterval(25, func(now uint64) { intervals = append(intervals, now) })
+	var fired []uint64
+	e.SetInterval(10, func(now uint64) { fired = append(fired, now) })
 	e.now = 49 // white-box: simulate a multi-window advance
 	e.Step()   // now = 50
-	wantS := []uint64{10, 20, 30, 40, 50}
-	if len(samples) != len(wantS) {
-		t.Fatalf("sampler fired at %v, want %v", samples, wantS)
+	if want := []uint64{10, 20, 30, 40, 50}; !reflect.DeepEqual(fired, want) {
+		t.Fatalf("interval hook fired at %v, want %v", fired, want)
 	}
-	for i := range wantS {
-		if samples[i] != wantS[i] {
-			t.Fatalf("sampler fired at %v, want %v", samples, wantS)
-		}
-	}
-	if len(intervals) != 2 || intervals[0] != 25 || intervals[1] != 50 {
-		t.Fatalf("interval hook fired at %v, want [25 50]", intervals)
-	}
-	// Phase is intact: the next boundaries are 60 and 75.
+	// Phase is intact: the next boundaries are 60 and 70.
 	e.Run(25) // now = 75
-	if samples[len(samples)-1] != 70 || intervals[len(intervals)-1] != 75 {
-		t.Fatalf("post-catch-up boundaries: sampler %v, interval %v", samples, intervals)
+	if want := []uint64{10, 20, 30, 40, 50, 60, 70}; !reflect.DeepEqual(fired, want) {
+		t.Fatalf("post-catch-up boundaries: %v, want %v", fired, want)
 	}
 }
 
-// TestHookReRegisterInsideCallback re-registers each hook from within its own
+// TestHookReRegisterInsideCallback re-registers the hook from within its own
 // callback; the new registration must anchor at the firing boundary and the
-// old phase must not fire again.
+// old phase must not fire again, and disabling it there must stop it.
 func TestHookReRegisterInsideCallback(t *testing.T) {
 	e := New()
 	var fired []uint64
-	var second func(now uint64)
-	second = func(now uint64) { fired = append(fired, now) }
-	e.SetSampler(10, func(now uint64) {
+	second := func(now uint64) { fired = append(fired, now) }
+	e.SetInterval(10, func(now uint64) {
 		fired = append(fired, now)
-		e.SetSampler(7, second)
+		e.SetInterval(7, second)
 	})
 	e.Run(20)
-	// First registration fires at 10 and swaps in the 7-cycle sampler,
-	// which then fires at 17 (10+7).
+	// First registration fires at 10 and swaps in the 7-cycle hook, which
+	// then fires at 17 (10+7).
 	if len(fired) != 2 || fired[0] != 10 || fired[1] != 17 {
-		t.Fatalf("sampler fired at %v, want [10 17]", fired)
+		t.Fatalf("interval hook fired at %v, want [10 17]", fired)
 	}
 
 	e2 := New()
@@ -223,7 +212,7 @@ func TestFastForwardWakeOrder(t *testing.T) {
 	}
 }
 
-// TestFastForwardHooksSeeSettledCounters: sampler and interval hooks, and
+// TestFastForwardHooksSeeSettledCounters: the interval hook, and
 // Run/RunUntil returns, observe every sleeper charged up to the clock.
 func TestFastForwardHooksSeeSettledCounters(t *testing.T) {
 	e := New()
@@ -243,14 +232,13 @@ func TestFastForwardHooksSeeSettledCounters(t *testing.T) {
 			}
 		}
 	}
-	e.SetSampler(10, func(uint64) { hooks++; check("sampler") })
-	e.SetInterval(25, func(uint64) { hooks++; check("interval") })
+	e.SetInterval(10, func(uint64) { hooks++; check("interval") })
 	e.Run(503)
 	check("Run")
 	e.RunUntil(func() bool { return false }, 17)
 	check("RunUntil")
-	if hooks != 52+20 {
-		t.Fatalf("hooks fired %d times, want 72", hooks)
+	if hooks != 52 {
+		t.Fatalf("hook fired %d times, want 52", hooks)
 	}
 	if e.Jumps() == 0 {
 		t.Fatal("never jumped: the settle path went untested")
@@ -281,20 +269,16 @@ func TestFastForwardJumpsOnlyWhenNothingAwake(t *testing.T) {
 	}
 }
 
-// TestFastForwardHonorsHookBoundaries: jumps clamp to sampler and interval
-// boundaries so hooks fire at exactly the same cycles as a stepped run.
+// TestFastForwardHonorsHookBoundaries: jumps clamp to interval boundaries
+// so the hook fires at exactly the same cycles as a stepped run.
 func TestFastForwardHonorsHookBoundaries(t *testing.T) {
 	e := New()
 	e.AddTicker(&sleepTicker{})
-	var samples, intervals []uint64
-	e.SetSampler(10, func(now uint64) { samples = append(samples, now) })
-	e.SetInterval(25, func(now uint64) { intervals = append(intervals, now) })
+	var fired []uint64
+	e.SetInterval(10, func(now uint64) { fired = append(fired, now) })
 	e.Run(50)
-	if want := []uint64{10, 20, 30, 40, 50}; !reflect.DeepEqual(samples, want) {
-		t.Fatalf("sampler fired at %v, want %v", samples, want)
-	}
-	if want := []uint64{25, 50}; !reflect.DeepEqual(intervals, want) {
-		t.Fatalf("interval hook fired at %v, want %v", intervals, want)
+	if want := []uint64{10, 20, 30, 40, 50}; !reflect.DeepEqual(fired, want) {
+		t.Fatalf("interval hook fired at %v, want %v", fired, want)
 	}
 	if e.Jumps() == 0 {
 		t.Fatal("never jumped between boundaries")
@@ -325,8 +309,8 @@ func TestFastForwardDisabledBySwitch(t *testing.T) {
 	e.AddTicker(s)
 	e.Run(10) // asleep since cycle 1
 	e.SetFastForward(false)
-	if e.FastForwardEnabled() {
-		t.Fatal("FastForwardEnabled after SetFastForward(false)")
+	if e.fastForward {
+		t.Fatal("fast-forward still on after SetFastForward(false)")
 	}
 	jumps, skipped := e.Jumps(), e.SkippedCycles()
 	e.Run(100)
@@ -351,7 +335,7 @@ func TestFastForwardEquivalence(t *testing.T) {
 		type trace struct {
 			work    [][2]uint64
 			events  []uint64
-			samples [][]uint64 // idle per ticker at each sample
+			samples [][]uint64 // idle per ticker at each hook firing
 		}
 		run := func(ff bool) trace {
 			var tr trace
@@ -372,7 +356,7 @@ func TestFastForwardEquivalence(t *testing.T) {
 					}
 				}
 			}
-			e.SetSampler(37, func(uint64) {
+			e.SetInterval(37, func(uint64) {
 				idle := make([]uint64, len(ts))
 				for i, s := range ts {
 					idle[i] = s.idle
@@ -397,7 +381,7 @@ func TestFastForwardEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: event cycles differ: ff=%v polled=%v", seed, a.events, b.events)
 		}
 		if !reflect.DeepEqual(a.samples, b.samples) {
-			t.Fatalf("seed %d: settled counters at samples differ:\n  ff:     %v\n  polled: %v", seed, a.samples, b.samples)
+			t.Fatalf("seed %d: settled counters at hook firings differ:\n  ff:     %v\n  polled: %v", seed, a.samples, b.samples)
 		}
 	}
 }

@@ -29,9 +29,7 @@ func TestDigestChainByteIdentical(t *testing.T) {
 			var refVariant string
 			for _, engine := range engines {
 				for _, ff := range []bool{true, false} {
-					cfg := digestConfig(s)
-					cfg.FastForward = ff
-					r, err := newOn(t, engine, cfg).Run()
+					r, err := newOn(t, engine, ff, digestConfig(s), smallSpec()).Run()
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -145,8 +143,7 @@ func TestROICycleLimit(t *testing.T) {
 			cfg := digestConfig(SchemeTDC)
 			cfg.Timeline = true
 			cfg.ROICycleLimit = stop
-			cfg.FastForward = ff
-			r, err := newOn(t, engine, cfg).Run()
+			r, err := newOn(t, engine, ff, cfg, smallSpec()).Run()
 			if err != nil {
 				t.Fatalf("cutoff run (engine=%s ff=%v): %v", engine, ff, err)
 			}

@@ -26,12 +26,7 @@ func TestFastForwardByteIdentical(t *testing.T) {
 				cfg.TraceDepth = 1 << 12
 				cfg.SpanDepth = 1 << 11
 				cfg.SelfProfile = true
-				cfg.FastForward = ff
-				m, err := New(cfg, smallSpec())
-				if err != nil {
-					t.Fatalf("New(%s, ff=%v): %v", s, ff, err)
-				}
-				r, err := m.Run()
+				r, err := newOn(t, "wheel", ff, cfg, smallSpec()).Run()
 				if err != nil {
 					t.Fatalf("Run(%s, ff=%v): %v", s, ff, err)
 				}

@@ -22,13 +22,9 @@ import (
 //	scheme.*       post-LLC access path of the scheme under test
 //	frontend.*     OS tag-management routines (TDC, NOMAD)
 //	backend.*      PCSHR/copy-buffer hardware (NOMAD)
-//	sim.* / os.*   whole-machine time series
+//	sim.* / os.*   whole-machine timeline columns
 func (m *Machine) registerMetrics() {
-	window := m.cfg.SampleWindow
-	if window == 0 {
-		window = DefaultSampleWindow
-	}
-	reg := metrics.NewRegistry(window)
+	reg := metrics.NewRegistry()
 	m.reg = reg
 	// The timeline filter must precede every IntervalFunc registration
 	// (components below register their own timeline columns).
@@ -120,24 +116,6 @@ func (m *Machine) registerMetrics() {
 		reg.CounterFunc("scheme.would_fill_bytes", func() uint64 { return sc.WouldFillBytes })
 	}
 
-	// Whole-machine time series, sampled once per window by the engine.
-	var prevInstr, prevCycle uint64
-	reg.SeriesFunc("sim.ipc", func(now uint64) float64 {
-		var instr uint64
-		for _, c := range m.cores {
-			instr += c.Stats().Instructions
-		}
-		d, dc := instr-prevInstr, now-prevCycle
-		prevInstr, prevCycle = instr, now
-		if dc == 0 {
-			return 0
-		}
-		return float64(d) / float64(dc)
-	})
-	reg.SeriesFunc("os.free_frames", func(now uint64) float64 {
-		return float64(m.mm.FreeFrames())
-	})
-
 	// Interval timeline columns (Config.Timeline): the Fig. 14-style
 	// transient view. Registration is cheap and sampling is a no-op until
 	// BeginTimeline, so these are wired unconditionally; the filter above
@@ -166,7 +144,6 @@ func (m *Machine) registerMetrics() {
 		return float64(m.mm.FreeFrames())
 	})
 
-	m.eng.SetSampler(window, reg.Sample)
 	m.eng.SetInterval(m.interval(), m.intervalTick)
 }
 

@@ -40,9 +40,6 @@ func TestMetricNames(t *testing.T) {
 			for name := range snap.Histograms {
 				raw[[2]string{"metric", name}] = true
 			}
-			for name := range snap.Series {
-				raw[[2]string{"metric", name}] = true
-			}
 			for name := range snap.Timeline.Metrics {
 				raw[[2]string{"interval", name}] = true
 			}

@@ -78,7 +78,8 @@ type Result struct {
 	CPIStack CPIStack
 
 	// Metrics is the full ROI metrics snapshot (counters, gauges,
-	// histograms, time series) the fields above are computed from.
+	// histograms, optional timeline and digests) the fields above are
+	// computed from.
 	Metrics *metrics.Snapshot
 
 	// Trace is the raw event/span capture for Perfetto export; nil unless

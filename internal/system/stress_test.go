@@ -146,6 +146,12 @@ func TestInvalidConfigRejected(t *testing.T) {
 	if _, err := New(cfg, stressSpec()); err == nil {
 		t.Fatalf("%d cores accepted", cfg.Cores)
 	}
+	// nomadsim's -pcshrs reaches the back-end only through New.
+	cfg = smallConfig(SchemeNOMAD)
+	cfg.Backend.PCSHRs = 1 << 50
+	if _, err := New(cfg, stressSpec()); err == nil {
+		t.Fatalf("%d PCSHRs accepted", cfg.Backend.PCSHRs)
+	}
 	cfg = smallConfig("Bogus")
 	if _, err := New(cfg, stressSpec()); err == nil {
 		t.Fatal("bogus scheme accepted")

@@ -24,10 +24,9 @@ import (
 // ClockHz is the CPU clock; all cycle counts convert to wall time with it.
 const ClockHz = 3.2e9
 
-// DefaultSampleWindow is the metrics time-series sampling period (in cycles)
-// used when Config.SampleWindow is zero. It is also the granularity at which
-// RunContext checks for cancellation.
-const DefaultSampleWindow = 8192
+// cancelCheckCycles is the granularity, in simulated cycles, at which
+// RunContext checks for cancellation and samples the host profiler.
+const cancelCheckCycles uint64 = 8192
 
 // SchemeName selects the memory scheme under test.
 type SchemeName string
@@ -69,9 +68,6 @@ type Config struct {
 	MaxCycles uint64
 	Seed      uint64
 
-	// SampleWindow is the metrics time-series sampling period in cycles;
-	// 0 selects DefaultSampleWindow.
-	SampleWindow uint64
 	// TraceDepth, when positive, enables the typed event-trace ring
 	// buffer with that many entries.
 	TraceDepth int
@@ -112,16 +108,6 @@ type Config struct {
 	// Result.Host. Host readings are inherently non-deterministic, so this
 	// is off by default and never part of the metrics snapshot.
 	SelfProfile bool
-	// FastForward enables activity-driven ticking in the engine: a core
-	// that is OS-suspended or stuck on a head-of-ROB load, and a DRAM
-	// device with no request it can issue, sleep until a wake gives them
-	// work and charge their skipped stall cycles lazily, and when nothing
-	// is awake the clock jumps straight to the next event or hook
-	// boundary. Off, every component ticks every cycle. The run's
-	// observable output (Snapshot, Timeline, traces) is byte-identical
-	// either way; DefaultConfig enables it, and the CLIs expose -no-ff to
-	// switch it off.
-	FastForward bool
 }
 
 // DefaultSpanSampleEvery is the span sampling period used when
@@ -149,7 +135,6 @@ func DefaultConfig() Config {
 		ROIInstructions:    1_200_000,
 		MaxCycles:          400_000_000,
 		Seed:               1,
-		FastForward:        true,
 	}
 }
 
@@ -307,8 +292,10 @@ func newMachine(cfg Config, spec workload.Spec, opts ...sim.Option) (*Machine, e
 	if cfg.Cores <= 0 || cfg.Cores > osmem.MaxCores {
 		return nil, fmt.Errorf("system: core count must be in 1..%d, got %d", osmem.MaxCores, cfg.Cores)
 	}
+	if cfg.Backend.PCSHRs > core.MaxPCSHRs {
+		return nil, fmt.Errorf("system: %d PCSHRs exceed the limit of %d", cfg.Backend.PCSHRs, core.MaxPCSHRs)
+	}
 	m := &Machine{cfg: cfg, workload: spec.Abbr, eng: sim.New(opts...)}
-	m.eng.SetFastForward(cfg.FastForward)
 	m.hbm = dram.New(m.eng, cfg.HBM)
 	m.ddr = dram.New(m.eng, cfg.DDR)
 	m.mm = osmem.New(cfg.Cores, cfg.CacheFrames)
@@ -461,9 +448,9 @@ func (m *Machine) finishPhase() {
 // runUntilRetired advances until every core has retired at least target
 // additional instructions (relative to the given baselines), the absolute
 // engine cycle stopAt is reached (0 = no stop cycle; reaching it counts as
-// success), or maxCycles pass. It runs in sampling-window-sized chunks,
+// success), or maxCycles pass. It runs in chunks of cancelCheckCycles,
 // checking ctx between chunks, so cancellation is honoured within one
-// window of simulated time. Chunks are clamped to stopAt, and the engine
+// chunk of simulated time. Chunks are clamped to stopAt, and the engine
 // never oversteps a run bound (fast-forward jumps are bounded the same
 // way), so a stopAt run lands on that cycle exactly — the partial run is a
 // cycle-accurate prefix of the full one.
@@ -480,17 +467,13 @@ func (m *Machine) runUntilRetired(ctx context.Context, base []uint64, target uin
 		}
 		return true
 	}
-	chunk := m.eng.SampleWindow()
-	if chunk == 0 {
-		chunk = DefaultSampleWindow
-	}
 	var elapsed uint64
 	for {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
 		m.prof.MaybeSample(m.eng.Now(), m.eng.Executed())
-		step := chunk
+		step := cancelCheckCycles
 		if rem := maxCycles - elapsed; step > rem {
 			step = rem
 		}
@@ -519,12 +502,11 @@ func (m *Machine) Run() (*Result, error) {
 	return m.RunContext(context.Background())
 }
 
-// RunContext is Run with cancellation: ctx is checked at engine
-// sampling-window boundaries (Config.SampleWindow cycles, default
-// DefaultSampleWindow), so a cancelled run stops within one window of
-// simulated time and returns ctx.Err(). A run cancelled inside the measured
+// RunContext is Run with cancellation: ctx is checked every
+// cancelCheckCycles (8192) simulated cycles, so a cancelled run stops within
+// one such chunk and returns ctx.Err(). A run cancelled inside the measured
 // region returns a partial Result alongside the error: the engine stops at a
-// deterministic window boundary, so the partial snapshot is a well-formed
+// deterministic chunk boundary, so the partial snapshot is a well-formed
 // prefix of the full run (harness.Execute keeps it for partial output).
 func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	cfg := m.cfg

@@ -166,9 +166,9 @@ func Run(cfg Config, w Workload) (*Result, error) {
 	return RunContext(context.Background(), cfg, w)
 }
 
-// RunContext is Run with cancellation. The simulation checks ctx at engine
-// sampling-window boundaries (8192 cycles — microseconds of wall time), so a
-// cancelled run returns promptly without a partial Result. Errors are typed:
+// RunContext is Run with cancellation. The simulation checks ctx every 8192
+// simulated cycles (microseconds of wall time), so a cancelled run returns
+// promptly without a partial Result. Errors are typed:
 // every failure returns a *Error wrapping the cause, so
 // errors.Is(err, context.Canceled) reports a cancelled run.
 func RunContext(ctx context.Context, cfg Config, w Workload) (*Result, error) {

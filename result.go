@@ -147,46 +147,15 @@ func (r *Result) Manifest() *Manifest { return r.manifest }
 
 // HostProfile reports the simulator's own host-side performance during one
 // run (Config.Telemetry.SelfProfile): wall-clock time,
-// simulated-cycles/sec, engine events/sec, peak heap-in-use, and GC pauses
-// over the profiled span.
+// simulated-cycles/sec, engine events/sec, peak heap-in-use, GC pauses over
+// the profiled span, and the cycles the clock jumped over while no
+// component was awake. Samples holds at most one point per 100 ms.
 // Host readings are inherently non-deterministic (they derive from the wall
 // clock and the Go runtime) and are never part of the metrics Snapshot.
-type HostProfile struct {
-	WallSeconds     float64 `json:"wall_seconds"`
-	SimCycles       uint64  `json:"sim_cycles"`
-	SimCyclesPerSec float64 `json:"sim_cycles_per_sec"`
-	EventsExecuted  uint64  `json:"events_executed"`
-	EventsPerSec    float64 `json:"events_per_sec"`
-	// PeakHeapInUseBytes is the largest heap-in-use seen at any sample.
-	PeakHeapInUseBytes uint64 `json:"peak_heap_in_use_bytes"`
-	// GCPauses / GCPauseTotalNs cover the profiled span only.
-	GCPauses       uint32 `json:"gc_pauses"`
-	GCPauseTotalNs uint64 `json:"gc_pause_total_ns"`
-	// SkippedCycles / Jumps report the engine's fast-forward effectiveness
-	// (sim.skipped_cycles / sim.jumps): cycles the clock jumped over while
-	// no component was awake, and the jumps that advanced them.
-	// SkippedCycles/SimCycles is the run's skip ratio; both read 0 with
-	// Config.NoFastForward set. They are host-report fields (not snapshot
-	// metrics) because they differ between fast-forward on and off while
-	// snapshots stay byte-identical.
-	SkippedCycles uint64 `json:"skipped_cycles"`
-	Jumps         uint64 `json:"jumps"`
-	// Samples is the periodic capture (at most one per 100 ms; empty for
-	// very short runs). Keyed by cumulative wall seconds.
-	Samples []HostSample `json:"samples,omitempty"`
-}
+type HostProfile = metrics.HostReport
 
 // HostSample is one point of the self-profiling capture.
-type HostSample struct {
-	WallSeconds    float64 `json:"wall_seconds"`
-	SimCycles      uint64  `json:"sim_cycles"`
-	Events         uint64  `json:"events"`
-	CyclesPerSec   float64 `json:"cycles_per_sec"`
-	EventsPerSec   float64 `json:"events_per_sec"`
-	HeapInUseBytes uint64  `json:"heap_in_use_bytes"`
-	GCPauseTotalNs uint64  `json:"gc_pause_total_ns"`
-	NumGC          uint32  `json:"num_gc"`
-}
+type HostSample = metrics.HostSample
 
 // CPIStack is the Fig. 11-style stall attribution, summed over cores. The
 // buckets partition every measured core-cycle: Total() == Cycles × Cores.
@@ -230,8 +199,9 @@ func (r *Result) WriteTrace(w io.Writer) error {
 }
 
 // Metrics returns the full ROI metrics snapshot the scalar fields above are
-// derived from: every counter, gauge, histogram and time series under its
-// stable dotted name (see DESIGN.md for the naming scheme).
+// derived from: every counter, gauge and histogram under its stable dotted
+// name (see DESIGN.md for the naming scheme), plus the optional timeline,
+// digest chain and trace summary.
 func (r *Result) Metrics() *Snapshot { return r.metrics }
 
 // Timeline returns the interval time-series capture of the measured region,
@@ -300,9 +270,9 @@ func fromInternal(r *system.Result) *Result {
 		SubEntryOverflows:  r.SubEntryOverflows,
 		Evictions:          r.Evictions,
 		DirtyEvictions:     r.DirtyEvictions,
-		metrics:            fromSnapshot(r.Metrics),
+		metrics:            r.Metrics,
 		trace:              r.Trace,
-		host:               fromHostReport(r.Host),
+		host:               r.Host,
 	}
 	out.CPIStack = CPIStack{
 		Compute:  r.CPIStack.Compute,
@@ -316,31 +286,6 @@ func fromInternal(r *system.Result) *Result {
 	if r.Seconds > 0 {
 		for k := 0; k < mem.NumKinds; k++ {
 			out.HBMBreakdownGBs[k] = float64(r.HBMBytesByKind[k]) / r.Seconds / 1e9
-		}
-	}
-	return out
-}
-
-func fromHostReport(h *metrics.HostReport) *HostProfile {
-	if h == nil {
-		return nil
-	}
-	out := &HostProfile{
-		WallSeconds:        h.WallSeconds,
-		SimCycles:          h.SimCycles,
-		SimCyclesPerSec:    h.SimCyclesPerSec,
-		EventsExecuted:     h.EventsExecuted,
-		EventsPerSec:       h.EventsPerSec,
-		PeakHeapInUseBytes: h.PeakHeapInUseBytes,
-		GCPauses:           h.GCPauses,
-		GCPauseTotalNs:     h.GCPauseTotalNs,
-		SkippedCycles:      h.SkippedCycles,
-		Jumps:              h.Jumps,
-	}
-	if len(h.Samples) > 0 {
-		out.Samples = make([]HostSample, len(h.Samples))
-		for i, s := range h.Samples {
-			out.Samples[i] = HostSample(s)
 		}
 	}
 	return out
