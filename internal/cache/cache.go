@@ -33,9 +33,6 @@ type Config struct {
 	Ways    int
 	Latency uint64 // lookup latency in cycles
 	MSHRs   int
-	// WriteAround, when set, makes write misses bypass allocation and go
-	// straight downstream (used by nothing by default; kept for ablation).
-	WriteAround bool
 }
 
 // SizeBytes returns the capacity of a cache with this geometry.
@@ -67,12 +64,94 @@ func (s *Stats) MissRate() float64 {
 // numbers shifted down by the set bits, so the all-ones value cannot occur.
 const invalidTag = ^uint64(0)
 
-// wayMeta is the per-way state other than the tag. Tags live in their own
-// packed uint64 array so the per-lookup way scan touches a couple of cache
-// lines instead of every way's full record.
-type wayMeta struct {
-	lru   uint64
-	dirty bool
+// maxWays bounds the associativity: a set's recency order packs one way
+// index per 4-bit rank into a uint64.
+const maxWays = 16
+
+// nibbles has a one in every 4-bit rank of a set's recency order.
+const nibbles = 0x1111111111111111
+
+// setState is one set's replacement state other than the tags: the ways'
+// exact recency order plus their valid and dirty bits, 16 bytes per set.
+// Tags live in their own packed uint64 array so the per-lookup way scan
+// touches a couple of host cache lines.
+//
+// The order is exact LRU. A way's last fill or hit moves it to rank 0, so
+// among valid ways the rank order is the order of their last touches; an
+// invalidated way keeps its rank but is never ranked against valid ways,
+// because a fill takes the lowest invalid way before it looks at ranks.
+type setState struct {
+	// perm holds the way at rank r in bits 4r..4r+3, rank 0 the most
+	// recently used. Ranks at or past the set's way count hold their own
+	// index and never move.
+	perm  uint64
+	valid uint32
+	dirty uint32
+}
+
+// identityPerm ranks way r at rank r.
+const identityPerm = 0xFEDCBA9876543210
+
+// touch moves way w to rank 0, shifting the ranks above it down by one.
+func (s *setState) touch(w int) {
+	// Find w's rank: the lowest zero nibble of perm^w (SWAR zero-nibble
+	// search; the borrow cannot reach below the first zero).
+	x := s.perm ^ uint64(w)*nibbles
+	shift := uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) &^ 3
+	below := uint64(1)<<shift - 1 // the ranks more recent than w
+	s.perm = s.perm&^(below<<4|0xF) | (s.perm&below)<<4 | uint64(w)
+}
+
+// hit makes way w the most recently used and, for a write, dirty.
+func (s *setState) hit(w int, write bool) {
+	s.touch(w)
+	if write {
+		s.dirty |= 1 << w
+	}
+}
+
+// victim returns the way a fill takes: the lowest invalid way, else the
+// least recently used one.
+func (s *setState) victim(ways int) int {
+	if free := ^s.valid & (1<<ways - 1); free != 0 {
+		return bits.TrailingZeros32(free)
+	}
+	return int(s.perm >> (4 * (ways - 1)) & 0xF)
+}
+
+// install makes way w valid, clean or dirty, and the most recently used.
+func (s *setState) install(w int, dirty bool) {
+	bit := uint32(1) << w
+	s.valid |= bit
+	s.dirty &^= bit
+	if dirty {
+		s.dirty |= bit
+	}
+	s.touch(w)
+}
+
+// invalidate clears way w's valid and dirty bits and leaves its rank.
+func (s *setState) invalidate(w int) {
+	s.valid &^= 1 << w
+	s.dirty &^= 1 << w
+}
+
+// audit asserts the record's structure under the invariants build: dirty
+// ways are valid, ranks 0..ways-1 hold each way once, and a way is valid
+// exactly when its tag is not invalidTag.
+func (s *setState) audit(name string, tags []uint64) {
+	check.Assert(s.dirty&^s.valid == 0,
+		"cache %s: dirty mask %#x not within valid mask %#x", name, s.dirty, s.valid)
+	var seen uint32
+	for r := range tags {
+		seen |= 1 << (s.perm >> (4 * r) & 0xF)
+	}
+	check.Assert(seen == 1<<len(tags)-1,
+		"cache %s: recency order %#x is not a permutation of %d ways", name, s.perm, len(tags))
+	for w, t := range tags {
+		check.Assert((s.valid>>w&1 == 1) == (t != invalidTag),
+			"cache %s: way %d valid bit %d disagrees with tag %#x", name, w, s.valid>>w&1, t)
+	}
 }
 
 type waiter struct {
@@ -114,9 +193,9 @@ type Cache struct {
 	eng   *sim.Engine
 	lower Lower
 	// tags[set*Ways+way] holds each way's tag (invalidTag when empty);
-	// meta is the parallel dirty/LRU state.
+	// sets[set] is the set's recency order and valid/dirty bits.
 	tags []uint64
-	meta []wayMeta
+	sets []setState
 	// mshrFile is the fixed MSHR array. Allocation goes through mshrFreeIdx
 	// (a stack of free slot indexes, O(1)); the per-miss coalesce scan
 	// walks mshrActive, a compact array of the active slots' block numbers
@@ -139,7 +218,6 @@ type Cache struct {
 	// array (re-slicing would bleed capacity and force reallocations).
 	pending  []pendingAccess
 	pendHead int
-	lruTick  uint64
 	stats    Stats
 	// mshrOcc samples MSHR occupancy at each allocation (nil until
 	// RegisterMetrics; Observe on nil is a no-op).
@@ -151,8 +229,7 @@ type Cache struct {
 	spans    *metrics.SpanRing
 	spanKind metrics.SpanKind
 
-	setMask  uint64
-	setShift uint
+	setMask uint64
 }
 
 type pendingAccess struct {
@@ -165,8 +242,8 @@ func New(eng *sim.Engine, cfg Config, lower Lower) *Cache {
 	if cfg.Sets&(cfg.Sets-1) != 0 || cfg.Sets <= 0 {
 		panic(fmt.Sprintf("cache %s: sets must be a positive power of two, got %d", cfg.Name, cfg.Sets))
 	}
-	if cfg.Ways <= 0 {
-		panic(fmt.Sprintf("cache %s: ways must be positive", cfg.Name))
+	if cfg.Ways <= 0 || cfg.Ways > maxWays {
+		panic(fmt.Sprintf("cache %s: ways must be between 1 and %d, got %d", cfg.Name, maxWays, cfg.Ways))
 	}
 	if cfg.MSHRs <= 0 {
 		cfg.MSHRs = 8
@@ -176,16 +253,18 @@ func New(eng *sim.Engine, cfg Config, lower Lower) *Cache {
 		eng:           eng,
 		lower:         lower,
 		tags:          make([]uint64, cfg.Sets*cfg.Ways),
-		meta:          make([]wayMeta, cfg.Sets*cfg.Ways),
+		sets:          make([]setState, cfg.Sets),
 		mshrFile:      make([]mshr, cfg.MSHRs),
 		mshrActive:    make([]uint64, 0, cfg.MSHRs),
 		mshrActiveIdx: make([]int32, 0, cfg.MSHRs),
 		mshrFreeIdx:   make([]int32, 0, cfg.MSHRs),
 		setMask:       uint64(cfg.Sets - 1),
-		setShift:      mem.BlockBits,
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
+	}
+	for i := range c.sets {
+		c.sets[i].perm = identityPerm
 	}
 	// Free slots pop from the stack tail; seeding it in reverse keeps
 	// allocation order by ascending slot index (cosmetic, but stable).
@@ -195,7 +274,6 @@ func New(eng *sim.Engine, cfg Config, lower Lower) *Cache {
 		m.fillFn = func() { c.fill(m) }
 		c.mshrFreeIdx = append(c.mshrFreeIdx, int32(i))
 	}
-	_ = bits.UintSize // keep math/bits for future geometry checks
 	return c
 }
 
@@ -286,19 +364,15 @@ func (c *Cache) Access(req *mem.Request, done mem.Done) {
 // exhaustion) are not re-counted in the hit/miss statistics.
 func (c *Cache) lookup(req mem.Request, done mem.Done, retried bool) {
 	block := mem.BlockNum(req.Addr)
-	base := int(c.setIndex(block)) * c.cfg.Ways
+	setIdx := c.setIndex(block)
+	base := int(setIdx) * c.cfg.Ways
 	tag := c.tagOf(block)
 	for i, t := range c.tags[base : base+c.cfg.Ways] {
 		if t == tag {
 			if !retried {
 				c.stats.Hits++
 			}
-			m := &c.meta[base+i]
-			c.lruTick++
-			m.lru = c.lruTick
-			if req.Write {
-				m.dirty = true
-			}
+			c.sets[setIdx].hit(i, req.Write)
 			if done != nil {
 				done()
 			}
@@ -364,27 +438,14 @@ func (c *Cache) fill(m *mshr) {
 	base := int(setIdx) * c.cfg.Ways
 	tag := c.tagOf(block)
 
-	// Victim selection: invalid first, else LRU.
-	victim := 0
-	var oldest uint64 = ^uint64(0)
-	found := false
-	for i, t := range c.tags[base : base+c.cfg.Ways] {
-		if t == invalidTag {
-			victim = i
-			found = true
-			break
-		}
-		if c.meta[base+i].lru < oldest {
-			oldest = c.meta[base+i].lru
-			victim = i
-		}
-	}
-	v := &c.meta[base+victim]
-	vtag := c.tags[base+victim]
-	if !found && vtag != invalidTag && v.dirty {
+	// Victim selection: invalid first, else LRU. Only a valid way can be
+	// dirty, so a dirty victim is always a valid line to write back.
+	s := &c.sets[setIdx]
+	victim := s.victim(c.cfg.Ways)
+	if s.dirty&(1<<victim) != 0 {
 		c.stats.Writebacks++
 		// Reconstruct the victim's block address from tag and set.
-		vblock := vtag<<uint(bits.TrailingZeros64(uint64(c.cfg.Sets))) | setIdx
+		vblock := c.tags[base+victim]<<uint(bits.TrailingZeros64(uint64(c.cfg.Sets))) | setIdx
 		c.wbReq = mem.Request{
 			Addr:  vblock << mem.BlockBits,
 			Write: true,
@@ -393,9 +454,11 @@ func (c *Cache) fill(m *mshr) {
 		}
 		c.lower.Access(&c.wbReq, nil) // Access copies; wbReq is scratch
 	}
-	c.lruTick++
 	c.tags[base+victim] = tag
-	*v = wayMeta{dirty: m.write, lru: c.lruTick}
+	s.install(victim, m.write)
+	if check.Enabled {
+		s.audit(c.cfg.Name, c.tags[base:base+c.cfg.Ways])
+	}
 
 	// Free the slot before firing waiters (a waiter may re-enter and claim
 	// it); detach the waiter list so a re-allocation cannot clobber it
@@ -453,12 +516,13 @@ func (c *Cache) FlushPage(pageAddr uint64) int {
 	first := mem.BlockNum(pageAddr &^ (mem.PageSize - 1))
 	for i := uint64(0); i < mem.SubBlocksPerPage; i++ {
 		block := first + i
-		base := int(c.setIndex(block)) * c.cfg.Ways
+		setIdx := c.setIndex(block)
+		base := int(setIdx) * c.cfg.Ways
 		tag := c.tagOf(block)
 		for j, t := range c.tags[base : base+c.cfg.Ways] {
 			if t == tag {
-				m := &c.meta[base+j]
-				if m.dirty {
+				s := &c.sets[setIdx]
+				if s.dirty&(1<<j) != 0 {
 					wbs++
 					c.stats.FlushWBs++
 					wb := mem.Request{
@@ -470,7 +534,7 @@ func (c *Cache) FlushPage(pageAddr uint64) int {
 					c.lower.Access(&wb, nil)
 				}
 				c.tags[base+j] = invalidTag
-				m.dirty = false
+				s.invalidate(j)
 				c.stats.FlushedLines++
 			}
 		}

@@ -212,12 +212,20 @@ func TestConfigSize(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-power-of-two sets did not panic")
-		}
-	}()
-	New(sim.New(), Config{Name: "bad", Sets: 3, Ways: 1}, nil)
+	New(sim.New(), Config{Name: "wide", Sets: 4, Ways: maxWays}, nil)
+	for _, cfg := range []Config{
+		{Name: "bad", Sets: 3, Ways: 1},           // sets not a power of two
+		{Name: "bad", Sets: 4, Ways: maxWays + 1}, // more ways than a recency order holds
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d sets × %d ways did not panic", cfg.Sets, cfg.Ways)
+				}
+			}()
+			New(sim.New(), cfg, nil)
+		}()
+	}
 }
 
 // TestMissRateProperty: for any access sequence confined to a region that

@@ -1,6 +1,9 @@
 package schemes
 
 import (
+	"math/bits"
+
+	"nomad/internal/check"
 	"nomad/internal/dram"
 	"nomad/internal/mem"
 	"nomad/internal/metrics"
@@ -44,11 +47,78 @@ func (s *TiDStats) MissRate() float64 {
 	return float64(s.Misses) / float64(t)
 }
 
-type tidLine struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64
+// tidSet is one set of the tag store: the four ways' tags and their
+// replacement state, 40 bytes per set. The recency order is exact LRU, kept
+// as in the SRAM caches (see cache.setState): a way's last install or hit
+// moves it to rank 0, and invalid ways are taken before ranks are read.
+type tidSet struct {
+	tags [tidWays]uint64
+	// perm holds the way at rank r in bits 2r..2r+1, rank 0 the most
+	// recently used.
+	perm  uint8
+	valid uint8
+	dirty uint8
+}
+
+// tidIdentityPerm ranks way r at rank r.
+const tidIdentityPerm = 3<<6 | 2<<4 | 1<<2
+
+// touch moves way w to rank 0.
+func (s *tidSet) touch(w int) {
+	r := 0
+	for s.perm>>(2*r)&3 != uint8(w) {
+		r++
+	}
+	below := uint8(1)<<(2*r) - 1 // the ranks more recent than w
+	s.perm = s.perm&^(below<<2|3) | (s.perm&below)<<2 | uint8(w)
+}
+
+// hit makes way w the most recently used and, for a write, dirty.
+func (s *tidSet) hit(w int, write bool) {
+	s.touch(w)
+	if write {
+		s.dirty |= 1 << w
+	}
+}
+
+// victim returns the way a miss takes: the lowest invalid way, else the
+// least recently used one.
+func (s *tidSet) victim() int {
+	if free := ^s.valid & (1<<tidWays - 1); free != 0 {
+		return bits.TrailingZeros8(free)
+	}
+	return int(s.perm >> (2 * (tidWays - 1)))
+}
+
+// install makes way w hold tag, valid, clean or dirty, and the most
+// recently used.
+func (s *tidSet) install(w int, tag uint64, dirty bool) {
+	bit := uint8(1) << w
+	s.tags[w] = tag
+	s.valid |= bit
+	s.dirty &^= bit
+	if dirty {
+		s.dirty |= bit
+	}
+	s.touch(w)
+}
+
+// invalidate clears way w's valid and dirty bits and leaves its rank.
+func (s *tidSet) invalidate(w int) {
+	s.valid &^= 1 << w
+	s.dirty &^= 1 << w
+}
+
+// audit asserts the record's structure under the invariants build: dirty
+// ways are valid and the four ranks hold each way once.
+func (s *tidSet) audit() {
+	check.Assert(s.dirty&^s.valid == 0,
+		"tid: dirty mask %#x not within valid mask %#x", s.dirty, s.valid)
+	var seen uint8
+	for r := 0; r < tidWays; r++ {
+		seen |= 1 << (s.perm >> (2 * r) & 3)
+	}
+	check.Assert(seen == 1<<tidWays-1, "tid: recency order %#x is not a permutation", s.perm)
 }
 
 type tidWaiter struct {
@@ -107,9 +177,8 @@ type TiD struct {
 	mm       *osmem.Manager
 	walk     uint64
 
-	// lines is the tag array, one flat slice: set s's ways are
-	// lines[s*tidWays : (s+1)*tidWays] (see ways).
-	lines   []tidLine
+	// sets is the tag store, one record per set.
+	sets    []tidSet
 	numSets uint64
 	mshrs   map[uint64]*tidMSHR
 	maxMSHR int
@@ -122,7 +191,6 @@ type TiD struct {
 	freeMSHRs []*tidMSHR
 	retries   []*tidRetry
 	wb        tidWriteback
-	lruTick   uint64
 	metaBase  uint64
 
 	stats    AccessStats
@@ -142,13 +210,16 @@ func NewTiD(eng *sim.Engine, hbm, ddr *dram.Device, mm *osmem.Manager, walkLaten
 	}
 	t := &TiD{
 		eng: eng, hbm: hbm, ddr: ddr, mm: mm, walk: walkLatency,
-		lines:    make([]tidLine, numSets*tidWays),
+		sets:     make([]tidSet, numSets),
 		numSets:  numSets,
 		mshrs:    make(map[uint64]*tidMSHR),
 		maxMSHR:  cfg.MSHRs,
 		metaBase: cfg.CapacityBytes, // metadata region above the data array
 		wb:       tidWriteback{ddr},
 		spanTap:  spanTap{now: eng.Now},
+	}
+	for i := range t.sets {
+		t.sets[i].perm = tidIdentityPerm
 	}
 	return t
 }
@@ -161,11 +232,6 @@ func (t *TiD) lineOf(addr uint64) (lineAddr, set, tag uint64) {
 	set = lineAddr % t.numSets
 	tag = lineAddr / t.numSets
 	return
-}
-
-// ways returns the tag entries of one set.
-func (t *TiD) ways(set uint64) []tidLine {
-	return t.lines[set*tidWays : (set+1)*tidWays]
 }
 
 // dataAddr maps (set, way, offset) into the on-package data array.
@@ -202,16 +268,11 @@ func (t *TiD) lookup(req mem.Request, done mem.Done) {
 	// costs bandwidth, not serialized latency (§II-A).
 	t.hbm.Access(t.metaAddr(set), false, mem.KindMetadata, false, nil)
 
-	ways := t.ways(set)
-	for w := range ways {
-		l := &ways[w]
-		if l.valid && l.tag == tag {
+	s := &t.sets[set]
+	for w, wt := range s.tags {
+		if s.valid&(1<<w) != 0 && wt == tag {
 			t.tidStats.Hits++
-			t.lruTick++
-			l.lru = t.lruTick
-			if req.Write {
-				l.dirty = true
-			}
+			s.hit(w, req.Write)
 			da := t.dataAddr(set, w, req.Addr)
 			t.hbm.AccessProbe(da, req.Write, mem.KindDemand, false, req.Probe,
 				t.wrap(req.Probe, metrics.SpanHBM, done))
@@ -267,33 +328,21 @@ func (t *TiD) miss(req mem.Request, lineAddr, set uint64, done mem.Done) {
 	}
 
 	// Victim selection and eviction (writeback of the whole 1 KB line if
-	// dirty), then allocation.
-	ways := t.ways(set)
-	way := 0
-	oldest := ^uint64(0)
-	for w := range ways {
-		if !ways[w].valid {
-			way = w
-			oldest = 0
-			break
-		}
-		if ways[w].lru < oldest {
-			oldest = ways[w].lru
-			way = w
-		}
-	}
-	v := &ways[way]
-	if v.valid && v.dirty {
+	// dirty), then allocation. The victim stays invalid until its fill
+	// completes, so a second miss to the set meanwhile may take the same
+	// way again.
+	s := &t.sets[set]
+	way := s.victim()
+	if s.dirty&(1<<way) != 0 {
 		t.tidStats.Writebacks++
-		victimLine := v.tag*t.numSets + set
-		for s := uint64(0); s < tidSubPerLine; s++ {
-			src := t.dataAddr(set, way, s*mem.BlockSize)
-			dst := victimLine<<tidLineBits | s*mem.BlockSize
+		victimLine := s.tags[way]*t.numSets + set
+		for sub := uint64(0); sub < tidSubPerLine; sub++ {
+			src := t.dataAddr(set, way, sub*mem.BlockSize)
+			dst := victimLine<<tidLineBits | sub*mem.BlockSize
 			t.hbm.AccessArg(src, false, mem.KindWriteback, false, t.wb, dst)
 		}
 	}
-	v.valid = false
-	v.dirty = false
+	s.invalidate(way)
 
 	m := t.getMSHR()
 	m.lineAddr, m.set, m.way = lineAddr, set, way
@@ -359,9 +408,11 @@ func (t *TiD) subArrived(m *tidMSHR, si uint) {
 }
 
 func (t *TiD) fillComplete(m *tidMSHR) {
-	l := &t.lines[m.set*tidWays+uint64(m.way)]
-	t.lruTick++
-	*l = tidLine{tag: m.lineAddr / t.numSets, valid: true, dirty: m.dirty, lru: t.lruTick}
+	s := &t.sets[m.set]
+	s.install(m.way, m.lineAddr/t.numSets, m.dirty)
+	if check.Enabled {
+		s.audit()
+	}
 	// Tag install / state update.
 	t.hbm.Access(t.metaAddr(m.set), true, mem.KindMetadata, false, nil)
 	delete(t.mshrs, m.lineAddr)

@@ -212,3 +212,12 @@ func BenchmarkRunTracingOff(b *testing.B) { benchRun(b, smallConfig(SchemeNOMAD)
 
 // BenchmarkRunTracingOn enables the event ring and 1-in-16 span sampling.
 func BenchmarkRunTracingOn(b *testing.B) { benchRun(b, traceConfig(SchemeNOMAD)) }
+
+// BenchmarkRunDigestsOn is BenchmarkRunTracingOff with interval digest
+// chains on; the gap between the two is the digests' cost (DESIGN
+// "Divergence diagnosis" budgets it at < 2 %).
+func BenchmarkRunDigestsOn(b *testing.B) {
+	cfg := smallConfig(SchemeNOMAD)
+	cfg.Digests = true
+	benchRun(b, cfg)
+}
