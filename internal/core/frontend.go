@@ -581,8 +581,7 @@ func (f *Frontend) forcedReclaim() {
 // shootdownFrame invalidates every TLB translation of one cache frame.
 func (f *Frontend) shootdownFrame(cfn uint64) {
 	cpd := f.mm.CPDOf(cfn)
-	ppd := f.mm.PPDOf(cpd.PFN)
-	for _, mp := range ppd.Reverse {
+	for _, mp := range f.mm.Mappings(uint64(cpd.PFN)) {
 		f.stats.ForcedShootdowns++
 		f.shootdowner.Shootdown(mp.Core, mp.VPN)
 	}

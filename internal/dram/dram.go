@@ -97,8 +97,9 @@ type Stats struct {
 	// ReadLatencySum/ReadCount measure arrival-to-data latency of reads.
 	ReadLatencySum uint64
 	ReadCount      uint64
-	// QueueFullRejects counts requests that found the channel queue full
-	// and were retried by the caller.
+	// QueueFullRejects counts arrivals that found 64 or more requests
+	// already waiting in their channel queue. Such a request still joins
+	// the queue: the name is historical.
 	QueueFullRejects uint64
 }
 
@@ -168,7 +169,8 @@ type channel struct {
 // Device is one DRAM device instance bound to a simulation engine. It
 // registers itself as a ticker that sleeps whenever no channel has both a
 // queued request and a free in-flight slot; an enqueue or a completion
-// wakes it. Callers enqueue requests with Access.
+// wakes it and marks the channel ready. Callers enqueue requests with
+// Access.
 type Device struct {
 	cfg     Config
 	eng     *sim.Engine
@@ -178,14 +180,14 @@ type Device struct {
 	devID   uint64 // trace device tag (0 = hbm, 1 = ddr)
 	latHist *metrics.Histogram
 
-	chanShift    uint
-	chanMask     uint64
-	blocksPerRow uint64
-	maxQueue     int
-	// queued counts requests waiting in all channel queues, so the
-	// per-cycle Tick skips the channel sweep entirely when nothing is
-	// waiting (the common cycle: in-flight bursts complete via events).
-	queued int
+	// mapAddr's fields: channel, then row within the channel, then bank.
+	chanShift, rowShift, bankShift uint
+	chanMask, bankMask             uint64
+	maxQueue                       int
+	// ready has bit i set when channel i may hold a queued request and a
+	// free in-flight slot: enqueue sets it when the channel has a free slot,
+	// complete when the channel has queued requests, and Tick clears it.
+	ready uint64
 
 	// free is the request freelist. The device is single-threaded (engine
 	// discipline), so a plain slice beats sync.Pool and is deterministic.
@@ -216,7 +218,8 @@ func (d *Device) complete(r *request) {
 	c := r.ch
 	c.inflight--
 	if len(c.queue) > 0 {
-		d.wake.Wake() // the freed slot lets a queued request issue
+		d.ready |= 1 << c.idx // the freed slot lets a queued request issue
+		d.wake.Wake()
 	}
 	done, comp, arg := r.done, r.comp, r.arg
 	r.done, r.comp, r.probe, r.ch = nil, nil, nil, nil
@@ -228,22 +231,33 @@ func (d *Device) complete(r *request) {
 	}
 }
 
-// New creates a Device and registers its scheduler with the engine.
+// New creates a Device and registers its scheduler with the engine. The
+// channel count, the banks per channel and the blocks per row must be powers
+// of two, and there are at most 64 channels (the ready mask's width).
 func New(eng *sim.Engine, cfg Config) *Device {
-	if cfg.Channels <= 0 || cfg.Banks <= 0 {
+	blocksPerRow := cfg.RowBytes / mem.BlockSize
+	switch {
+	case cfg.Channels <= 0 || cfg.Banks <= 0:
 		panic("dram: channels and banks must be positive")
-	}
-	if cfg.Channels&(cfg.Channels-1) != 0 {
+	case cfg.Channels&(cfg.Channels-1) != 0:
 		panic("dram: channel count must be a power of two")
+	case cfg.Channels > 64:
+		panic(fmt.Sprintf("dram: %d channels exceed the ready mask's 64", cfg.Channels))
+	case cfg.Banks&(cfg.Banks-1) != 0:
+		panic("dram: bank count must be a power of two")
+	case blocksPerRow == 0 || blocksPerRow&(blocksPerRow-1) != 0:
+		panic(fmt.Sprintf("dram: a %d-byte row is not a power-of-two number of blocks", cfg.RowBytes))
 	}
 	d := &Device{
-		cfg:          cfg,
-		eng:          eng,
-		chans:        make([]channel, cfg.Channels),
-		chanShift:    uint(bits.TrailingZeros(uint(cfg.Channels))),
-		chanMask:     uint64(cfg.Channels - 1),
-		blocksPerRow: cfg.RowBytes / mem.BlockSize,
-		maxQueue:     64,
+		cfg:       cfg,
+		eng:       eng,
+		chans:     make([]channel, cfg.Channels),
+		chanShift: uint(bits.TrailingZeros(uint(cfg.Channels))),
+		rowShift:  uint(bits.TrailingZeros64(blocksPerRow)),
+		bankShift: uint(bits.TrailingZeros(uint(cfg.Banks))),
+		chanMask:  uint64(cfg.Channels - 1),
+		bankMask:  uint64(cfg.Banks - 1),
+		maxQueue:  64,
 	}
 	for i := range d.chans {
 		d.chans[i].idx = i
@@ -313,18 +327,18 @@ func (d *Device) ChannelOf(addr uint64) int {
 func (d *Device) mapAddr(addr uint64) (ch, bk int, row uint64) {
 	blk := mem.BlockNum(addr)
 	ch = int(blk & d.chanMask)
-	local := blk >> d.chanShift
-	rowGlobal := local / d.blocksPerRow
-	bk = int(rowGlobal % uint64(d.cfg.Banks))
-	row = rowGlobal / uint64(d.cfg.Banks)
+	rowGlobal := blk >> d.chanShift >> d.rowShift
+	bk = int(rowGlobal & d.bankMask)
+	row = rowGlobal >> d.bankShift
 	return ch, bk, row
 }
 
 // Access enqueues one 64 B burst. done is invoked when the data burst
 // completes (reads: data available; writes: data accepted). Access never
-// rejects: if the channel queue is full the request is parked and retried,
-// preserving FIFO fairness, so callers can treat the device as always
-// accepting (back-pressure manifests as latency).
+// rejects: the channel queue is unbounded, and a request that finds 64 or
+// more waiting still joins it (Stats.QueueFullRejects counts those), so
+// callers can treat the device as always accepting (back-pressure manifests
+// as latency).
 func (d *Device) Access(addr uint64, write bool, kind mem.Kind, priority bool, done mem.Done) {
 	d.AccessProbe(addr, write, kind, priority, nil, done)
 }
@@ -363,8 +377,8 @@ func (d *Device) enqueue(r *request, addr uint64, write bool, kind mem.Kind, pri
 		d.stats.QueueFullRejects++
 	}
 	c.queue = append(c.queue, r)
-	d.queued++
 	if c.inflight < d.cfg.InflightPerChannel {
+		d.ready |= 1 << ch
 		d.wake.Wake()
 	}
 }
@@ -393,15 +407,17 @@ func (d *Device) Promote(addr uint64) bool {
 // SetWaker implements sim.Sleeper.
 func (d *Device) SetWaker(w sim.Waker) { d.wake = w }
 
-// Tick drives every channel scheduler one cycle, then sleeps: afterwards
-// every channel has drained its queue or filled its in-flight slots, so
-// only an enqueue or a completion can give the device work.
+// Tick drives the ready channels' schedulers one cycle, in channel order,
+// then sleeps: afterwards every channel has drained its queue or filled its
+// in-flight slots, so only an enqueue or a completion can give the device
+// work. These are exactly the channels a sweep over all of them would issue
+// from: only enqueue and complete make a channel able to issue, both mark
+// it ready, and every channel ticked ends drained or full.
 func (d *Device) Tick(now uint64) {
-	if d.queued != 0 {
-		for i := range d.chans {
-			d.tickChannel(&d.chans[i], now)
-		}
+	for m := d.ready; m != 0; m &= m - 1 {
+		d.tickChannel(&d.chans[bits.TrailingZeros64(m)], now)
 	}
+	d.ready = 0
 	d.wake.Sleep()
 }
 
@@ -412,8 +428,10 @@ func (d *Device) Tick(now uint64) {
 func (d *Device) Settle(now uint64) {}
 
 // AuditSleep is the engine's invariants-build check on a sleeping device:
-// no channel may hold a queued request it has a free in-flight slot for.
+// no channel is marked ready, and none holds a queued request it has a free
+// in-flight slot for.
 func (d *Device) AuditSleep(now uint64) {
+	check.Assert(d.ready == 0, "dram %s: asleep at %d with ready channels %#x", d.cfg.Name, now, d.ready)
 	for i := range d.chans {
 		c := &d.chans[i]
 		check.Assert(len(c.queue) == 0 || c.inflight >= d.cfg.InflightPerChannel,
@@ -428,7 +446,6 @@ func (d *Device) tickChannel(c *channel, now uint64) {
 		r := c.queue[idx]
 		c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
 		c.queue[:cap(c.queue)][len(c.queue)] = nil // drop the vacated slot's ref
-		d.queued--
 		d.issue(c, r, now)
 	}
 	if check.Enabled {

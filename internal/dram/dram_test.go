@@ -208,13 +208,27 @@ func TestPeakBandwidth(t *testing.T) {
 	}
 }
 
+// TestConfigValidation: New refuses a geometry that mapAddr's shifts or the
+// ready mask cannot represent.
 func TestConfigValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-power-of-two channels did not panic")
-		}
-	}()
-	cfg := testConfig()
-	cfg.Channels = 3
-	New(sim.New(), cfg)
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"3 channels", func(c *Config) { c.Channels = 3 }},
+		{"128 channels", func(c *Config) { c.Channels = 128 }},
+		{"3 banks", func(c *Config) { c.Banks = 3 }},
+		{"192-byte row", func(c *Config) { c.RowBytes = 192 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New with %s did not panic", tc.name)
+				}
+			}()
+			cfg := testConfig()
+			tc.edit(&cfg)
+			New(sim.New(), cfg)
+		})
+	}
 }

@@ -2,7 +2,10 @@ package obs
 
 import (
 	"fmt"
+	"sync"
 	"testing"
+
+	"nomad/internal/system"
 )
 
 // TestTrackerEviction: completed runs beyond the retention bound are evicted
@@ -95,4 +98,52 @@ func TestTrackerDefaultRetentionBounded(t *testing.T) {
 	if got := len(tr.Statuses()); got != DefaultCompletedRetention {
 		t.Fatalf("default tracker retains %d completed runs, want %d", got, DefaultCompletedRetention)
 	}
+}
+
+// BenchmarkTrackerOverhead measures the tracker's cost (DESIGN
+// "Observability v2" budgets it at < 1 % under active scraping): each
+// iteration runs one small machine, plain; observed through a RunHandle fed
+// by the progress callback; or observed while another goroutine reads
+// Statuses in a loop for the whole run. Compare the sub-benchmarks' ns/op
+// across alternating runs.
+func BenchmarkTrackerOverhead(b *testing.B) {
+	run := func(b *testing.B, observe, scrape bool) {
+		for i := 0; i < b.N; i++ {
+			m, err := system.New(testConfig(), testSpec())
+			if err != nil {
+				b.Fatal(err)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			if observe {
+				tracker := NewRunTracker()
+				h := tracker.Start("NOMAD/ts", nil)
+				reg := m.Metrics()
+				m.SetProgress(func(p system.Progress) { h.Observe(p, reg) })
+				if scrape {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+								tracker.Statuses()
+							}
+						}
+					}()
+				}
+			}
+			_, err = m.Run()
+			close(stop)
+			wg.Wait()
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("plain", func(b *testing.B) { run(b, false, false) })
+	b.Run("observed", func(b *testing.B) { run(b, true, false) })
+	b.Run("scraped", func(b *testing.B) { run(b, true, true) })
 }

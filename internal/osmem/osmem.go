@@ -13,6 +13,7 @@ package osmem
 
 import (
 	"fmt"
+	"math"
 
 	"nomad/internal/check"
 )
@@ -35,42 +36,74 @@ type Mapping struct {
 }
 
 // PPD is a physical page descriptor, extended with the cached (C) and
-// non-cacheable (NC) bits (Fig. 4). Reverse mappings let the eviction daemon
-// find every PTE of a physical frame (Algorithm 2, lines 12-15), including
-// shared pages.
+// non-cacheable (NC) bits (Fig. 4). The reverse mappings that let the
+// eviction daemon find every PTE of a physical frame (Algorithm 2, lines
+// 12-15), including shared pages, are kept beside it: see Manager.Mappings.
 type PPD struct {
-	Cached       bool
-	NonCacheable bool
-	Dirty        bool
 	// Walks counts page-table walks that found the page uncached; the
 	// selective-caching policy (§V: Thermostat/KLOCs-style mechanisms the
 	// OS-managed design can adopt) caches a page only after a threshold
 	// of such touches.
-	Walks   uint64
-	Reverse []Mapping
+	Walks        uint64
+	Cached       bool
+	NonCacheable bool
+	Dirty        bool
 }
 
 // CPD is a cache page descriptor (Fig. 4): the state of one DRAM-cache
 // frame.
 type CPD struct {
-	Valid        bool
-	DirtyInCache bool   // DC bit: writeback required on eviction
-	PFN          uint64 // original physical frame, for reclamation
 	// TLBDir has one bit per core: whether that core's TLB holds a
 	// translation to this cache frame (used for shootdown avoidance).
-	TLBDir uint64
+	TLBDir       uint64
+	PFN          uint32 // original physical frame, for reclamation
+	Valid        bool
+	DirtyInCache bool // DC bit: writeback required on eviction
 }
 
 // MaxCores is the most cores a Manager tracks: TLBDir has one bit per core.
 const MaxCores = 64
 
-// Manager owns page tables, descriptors, and the cache-frame free queue.
-type Manager struct {
-	cores      int
-	pageTables []map[uint64]*PTE // per core: VPN -> PTE
+// chunkBits sizes the chunks of the descriptor arenas: 1024 entries.
+const (
+	chunkBits = 10
+	chunkMask = 1<<chunkBits - 1
+)
 
-	ppds    map[uint64]*PPD // PFN -> descriptor (sparse)
-	nextPFN uint64
+// arena is append-only storage in fixed-size chunks. An element never moves
+// once added, so a pointer into the arena stays valid while it grows: the
+// front-end holds a *PTE across the cache-frame mutex wait, during which
+// other walks add PTEs.
+type arena[T any] struct {
+	chunks [][]T
+	n      uint64
+}
+
+func (a *arena[T]) at(i uint64) *T { return &a.chunks[i>>chunkBits][i&chunkMask] }
+
+// add appends v and returns its index.
+func (a *arena[T]) add(v T) uint64 {
+	if a.n&chunkMask == 0 {
+		a.chunks = append(a.chunks, make([]T, 1<<chunkBits))
+	}
+	i := a.n
+	*a.at(i) = v
+	a.n++
+	return i
+}
+
+// Manager owns page tables, descriptors, and the cache-frame free queue.
+// PFNs are handed out densely from 0, so the per-frame state is indexed by
+// PFN rather than looked up.
+type Manager struct {
+	pageTables []map[uint64]uint32 // per core: VPN -> index in ptes
+	ptes       arena[PTE]
+
+	descs arena[PPD]     // PFN -> physical page descriptor
+	first arena[Mapping] // PFN -> the frame's first mapping
+	// shared holds every mapping of a frame that MapShared mapped a second
+	// time, the first one first; other frames have only their first.
+	shared map[uint64][]Mapping
 
 	cpds    []CPD // CFN -> descriptor (dense: the DC is small)
 	head    uint64
@@ -85,14 +118,13 @@ func New(cores int, cacheFrames uint64) *Manager {
 		panic(fmt.Sprintf("osmem: %d cores exceed MaxCores (%d)", cores, MaxCores))
 	}
 	m := &Manager{
-		cores:      cores,
-		pageTables: make([]map[uint64]*PTE, cores),
-		ppds:       make(map[uint64]*PPD),
+		pageTables: make([]map[uint64]uint32, cores),
+		shared:     make(map[uint64][]Mapping),
 		cpds:       make([]CPD, cacheFrames),
 		numFree:    cacheFrames,
 	}
 	for i := range m.pageTables {
-		m.pageTables[i] = make(map[uint64]*PTE)
+		m.pageTables[i] = make(map[uint64]uint32)
 	}
 	return m
 }
@@ -108,46 +140,78 @@ func (m *Manager) Head() uint64 { return m.head }
 func (m *Manager) Tail() uint64 { return m.tail }
 
 // PTEOf returns the PTE for (core, vpn), demand-allocating the physical
-// frame on first touch (conventional first-touch allocation policy).
+// frame on first touch (conventional first-touch allocation policy). The
+// PTE never moves: the pointer stays valid for the Manager's lifetime.
 func (m *Manager) PTEOf(core int, vpn uint64) *PTE {
 	pt := m.pageTables[core]
-	if pte, ok := pt[vpn]; ok {
-		return pte
+	if i, ok := pt[vpn]; ok {
+		return m.ptes.at(uint64(i))
 	}
-	pfn := m.nextPFN
-	m.nextPFN++
-	pte := &PTE{Frame: pfn, Present: true}
-	pt[vpn] = pte
-	m.ppds[pfn] = &PPD{Reverse: []Mapping{{Core: core, VPN: vpn}}}
+	pfn := m.descs.n
+	pte := m.newPTE(core, vpn, PTE{Frame: pfn, Present: true})
+	m.descs.add(PPD{})
+	m.first.add(Mapping{Core: core, VPN: vpn})
 	return pte
 }
 
+// newPTE maps (core, vpn) to a new PTE holding pte. Every PFN comes with a
+// PTE, so bounding the PTE count below math.MaxUint32 also keeps every PFN
+// within CPD.PFN's 32 bits.
+func (m *Manager) newPTE(core int, vpn uint64, pte PTE) *PTE {
+	if m.ptes.n >= math.MaxUint32 {
+		panic(fmt.Sprintf("osmem: %d page-table entries exhaust the 32-bit frame and PTE indices", m.ptes.n))
+	}
+	i := m.ptes.add(pte)
+	m.pageTables[core][vpn] = uint32(i)
+	return m.ptes.at(i)
+}
+
 // MapShared maps (core, vpn) to an existing physical frame, modeling a
-// shared page: both PTEs resolve to the same PFN and the PPD's reverse
+// shared page: both PTEs resolve to the same PFN and the frame's reverse
 // mapping covers both.
 func (m *Manager) MapShared(core int, vpn uint64, pfn uint64) *PTE {
-	ppd, ok := m.ppds[pfn]
-	if !ok {
+	ppd := m.PPDOf(pfn)
+	if ppd == nil {
 		panic(fmt.Sprintf("osmem: MapShared to unallocated PFN %d", pfn))
 	}
-	pte := &PTE{Frame: pfn, Present: true, Cached: ppd.Cached, NonCacheable: ppd.NonCacheable}
+	pte := PTE{Frame: pfn, Present: true, Cached: ppd.Cached, NonCacheable: ppd.NonCacheable}
 	if ppd.Cached {
 		// Shared page already cached: the new PTE must resolve to the
 		// CFN, found via any existing mapping.
 		for cfn := range m.cpds {
-			if m.cpds[cfn].Valid && m.cpds[cfn].PFN == pfn {
+			if m.cpds[cfn].Valid && uint64(m.cpds[cfn].PFN) == pfn {
 				pte.Frame = uint64(cfn)
 				break
 			}
 		}
 	}
-	m.pageTables[core][vpn] = pte
-	ppd.Reverse = append(ppd.Reverse, Mapping{Core: core, VPN: vpn})
-	return pte
+	p := m.newPTE(core, vpn, pte)
+	ms, ok := m.shared[pfn]
+	if !ok {
+		ms = []Mapping{*m.first.at(pfn)}
+	}
+	m.shared[pfn] = append(ms, Mapping{Core: core, VPN: vpn})
+	return p
 }
 
 // PPDOf returns the descriptor of a physical frame (nil if unallocated).
-func (m *Manager) PPDOf(pfn uint64) *PPD { return m.ppds[pfn] }
+func (m *Manager) PPDOf(pfn uint64) *PPD {
+	if pfn >= m.descs.n {
+		return nil
+	}
+	return m.descs.at(pfn)
+}
+
+// Mappings returns every (core, VPN) mapping of an allocated physical frame,
+// its first mapping first. The slice is the Manager's own storage: callers
+// read it and must not modify it.
+func (m *Manager) Mappings(pfn uint64) []Mapping {
+	if ms, ok := m.shared[pfn]; ok {
+		return ms
+	}
+	i := pfn & chunkMask
+	return m.first.chunks[pfn>>chunkBits][i : i+1 : i+1]
+}
 
 // CPDOf returns the descriptor of a cache frame.
 func (m *Manager) CPDOf(cfn uint64) *CPD { return &m.cpds[cfn] }
@@ -170,11 +234,9 @@ func (m *Manager) AllocateFrame(pfn uint64) uint64 {
 	cpd := &m.cpds[cfn]
 	if check.Enabled {
 		check.Assert(!cpd.Valid, "osmem: allocating occupied cache frame %d", cfn)
+		check.Assert(pfn < m.descs.n, "osmem: allocating a cache frame for unallocated PFN %d", pfn)
 	}
-	cpd.Valid = true
-	cpd.DirtyInCache = false
-	cpd.PFN = pfn
-	cpd.TLBDir = 0
+	*cpd = CPD{PFN: uint32(pfn), Valid: true}
 	m.numFree--
 	if check.Enabled {
 		check.Assert(m.numFree <= n, "osmem: free count %d exceeds %d frames after allocate", m.numFree, n)
@@ -219,16 +281,15 @@ func (m *Manager) ReleaseFrame(cfn uint64) (pfn uint64, dirty bool) {
 	if !cpd.Valid {
 		panic(fmt.Sprintf("osmem: releasing free cache frame %d", cfn))
 	}
-	pfn = cpd.PFN
+	pfn = uint64(cpd.PFN)
 	dirty = cpd.DirtyInCache
-	ppd := m.ppds[pfn]
-	for _, mp := range ppd.Reverse {
-		pte := m.pageTables[mp.Core][mp.VPN]
+	for _, mp := range m.Mappings(pfn) {
+		pte := m.ptes.at(uint64(m.pageTables[mp.Core][mp.VPN]))
 		pte.Frame = pfn
 		pte.Cached = false
 		pte.DirtyInCache = false
 	}
-	ppd.Cached = false
+	m.descs.at(pfn).Cached = false
 	cpd.Valid = false
 	cpd.DirtyInCache = false
 	m.numFree++
@@ -242,13 +303,12 @@ func (m *Manager) ReleaseFrame(cfn uint64) (pfn uint64, dirty bool) {
 // SetCached updates every PTE of pfn to point at cfn with the C bit set
 // (Algorithm 1 lines 7-10, plus the shared-page extension of §III-G).
 func (m *Manager) SetCached(pfn, cfn uint64) {
-	ppd := m.ppds[pfn]
-	for _, mp := range ppd.Reverse {
-		pte := m.pageTables[mp.Core][mp.VPN]
+	for _, mp := range m.Mappings(pfn) {
+		pte := m.ptes.at(uint64(m.pageTables[mp.Core][mp.VPN]))
 		pte.Frame = cfn
 		pte.Cached = true
 	}
-	ppd.Cached = true
+	m.descs.at(pfn).Cached = true
 }
 
 // MarkDirty sets the DC bit on a cached frame (write access path). Callers
@@ -292,7 +352,7 @@ func (m *Manager) CheckAccounting() error {
 		if !cpd.Valid {
 			continue
 		}
-		ppd := m.ppds[cpd.PFN]
+		ppd := m.PPDOf(uint64(cpd.PFN))
 		if ppd == nil {
 			return fmt.Errorf("osmem: cache frame %d holds unallocated PFN %d", cfn, cpd.PFN)
 		}

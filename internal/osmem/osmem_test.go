@@ -16,7 +16,7 @@ func TestFirstTouchAllocation(t *testing.T) {
 	if p3.Frame == p1.Frame {
 		t.Fatal("different cores shared a physical frame")
 	}
-	if ppd := m.PPDOf(p1.Frame); ppd == nil || len(ppd.Reverse) != 1 {
+	if ppd := m.PPDOf(p1.Frame); ppd == nil || len(m.Mappings(p1.Frame)) != 1 {
 		t.Fatal("PPD reverse mapping missing")
 	}
 }

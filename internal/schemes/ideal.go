@@ -134,7 +134,7 @@ func (s *Ideal) evict() {
 				cfn := (tail + i) % n
 				cpd := s.mm.CPDOf(cfn)
 				if cpd.Valid && cpd.TLBDir != 0 {
-					for _, mp := range s.mm.PPDOf(cpd.PFN).Reverse {
+					for _, mp := range s.mm.Mappings(uint64(cpd.PFN)) {
 						s.sd.Shootdown(mp.Core, mp.VPN)
 					}
 					cpd.TLBDir = 0

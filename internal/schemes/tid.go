@@ -1,6 +1,8 @@
 package schemes
 
 import (
+	"fmt"
+	"math"
 	"math/bits"
 
 	"nomad/internal/check"
@@ -48,11 +50,13 @@ func (s *TiDStats) MissRate() float64 {
 }
 
 // tidSet is one set of the tag store: the four ways' tags and their
-// replacement state, 40 bytes per set. The recency order is exact LRU, kept
+// replacement state, 20 bytes per set. The recency order is exact LRU, kept
 // as in the SRAM caches (see cache.setState): a way's last install or hit
-// moves it to rank 0, and invalid ways are taken before ranks are read.
+// moves it to rank 0, and invalid ways are taken before ranks are read. A
+// tag is the line address divided by the set count, PA >> 25 at the default
+// 128 MB, so 32 bits cover 2^57 bytes of physical memory there.
 type tidSet struct {
-	tags [tidWays]uint64
+	tags [tidWays]uint32
 	// perm holds the way at rank r in bits 2r..2r+1, rank 0 the most
 	// recently used.
 	perm  uint8
@@ -91,10 +95,13 @@ func (s *tidSet) victim() int {
 }
 
 // install makes way w hold tag, valid, clean or dirty, and the most
-// recently used.
+// recently used. It panics on a tag wider than the record's 32 bits.
 func (s *tidSet) install(w int, tag uint64, dirty bool) {
+	if tag > math.MaxUint32 {
+		panic(fmt.Sprintf("tid: tag %#x does not fit the tag store's 32 bits", tag))
+	}
 	bit := uint8(1) << w
-	s.tags[w] = tag
+	s.tags[w] = uint32(tag)
 	s.valid |= bit
 	s.dirty &^= bit
 	if dirty {
@@ -270,7 +277,7 @@ func (t *TiD) lookup(req mem.Request, done mem.Done) {
 
 	s := &t.sets[set]
 	for w, wt := range s.tags {
-		if s.valid&(1<<w) != 0 && wt == tag {
+		if s.valid&(1<<w) != 0 && uint64(wt) == tag {
 			t.tidStats.Hits++
 			s.hit(w, req.Write)
 			da := t.dataAddr(set, w, req.Addr)
@@ -335,7 +342,7 @@ func (t *TiD) miss(req mem.Request, lineAddr, set uint64, done mem.Done) {
 	way := s.victim()
 	if s.dirty&(1<<way) != 0 {
 		t.tidStats.Writebacks++
-		victimLine := s.tags[way]*t.numSets + set
+		victimLine := uint64(s.tags[way])*t.numSets + set
 		for sub := uint64(0); sub < tidSubPerLine; sub++ {
 			src := t.dataAddr(set, way, sub*mem.BlockSize)
 			dst := victimLine<<tidLineBits | sub*mem.BlockSize

@@ -2,6 +2,7 @@ package schemes
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -81,7 +82,7 @@ func compareTiDSet(s *tidSet, o *tickTiDSet) error {
 	for w := range o.valid {
 		if o.valid[w] {
 			valid |= 1 << w
-			if s.tags[w] != o.tags[w] {
+			if uint64(s.tags[w]) != o.tags[w] {
 				return fmt.Errorf("way %d tag %#x, oracle %#x", w, s.tags[w], o.tags[w])
 			}
 		}
@@ -132,7 +133,7 @@ func TestTiDSetMatchesTickOracle(t *testing.T) {
 				}
 				s.invalidate(v)
 				o.invalidate(v)
-				fills = append(fills, fill{v, rng.Uint64() >> 20, rng.Intn(2) == 1})
+				fills = append(fills, fill{v, uint64(rng.Uint32()), rng.Intn(2) == 1})
 			case len(fills) > 0:
 				i := rng.Intn(len(fills))
 				f := fills[i]
@@ -147,9 +148,25 @@ func TestTiDSetMatchesTickOracle(t *testing.T) {
 	}
 }
 
-// TestTiDSetSize pins the tag store's record at 40 bytes per set.
+// TestTiDSetSize pins the tag store's record at 20 bytes per set.
 func TestTiDSetSize(t *testing.T) {
-	if n := unsafe.Sizeof(tidSet{}); n != 40 {
-		t.Fatalf("tidSet is %d bytes, want 40", n)
+	if n := unsafe.Sizeof(tidSet{}); n != 20 {
+		t.Fatalf("tidSet is %d bytes, want 20", n)
 	}
+}
+
+// TestTiDSetTagLimit: the widest 32-bit tag installs and reads back, and a
+// wider one panics instead of aliasing another line.
+func TestTiDSetTagLimit(t *testing.T) {
+	s := tidSet{perm: tidIdentityPerm}
+	s.install(1, math.MaxUint32, false)
+	if s.tags[1] != math.MaxUint32 {
+		t.Fatalf("tag %#x, want %#x", s.tags[1], uint32(math.MaxUint32))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("installing a 33-bit tag did not panic")
+		}
+	}()
+	s.install(2, math.MaxUint32+1, false)
 }

@@ -73,91 +73,173 @@ func (l *tickLevel) invalidate(vpn uint64) (Entry, bool) {
 	return s.e, true
 }
 
+// indexed maps every VPN the level's table holds to its slot.
+func indexed(l *level) map[uint64]int32 {
+	idx := make(map[uint64]int32, l.n)
+	for _, s := range l.table {
+		if s != 0 {
+			idx[l.slots[s-1].e.VPN] = s - 1
+		}
+	}
+	return idx
+}
+
 // checkList verifies the recency list of l against its index: every
-// resident slot is linked exactly once, head to tail and back.
+// resident slot is linked exactly once, head to tail and back, and every
+// indexed VPN is reachable from its home position.
 func checkList(t *testing.T, l *level) {
 	t.Helper()
+	idx := indexed(l)
+	if len(idx) != l.n {
+		t.Fatalf("table holds %d distinct VPNs, level counts %d", len(idx), l.n)
+	}
+	for vpn, i := range idx {
+		if _, j := l.find(vpn); j != i {
+			t.Fatalf("vpn %d in slot %d, but probing finds slot %d", vpn, i, j)
+		}
+	}
 	n := 0
 	prev := int32(-1)
 	for i := l.head; i >= 0; i = l.slots[i].next {
 		if l.slots[i].prev != prev {
 			t.Fatalf("slot %d: prev = %d, want %d", i, l.slots[i].prev, prev)
 		}
-		if j, ok := l.index[l.slots[i].e.VPN]; !ok || j != i {
+		if j, ok := idx[l.slots[i].e.VPN]; !ok || j != i {
 			t.Fatalf("slot %d (vpn %d) not indexed", i, l.slots[i].e.VPN)
 		}
 		prev = i
 		n++
-		if n > len(l.index) {
+		if n > len(idx) {
 			t.Fatal("recency list longer than the index (cycle?)")
 		}
 	}
 	if l.tail != prev {
 		t.Fatalf("tail = %d, want %d", l.tail, prev)
 	}
-	if n != len(l.index) {
-		t.Fatalf("recency list holds %d slots, index %d", n, len(l.index))
+	if n != len(idx) {
+		t.Fatalf("recency list holds %d slots, index %d", n, len(idx))
 	}
 	if len(l.slots) > l.cap {
 		t.Fatalf("%d slots allocated past capacity %d", len(l.slots), l.cap)
 	}
 }
 
+// levelOp is one operation of a level test sequence: kind 0-3 a lookup,
+// 4-7 an insert, 8-9 an invalidation.
+type levelOp struct {
+	kind int
+	vpn  uint64
+}
+
+// runLevelOps applies ops to level and the tick-stamped reference and
+// requires the same returned entries and victims at every operation, the
+// same residency and a well-formed recency list throughout.
+func runLevelOps(t *testing.T, capacity int, ops []levelOp) {
+	t.Helper()
+	got, want := newLevel(capacity), newTickLevel(capacity)
+	for op, o := range ops {
+		vpn := o.vpn
+		switch {
+		case o.kind < 4:
+			ge, gok := got.lookup(vpn)
+			we, wok := want.lookup(vpn)
+			if ge != we || gok != wok {
+				t.Fatalf("op %d lookup(%d) = %v,%v, want %v,%v", op, vpn, ge, gok, we, wok)
+			}
+		case o.kind < 8:
+			e := Entry{VPN: vpn, Frame: uint64(op), Space: mem.Space(op % 2)}
+			gv, gok := got.insert(e)
+			wv, wok := want.insert(e)
+			if gv != wv || gok != wok {
+				t.Fatalf("op %d insert(%d) evicted %v,%v, want %v,%v", op, vpn, gv, gok, wv, wok)
+			}
+		default:
+			ge, gok := got.invalidate(vpn)
+			we, wok := want.invalidate(vpn)
+			if ge != we || gok != wok {
+				t.Fatalf("op %d invalidate(%d) = %v,%v, want %v,%v", op, vpn, ge, gok, we, wok)
+			}
+		}
+		if got.n != len(want.entries) {
+			t.Fatalf("op %d: %d resident, want %d", op, got.n, len(want.entries))
+		}
+		if op%7 != 0 && op != len(ops)-1 {
+			continue // the full comparison is O(capacity)
+		}
+		for v, s := range want.entries {
+			_, i := got.find(v)
+			if i < 0 {
+				t.Fatalf("op %d: vpn %d not resident", op, v)
+			}
+			if got.slots[i].e != s.e {
+				t.Fatalf("op %d: vpn %d resident as %v, want %v", op, v, got.slots[i].e, s.e)
+			}
+		}
+		checkList(t, got)
+	}
+}
+
+// pagePool returns n distinct-looking VPNs: 0..n-1 when dense, else random
+// 36-bit page numbers, whose hashes collide as often as chance has them.
+func pagePool(rng *rand.Rand, n int, dense bool) []uint64 {
+	pool := make([]uint64, n)
+	for i := range pool {
+		pool[i] = uint64(i)
+		if !dense {
+			pool[i] = uint64(rng.Int63n(1 << 36))
+		}
+	}
+	return pool
+}
+
 // TestLevelMatchesTickOracle drives level and the tick-stamped reference
-// with the same random lookup/insert/invalidate sequence and requires the
-// same returned entries and victims at every operation, and the same
-// residency and a well-formed recency list throughout.
+// with the same random lookup/insert/invalidate sequence over twice the
+// capacity in pages, dense and scattered, which keeps the level full and
+// evicting most of the time.
 func TestLevelMatchesTickOracle(t *testing.T) {
 	for _, capacity := range []int{1, 2, 4, 64, 1536} {
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(capacity)))
-			got, want := newLevel(capacity), newTickLevel(capacity)
-			// Twice the capacity in distinct pages keeps the level full
-			// and evicting most of the time.
-			pages := 2*capacity + 2
-			ops := max(5*pages, 2000)
-			for op := 0; op < ops; op++ {
-				vpn := uint64(rng.Intn(pages))
-				switch k := rng.Intn(10); {
-				case k < 4:
-					ge, gok := got.lookup(vpn)
-					we, wok := want.lookup(vpn)
-					if ge != we || gok != wok {
-						t.Fatalf("op %d lookup(%d) = %v,%v, want %v,%v", op, vpn, ge, gok, we, wok)
+			for _, dense := range []bool{true, false} {
+				t.Run(fmt.Sprintf("dense=%v", dense), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(capacity)))
+					pool := pagePool(rng, 2*capacity+2, dense)
+					ops := make([]levelOp, max(5*len(pool), 2000))
+					for i := range ops {
+						ops[i] = levelOp{kind: rng.Intn(10), vpn: pool[rng.Intn(len(pool))]}
 					}
-				case k < 8:
-					e := Entry{VPN: vpn, Frame: uint64(op), Space: mem.Space(op % 2)}
-					gv, gok := got.insert(e)
-					wv, wok := want.insert(e)
-					if gv != wv || gok != wok {
-						t.Fatalf("op %d insert(%d) evicted %v,%v, want %v,%v", op, vpn, gv, gok, wv, wok)
-					}
-				default:
-					ge, gok := got.invalidate(vpn)
-					we, wok := want.invalidate(vpn)
-					if ge != we || gok != wok {
-						t.Fatalf("op %d invalidate(%d) = %v,%v, want %v,%v", op, vpn, ge, gok, we, wok)
-					}
-				}
-				if len(got.index) != len(want.entries) {
-					t.Fatalf("op %d: %d resident, want %d", op, len(got.index), len(want.entries))
-				}
-				if op%7 != 0 && op != ops-1 {
-					continue // the full comparison is O(capacity)
-				}
-				for v, s := range want.entries {
-					i, ok := got.index[v]
-					if !ok {
-						t.Fatalf("op %d: vpn %d not resident", op, v)
-					}
-					if got.slots[i].e != s.e {
-						t.Fatalf("op %d: vpn %d resident as %v, want %v", op, v, got.slots[i].e, s.e)
-					}
-				}
-				checkList(t, got)
+					runLevelOps(t, capacity, ops)
+				})
 			}
 		})
 	}
+}
+
+// FuzzLevelMatchesTickOracle is TestLevelMatchesTickOracle on fuzzed
+// sequences: the first byte picks the capacity (1-256), and each following
+// pair of bytes one operation over twice that many scattered pages.
+func FuzzLevelMatchesTickOracle(f *testing.F) {
+	f.Add([]byte{3, 4, 1, 5, 2, 6, 3, 7, 4, 8, 0, 9, 1})
+	// A long random sequence at capacity 16, so a plain test run already
+	// evicts through long probe runs.
+	long := make([]byte, 1201)
+	rand.New(rand.NewSource(1)).Read(long)
+	long[0] = 15
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		capacity := 1 + int(data[0])
+		pool := pagePool(rand.New(rand.NewSource(int64(capacity))), 2*capacity, false)
+		ops := make([]levelOp, 0, len(data)/2)
+		for i := 1; i+1 < len(data); i += 2 {
+			ops = append(ops, levelOp{
+				kind: int(data[i]&0xf) % 10,
+				vpn:  pool[(int(data[i]>>4)<<8|int(data[i+1]))%len(pool)],
+			})
+		}
+		runLevelOps(t, capacity, ops)
+	})
 }
 
 // dirEvent is one Directory notification, in order.
@@ -262,11 +344,11 @@ func TestTLBDirectoryMatchesTickOracle(t *testing.T) {
 				got  *level
 				want *tickLevel
 			}{{tl.l1, o.l1}, {tl.l2, o.l2}} {
-				if len(lv.got.index) != len(lv.want.entries) {
-					t.Fatalf("%d resident, want %d", len(lv.got.index), len(lv.want.entries))
+				if lv.got.n != len(lv.want.entries) {
+					t.Fatalf("%d resident, want %d", lv.got.n, len(lv.want.entries))
 				}
 				for v := range lv.want.entries {
-					if _, ok := lv.got.index[v]; !ok {
+					if _, i := lv.got.find(v); i < 0 {
 						t.Fatalf("vpn %d not resident", v)
 					}
 				}

@@ -13,6 +13,8 @@
 package tlb
 
 import (
+	"math/bits"
+
 	"nomad/internal/mem"
 	"nomad/internal/metrics"
 	"nomad/internal/sim"
@@ -80,11 +82,18 @@ type slot struct {
 }
 
 // level is one exact-LRU TLB array. Resident entries sit in a slot array
-// doubly linked MRU→LRU by index, found through a VPN→slot map, so lookup,
-// insert, eviction and invalidation are all O(1): the victim is the list
-// tail, never a scan.
+// doubly linked MRU→LRU by index, found through an open-addressed VPN index,
+// so lookup, insert, eviction and invalidation are all O(1): the victim is
+// the list tail, never a scan.
 type level struct {
-	index map[uint64]int32
+	// table is the VPN index: a power-of-two array, at least twice the
+	// capacity, of slot+1 (0 = empty), probed linearly from the VPN's
+	// Fibonacci hash. Deletion shifts the rest of the probe run back, so
+	// there are no tombstones and probes stay short under constant
+	// eviction.
+	table []int32
+	shift uint // 64 - log2(len(table))
+	n     int  // resident entries
 	// slots grows on demand up to cap, so a level that never fills never
 	// holds its full array.
 	slots      []slot
@@ -94,7 +103,50 @@ type level struct {
 }
 
 func newLevel(capacity int) *level {
-	return &level{index: make(map[uint64]int32, capacity), head: -1, tail: -1, free: -1, cap: capacity}
+	size := 2
+	for size < 2*capacity {
+		size *= 2
+	}
+	return &level{
+		table: make([]int32, size),
+		shift: uint(64 - bits.TrailingZeros(uint(size))),
+		head:  -1, tail: -1, free: -1, cap: capacity,
+	}
+}
+
+// home is vpn's first probe position.
+func (l *level) home(vpn uint64) int {
+	return int((vpn * 0x9e3779b97f4a7c15) >> l.shift)
+}
+
+// find returns vpn's table position and slot, or the empty position that
+// ends its probe run and -1.
+func (l *level) find(vpn uint64) (pos int, slot int32) {
+	mask := len(l.table) - 1
+	for p := l.home(vpn); ; p = (p + 1) & mask {
+		s := l.table[p]
+		if s == 0 {
+			return p, -1
+		}
+		if l.slots[s-1].e.VPN == vpn {
+			return p, s - 1
+		}
+	}
+}
+
+// unindex empties table position p and moves back every later entry of the
+// probe run that may occupy the hole: one whose home is not cyclically in
+// (hole, position].
+func (l *level) unindex(p int) {
+	mask := len(l.table) - 1
+	for q := (p + 1) & mask; l.table[q] != 0; q = (q + 1) & mask {
+		s := l.table[q]
+		if (q-l.home(l.slots[s-1].e.VPN))&mask >= (q-p)&mask {
+			l.table[p] = s
+			p = q
+		}
+	}
+	l.table[p] = 0
 }
 
 // unlink removes slot i from the recency list.
@@ -160,9 +212,14 @@ func (l *level) newSlot() int32 {
 	return int32(len(l.slots) - 1)
 }
 
+// lookup returns vpn's entry and makes it the most recently used. A hit on
+// the list head returns before probing: touching the head changes nothing.
 func (l *level) lookup(vpn uint64) (Entry, bool) {
-	i, ok := l.index[vpn]
-	if !ok {
+	if h := l.head; h >= 0 && l.slots[h].e.VPN == vpn {
+		return l.slots[h].e, true
+	}
+	_, i := l.find(vpn)
+	if i < 0 {
 		return Entry{}, false
 	}
 	l.touch(i)
@@ -171,35 +228,41 @@ func (l *level) lookup(vpn uint64) (Entry, bool) {
 
 // insert adds e, returning the evicted entry if the level was full.
 func (l *level) insert(e Entry) (Entry, bool) {
-	if i, ok := l.index[e.VPN]; ok {
+	p, i := l.find(e.VPN)
+	if i >= 0 {
 		l.slots[i].e = e
 		l.touch(i)
 		return Entry{}, false
 	}
 	var victim Entry
 	evicted := false
-	var i int32
-	if len(l.index) >= l.cap {
+	if l.n >= l.cap {
 		i = l.tail
 		victim = l.slots[i].e
 		evicted = true
 		l.unlink(i)
-		delete(l.index, victim.VPN)
+		vp, _ := l.find(victim.VPN)
+		l.unindex(vp)
+		// Emptying the victim's position may have shortened e's probe
+		// run: look again for its first empty position.
+		p, _ = l.find(e.VPN)
 	} else {
 		i = l.newSlot()
+		l.n++
 	}
 	l.slots[i].e = e
 	l.pushFront(i)
-	l.index[e.VPN] = i
+	l.table[p] = i + 1
 	return victim, evicted
 }
 
 func (l *level) invalidate(vpn uint64) (Entry, bool) {
-	i, ok := l.index[vpn]
-	if !ok {
+	p, i := l.find(vpn)
+	if i < 0 {
 		return Entry{}, false
 	}
-	delete(l.index, vpn)
+	l.unindex(p)
+	l.n--
 	l.unlink(i)
 	e := l.slots[i].e
 	l.slots[i] = slot{next: l.free}
@@ -391,6 +454,6 @@ func (t *TLB) Invalidate(vpn uint64) bool {
 
 // Resident reports whether vpn currently has a translation cached.
 func (t *TLB) Resident(vpn uint64) bool {
-	_, ok := t.l2.index[vpn]
-	return ok
+	_, i := t.l2.find(vpn)
+	return i >= 0
 }

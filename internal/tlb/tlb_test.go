@@ -167,12 +167,12 @@ func TestInclusionProperty(t *testing.T) {
 		if n != len(pages) {
 			return false
 		}
-		for vpn := range tl.l1.index {
-			if _, ok := tl.l2.index[vpn]; !ok {
+		for vpn := range indexed(tl.l1) {
+			if _, i := tl.l2.find(vpn); i < 0 {
 				return false
 			}
 		}
-		return len(tl.l1.index) <= 4 && len(tl.l2.index) <= 8
+		return tl.l1.n <= 4 && tl.l2.n <= 8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestDirectoryBalanceProperty(t *testing.T) {
 			tl.Translate(uint64(p)*mem.PageSize, func(Entry) { n++ })
 		}
 		eng.RunUntil(func() bool { return n == len(pages) }, 100000)
-		return len(d.inserted)-len(d.evicted) == len(tl.l2.index)
+		return len(d.inserted)-len(d.evicted) == tl.l2.n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
