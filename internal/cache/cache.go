@@ -60,9 +60,16 @@ func (s *Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(t)
 }
 
-// invalidTag marks an empty way in the packed tag array. Tags are block
-// numbers shifted down by the set bits, so the all-ones value cannot occur.
-const invalidTag = ^uint64(0)
+// invalidTag marks an empty way in the packed tag array; tagOf never
+// returns it.
+const invalidTag = ^uint32(0)
+
+// spaceBlockBit is mem.SpaceBit's position in a block number.
+const spaceBlockBit = mem.SpaceBit >> mem.BlockBits
+
+// maxTagHigh bounds the block bits a tag keeps: 31 of them above the space
+// bit, short of the all-ones value that would make invalidTag.
+const maxTagHigh = 1<<31 - 1
 
 // maxWays bounds the associativity: a set's recency order packs one way
 // index per 4-bit rank into a uint64.
@@ -73,8 +80,8 @@ const nibbles = 0x1111111111111111
 
 // setState is one set's replacement state other than the tags: the ways'
 // exact recency order plus their valid and dirty bits, 16 bytes per set.
-// Tags live in their own packed uint64 array so the per-lookup way scan
-// touches a couple of host cache lines.
+// Tags live in their own packed uint32 array so the per-lookup way scan
+// touches one or two host cache lines.
 //
 // The order is exact LRU. A way's last fill or hit moves it to rank 0, so
 // among valid ways the rank order is the order of their last touches; an
@@ -139,7 +146,7 @@ func (s *setState) invalidate(w int) {
 // audit asserts the record's structure under the invariants build: dirty
 // ways are valid, ranks 0..ways-1 hold each way once, and a way is valid
 // exactly when its tag is not invalidTag.
-func (s *setState) audit(name string, tags []uint64) {
+func (s *setState) audit(name string, tags []uint32) {
 	check.Assert(s.dirty&^s.valid == 0,
 		"cache %s: dirty mask %#x not within valid mask %#x", name, s.dirty, s.valid)
 	var seen uint32
@@ -194,7 +201,7 @@ type Cache struct {
 	lower Lower
 	// tags[set*Ways+way] holds each way's tag (invalidTag when empty);
 	// sets[set] is the set's recency order and valid/dirty bits.
-	tags []uint64
+	tags []uint32
 	sets []setState
 	// mshrFile is the fixed MSHR array. Allocation goes through mshrFreeIdx
 	// (a stack of free slot indexes, O(1)); the per-miss coalesce scan
@@ -252,7 +259,7 @@ func New(eng *sim.Engine, cfg Config, lower Lower) *Cache {
 		cfg:           cfg,
 		eng:           eng,
 		lower:         lower,
-		tags:          make([]uint64, cfg.Sets*cfg.Ways),
+		tags:          make([]uint32, cfg.Sets*cfg.Ways),
 		sets:          make([]setState, cfg.Sets),
 		mshrFile:      make([]mshr, cfg.MSHRs),
 		mshrActive:    make([]uint64, 0, cfg.MSHRs),
@@ -331,8 +338,35 @@ func (c *Cache) SetSpans(spans *metrics.SpanRing, kind metrics.SpanKind) {
 func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) setIndex(block uint64) uint64 { return block & c.setMask }
-func (c *Cache) tagOf(block uint64) uint64 {
-	return block >> uint(bits.TrailingZeros64(uint64(c.cfg.Sets)))
+func (c *Cache) setBits() uint                { return uint(bits.TrailingZeros64(uint64(c.cfg.Sets))) }
+
+// tagOf packs a block's bits above the set index into 32 bits: those bits
+// with mem.SpaceBit cleared, shifted left one, and the block's space in bit
+// 0, so two blocks that differ only in their space never share a tag. It
+// panics on a block whose bits above the set index reach maxTagHigh.
+func (c *Cache) tagOf(block uint64) uint32 {
+	high := (block &^ spaceBlockBit) >> c.setBits()
+	if high >= maxTagHigh {
+		panic(tagOverflow{c.cfg.Name, block})
+	}
+	return uint32(high<<1 | (block&spaceBlockBit)/spaceBlockBit)
+}
+
+// blockOf inverts tagOf for a block of the given set.
+func (c *Cache) blockOf(tag uint32, set uint64) uint64 {
+	return uint64(tag>>1)<<c.setBits() | set | uint64(tag&1)*spaceBlockBit
+}
+
+// tagOverflow is tagOf's panic value. Its message is formatted out of line,
+// in Error, which keeps tagOf within the inliner's budget: a call to a
+// function that is not inlined costs most of that budget by itself.
+type tagOverflow struct {
+	name  string
+	block uint64
+}
+
+func (e tagOverflow) Error() string {
+	return fmt.Sprintf("cache %s: block %#x needs a tag past 31 bits", e.name, e.block)
 }
 
 // Access performs a cache access for req (block-aligned internally). done is
@@ -444,10 +478,8 @@ func (c *Cache) fill(m *mshr) {
 	victim := s.victim(c.cfg.Ways)
 	if s.dirty&(1<<victim) != 0 {
 		c.stats.Writebacks++
-		// Reconstruct the victim's block address from tag and set.
-		vblock := c.tags[base+victim]<<uint(bits.TrailingZeros64(uint64(c.cfg.Sets))) | setIdx
 		c.wbReq = mem.Request{
-			Addr:  vblock << mem.BlockBits,
+			Addr:  c.blockOf(c.tags[base+victim], setIdx) << mem.BlockBits,
 			Write: true,
 			Kind:  mem.KindDemand,
 			Core:  -1,
@@ -525,13 +557,13 @@ func (c *Cache) FlushPage(pageAddr uint64) int {
 				if s.dirty&(1<<j) != 0 {
 					wbs++
 					c.stats.FlushWBs++
-					wb := mem.Request{
+					c.wbReq = mem.Request{
 						Addr:  block << mem.BlockBits,
 						Write: true,
 						Kind:  mem.KindDemand,
 						Core:  -1,
 					}
-					c.lower.Access(&wb, nil)
+					c.lower.Access(&c.wbReq, nil) // Access copies; wbReq is scratch
 				}
 				c.tags[base+j] = invalidTag
 				s.invalidate(j)

@@ -183,7 +183,11 @@ func compareManager(m *Manager, o *mapManager) error {
 		}
 	}
 	for cfn := range o.cpds {
-		got, want := m.cpds[cfn], o.cpds[cfn]
+		var got CPD // every frame is free before the array exists
+		if m.cpds != nil {
+			got = m.cpds[cfn]
+		}
+		want := o.cpds[cfn]
 		if got.Valid != want.Valid || got.DirtyInCache != want.DirtyInCache ||
 			uint64(got.PFN) != want.PFN || got.TLBDir != want.TLBDir {
 			return fmt.Errorf("cfn %d: CPD %+v, reference %+v", cfn, got, want)
@@ -200,9 +204,12 @@ func compareManager(m *Manager, o *mapManager) error {
 // with the same random sequence of first touches on several cores, shared
 // mappings, frame allocations, dirty marks, TLB-directory updates, evictions
 // and selective-caching walk counts, comparing all their state after every
-// step. The larger page range crosses several arena chunks.
+// step. The larger page range crosses several arena chunks. Half the shared
+// mappings go to a cached frame, so some map a third sharer of a cached
+// frame, whose CFN must come from the earlier mappings.
 func TestManagerMatchesMapOracle(t *testing.T) {
 	const cores, frames = 3, 12
+	thirdSharers := 0
 	for _, pages := range []uint64{16, 48, 1500} {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("pages=%d/seed=%d", pages, seed), func(t *testing.T) {
@@ -222,6 +229,12 @@ func TestManagerMatchesMapOracle(t *testing.T) {
 							continue
 						}
 						pfn := uint64(rng.Int63n(int64(o.nextPFN)))
+						if cpd := o.cpds[rng.Intn(frames)]; cpd.Valid && rng.Intn(2) == 0 {
+							pfn = cpd.PFN
+						}
+						if o.ppds[pfn].Cached && len(o.ppds[pfn].Reverse) >= 2 {
+							thirdSharers++
+						}
 						if got, want := *m.MapShared(core, vpn, pfn), *o.MapShared(core, vpn, pfn); got != want {
 							t.Fatalf("step %d: MapShared(%d, %d, %d) = %+v, reference %+v", step, core, vpn, pfn, got, want)
 						}
@@ -273,6 +286,9 @@ func TestManagerMatchesMapOracle(t *testing.T) {
 				}
 			})
 		}
+	}
+	if thirdSharers == 0 {
+		t.Fatal("no step mapped a third sharer of a cached frame")
 	}
 }
 

@@ -105,7 +105,11 @@ type Manager struct {
 	// time, the first one first; other frames have only their first.
 	shared map[uint64][]Mapping
 
-	cpds    []CPD // CFN -> descriptor (dense: the DC is small)
+	// cpds maps a CFN to its descriptor (dense: the DC is small). CPDOf
+	// allocates it on first use, so a machine whose scheme never caches a
+	// page (TiD, Baseline) never holds it; until then every frame is free.
+	cpds    []CPD
+	frames  uint64
 	head    uint64
 	tail    uint64
 	numFree uint64
@@ -120,7 +124,7 @@ func New(cores int, cacheFrames uint64) *Manager {
 	m := &Manager{
 		pageTables: make([]map[uint64]uint32, cores),
 		shared:     make(map[uint64][]Mapping),
-		cpds:       make([]CPD, cacheFrames),
+		frames:     cacheFrames,
 		numFree:    cacheFrames,
 	}
 	for i := range m.pageTables {
@@ -130,7 +134,7 @@ func New(cores int, cacheFrames uint64) *Manager {
 }
 
 // CacheFrames returns the DRAM-cache capacity in frames.
-func (m *Manager) CacheFrames() uint64 { return uint64(len(m.cpds)) }
+func (m *Manager) CacheFrames() uint64 { return m.frames }
 
 // FreeFrames returns the current number of free cache frames.
 func (m *Manager) FreeFrames() uint64 { return m.numFree }
@@ -177,13 +181,9 @@ func (m *Manager) MapShared(core int, vpn uint64, pfn uint64) *PTE {
 	pte := PTE{Frame: pfn, Present: true, Cached: ppd.Cached, NonCacheable: ppd.NonCacheable}
 	if ppd.Cached {
 		// Shared page already cached: the new PTE must resolve to the
-		// CFN, found via any existing mapping.
-		for cfn := range m.cpds {
-			if m.cpds[cfn].Valid && uint64(m.cpds[cfn].PFN) == pfn {
-				pte.Frame = uint64(cfn)
-				break
-			}
-		}
+		// CFN, which SetCached put in every existing mapping's PTE.
+		first := m.first.at(pfn)
+		pte.Frame = m.ptes.at(uint64(m.pageTables[first.Core][first.VPN])).Frame
 	}
 	p := m.newPTE(core, vpn, pte)
 	ms, ok := m.shared[pfn]
@@ -213,8 +213,16 @@ func (m *Manager) Mappings(pfn uint64) []Mapping {
 	return m.first.chunks[pfn>>chunkBits][i : i+1 : i+1]
 }
 
-// CPDOf returns the descriptor of a cache frame.
-func (m *Manager) CPDOf(cfn uint64) *CPD { return &m.cpds[cfn] }
+// CPDOf returns the descriptor of a cache frame, allocating the CPD array on
+// first use. Every CPD write goes through it; the read-only scans
+// (EvictCandidates, ValidFrames, CheckAccounting) read a missing array as
+// every frame free.
+func (m *Manager) CPDOf(cfn uint64) *CPD {
+	if m.cpds == nil {
+		m.cpds = make([]CPD, m.frames)
+	}
+	return &m.cpds[cfn]
+}
 
 // AllocateFrame implements the allocation half of Algorithm 1 (lines 2-5,
 // 7-11): advance the head past unfree frames (possible after TLB-shootdown
@@ -222,16 +230,16 @@ func (m *Manager) CPDOf(cfn uint64) *CPD { return &m.cpds[cfn] }
 // count. It returns the allocated CFN. The caller is responsible for PTE and
 // timing updates.
 func (m *Manager) AllocateFrame(pfn uint64) uint64 {
-	n := uint64(len(m.cpds))
+	n := m.frames
 	if m.numFree == 0 {
 		panic("osmem: no free cache frames (eviction daemon starved)")
 	}
-	for m.cpds[m.head].Valid {
+	for m.CPDOf(m.head).Valid {
 		m.head = (m.head + 1) % n
 	}
 	cfn := m.head
 	m.head = (m.head + 1) % n
-	cpd := &m.cpds[cfn]
+	cpd := m.CPDOf(cfn)
 	if check.Enabled {
 		check.Assert(!cpd.Valid, "osmem: allocating occupied cache frame %d", cfn)
 		check.Assert(pfn < m.descs.n, "osmem: allocating a cache frame for unallocated PFN %d", pfn)
@@ -248,9 +256,10 @@ func (m *Manager) AllocateFrame(pfn uint64) uint64 {
 // tail, examine up to batch frames, skipping frames whose translations are
 // TLB-resident (TLBDir != 0) and frames that are already free. It returns
 // the CFNs to evict plus the number of TLB-shootdown-avoidance skips, and
-// advances the tail past examined frames.
+// advances the tail past examined frames. Before the first allocation every
+// frame is free, and the scan only advances the tail.
 func (m *Manager) EvictCandidates(batch int) (victims []uint64, tlbSkips int) {
-	n := uint64(len(m.cpds))
+	n := m.frames
 	if uint64(batch) > n {
 		// Never scan more than one full revolution, or the same frame
 		// would be returned twice.
@@ -260,6 +269,9 @@ func (m *Manager) EvictCandidates(batch int) (victims []uint64, tlbSkips int) {
 	for i := 0; i < batch; i++ {
 		cfn := m.tail
 		m.tail = (m.tail + 1) % n
+		if m.cpds == nil {
+			continue
+		}
 		cpd := &m.cpds[cfn]
 		if !cpd.Valid {
 			continue
@@ -277,7 +289,7 @@ func (m *Manager) EvictCandidates(batch int) (victims []uint64, tlbSkips int) {
 // physical frame (Algorithm 2, lines 12-17). It returns the PFN and whether
 // the frame was dirty in cache (writeback required).
 func (m *Manager) ReleaseFrame(cfn uint64) (pfn uint64, dirty bool) {
-	cpd := &m.cpds[cfn]
+	cpd := m.CPDOf(cfn)
 	if !cpd.Valid {
 		panic(fmt.Sprintf("osmem: releasing free cache frame %d", cfn))
 	}
@@ -294,8 +306,8 @@ func (m *Manager) ReleaseFrame(cfn uint64) (pfn uint64, dirty bool) {
 	cpd.DirtyInCache = false
 	m.numFree++
 	if check.Enabled {
-		check.Assert(m.numFree <= uint64(len(m.cpds)),
-			"osmem: free count %d exceeds %d frames after release of %d", m.numFree, len(m.cpds), cfn)
+		check.Assert(m.numFree <= m.frames,
+			"osmem: free count %d exceeds %d frames after release of %d", m.numFree, m.frames, cfn)
 	}
 	return pfn, dirty
 }
@@ -314,19 +326,20 @@ func (m *Manager) SetCached(pfn, cfn uint64) {
 // MarkDirty sets the DC bit on a cached frame (write access path). Callers
 // pass the CFN of the written page.
 func (m *Manager) MarkDirty(cfn uint64) {
-	m.cpds[cfn].DirtyInCache = true
+	m.CPDOf(cfn).DirtyInCache = true
 }
 
 // TLBSet sets or clears core's bit in the frame's TLB directory.
 func (m *Manager) TLBSet(cfn uint64, core int, resident bool) {
-	if resident {
-		m.cpds[cfn].TLBDir |= 1 << uint(core)
+	if cpd := m.CPDOf(cfn); resident {
+		cpd.TLBDir |= 1 << uint(core)
 	} else {
-		m.cpds[cfn].TLBDir &^= 1 << uint(core)
+		cpd.TLBDir &^= 1 << uint(core)
 	}
 }
 
-// ValidFrames counts allocated cache frames (for tests).
+// ValidFrames counts allocated cache frames (for tests). It reads the CPD
+// array without allocating it.
 func (m *Manager) ValidFrames() uint64 {
 	var n uint64
 	for i := range m.cpds {
@@ -344,8 +357,8 @@ func (m *Manager) ValidFrames() uint64 {
 // operation.
 func (m *Manager) CheckAccounting() error {
 	valid := m.ValidFrames()
-	if m.numFree+valid != uint64(len(m.cpds)) {
-		return fmt.Errorf("osmem: %d free + %d valid != %d frames", m.numFree, valid, len(m.cpds))
+	if m.numFree+valid != m.frames {
+		return fmt.Errorf("osmem: %d free + %d valid != %d frames", m.numFree, valid, m.frames)
 	}
 	for cfn := range m.cpds {
 		cpd := &m.cpds[cfn]

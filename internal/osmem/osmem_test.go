@@ -1,6 +1,8 @@
 package osmem
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -139,9 +141,16 @@ func TestSharedPage(t *testing.T) {
 	if !pte0.Cached || !pte1.Cached || pte0.Frame != cfn || pte1.Frame != cfn {
 		t.Fatal("shared-page caching did not update all PTEs")
 	}
+	// A third sharer mapped while the page is cached resolves to its CFN.
+	pte2 := m.MapShared(0, 8, pfn)
+	if !pte2.Cached || pte2.Frame != cfn {
+		t.Fatalf("third sharer of a cached page: PTE = %+v, want cached CFN %d", *pte2, cfn)
+	}
 	m.ReleaseFrame(cfn)
-	if pte0.Cached || pte1.Cached || pte0.Frame != pfn || pte1.Frame != pfn {
-		t.Fatal("shared-page eviction did not restore all PTEs")
+	for i, pte := range []*PTE{pte0, pte1, pte2} {
+		if pte.Cached || pte.Frame != pfn {
+			t.Fatalf("shared-page eviction did not restore PTE %d: %+v", i, *pte)
+		}
 	}
 }
 
@@ -155,6 +164,55 @@ func TestMapSharedToCachedPage(t *testing.T) {
 	if !pte1.Cached || pte1.Frame != cfn {
 		t.Fatalf("sharing a cached page: PTE = %+v, want cached CFN %d", pte1, cfn)
 	}
+}
+
+// TestCPDsAllocatedOnFirstUse: a Manager holds no CPD array until a cache
+// frame is first used, and reports the configured frames, all free, before
+// that; each CPD operation allocates the whole array.
+func TestCPDsAllocatedOnFirstUse(t *testing.T) {
+	m := New(2, 16)
+	pfn := m.PTEOf(0, 1).Frame
+	m.MapShared(1, 2, pfn)
+	m.PPDOf(pfn).Walks++
+	if m.CacheFrames() != 16 || m.FreeFrames() != 16 || m.ValidFrames() != 0 {
+		t.Fatalf("fresh Manager: %d frames, %d free, %d valid, want 16, 16, 0",
+			m.CacheFrames(), m.FreeFrames(), m.ValidFrames())
+	}
+	if err := m.CheckAccounting(); err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []int{5, 16} {
+		if victims, skips := m.EvictCandidates(batch); len(victims) != 0 || skips != 0 {
+			t.Fatalf("EvictCandidates(%d) on free frames = %v, %d", batch, victims, skips)
+		}
+	}
+	if m.Tail() != 5 {
+		t.Fatalf("tail = %d after scanning 5 then 16 frames, want 5", m.Tail())
+	}
+	if m.cpds != nil {
+		t.Fatal("CPD array allocated before any cache frame was used")
+	}
+	for _, use := range []struct {
+		name string
+		f    func(m *Manager)
+	}{
+		{"AllocateFrame", func(m *Manager) { m.AllocateFrame(m.PTEOf(0, 0).Frame) }},
+		{"CPDOf", func(m *Manager) { m.CPDOf(7) }},
+		{"MarkDirty", func(m *Manager) { m.MarkDirty(3) }},
+		{"TLBSet", func(m *Manager) { m.TLBSet(3, 1, true) }},
+	} {
+		m := New(2, 8)
+		use.f(m)
+		if len(m.cpds) != 8 {
+			t.Errorf("after %s: %d CPDs, want 8", use.name, len(m.cpds))
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "releasing free cache frame") {
+			t.Fatalf("ReleaseFrame on a fresh Manager: recovered %v", r)
+		}
+	}()
+	New(1, 8).ReleaseFrame(2)
 }
 
 func TestExhaustionPanics(t *testing.T) {

@@ -2,8 +2,10 @@ package tlb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"nomad/internal/mem"
 	"nomad/internal/sim"
@@ -74,11 +76,11 @@ func (l *tickLevel) invalidate(vpn uint64) (Entry, bool) {
 }
 
 // indexed maps every VPN the level's table holds to its slot.
-func indexed(l *level) map[uint64]int32 {
-	idx := make(map[uint64]int32, l.n)
+func indexed(l *level) map[uint64]int16 {
+	idx := make(map[uint64]int16, l.n)
 	for _, s := range l.table {
 		if s != 0 {
-			idx[l.slots[s-1].e.VPN] = s - 1
+			idx[l.slots[s-1].vpn()] = int16(s - 1)
 		}
 	}
 	return idx
@@ -99,13 +101,13 @@ func checkList(t *testing.T, l *level) {
 		}
 	}
 	n := 0
-	prev := int32(-1)
+	prev := int16(-1)
 	for i := l.head; i >= 0; i = l.slots[i].next {
 		if l.slots[i].prev != prev {
 			t.Fatalf("slot %d: prev = %d, want %d", i, l.slots[i].prev, prev)
 		}
-		if j, ok := idx[l.slots[i].e.VPN]; !ok || j != i {
-			t.Fatalf("slot %d (vpn %d) not indexed", i, l.slots[i].e.VPN)
+		if j, ok := idx[l.slots[i].vpn()]; !ok || j != i {
+			t.Fatalf("slot %d (vpn %d) not indexed", i, l.slots[i].vpn())
 		}
 		prev = i
 		n++
@@ -133,7 +135,9 @@ type levelOp struct {
 
 // runLevelOps applies ops to level and the tick-stamped reference and
 // requires the same returned entries and victims at every operation, the
-// same residency and a well-formed recency list throughout.
+// same residency and a well-formed recency list throughout. An insert's
+// space and frame follow its op index: both spaces occur, so a slot that
+// loses the space bit fails, and half the frames sit just below 2^32.
 func runLevelOps(t *testing.T, capacity int, ops []levelOp) {
 	t.Helper()
 	got, want := newLevel(capacity), newTickLevel(capacity)
@@ -147,7 +151,11 @@ func runLevelOps(t *testing.T, capacity int, ops []levelOp) {
 				t.Fatalf("op %d lookup(%d) = %v,%v, want %v,%v", op, vpn, ge, gok, we, wok)
 			}
 		case o.kind < 8:
-			e := Entry{VPN: vpn, Frame: uint64(op), Space: mem.Space(op % 2)}
+			frame := uint64(op)
+			if op%4 >= 2 {
+				frame = math.MaxUint32 - frame
+			}
+			e := Entry{VPN: vpn, Frame: frame, Space: mem.Space(op % 2)}
 			gv, gok := got.insert(e)
 			wv, wok := want.insert(e)
 			if gv != wv || gok != wok {
@@ -171,8 +179,8 @@ func runLevelOps(t *testing.T, capacity int, ops []levelOp) {
 			if i < 0 {
 				t.Fatalf("op %d: vpn %d not resident", op, v)
 			}
-			if got.slots[i].e != s.e {
-				t.Fatalf("op %d: vpn %d resident as %v, want %v", op, v, got.slots[i].e, s.e)
+			if e := got.slots[i].entry(); e != s.e {
+				t.Fatalf("op %d: vpn %d resident as %v, want %v", op, v, e, s.e)
 			}
 		}
 		checkList(t, got)
@@ -240,6 +248,42 @@ func FuzzLevelMatchesTickOracle(f *testing.F) {
 		}
 		runLevelOps(t, capacity, ops)
 	})
+}
+
+// TestSlotSize pins a level's slot at 16 bytes.
+func TestSlotSize(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n != 16 {
+		t.Fatalf("slot is %d bytes, want 16", n)
+	}
+}
+
+// TestLevelLimits: a level holds up to maxEntries (32,767) entries, and New
+// refuses a level past that; an entry's frame may use 32 bits and no more.
+func TestLevelLimits(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	eng := sim.New()
+	New(eng, 0, Config{L1Entries: 1, L2Entries: maxEntries}, nil, nil)
+	mustPanic("an L1 past maxEntries", func() {
+		New(eng, 0, Config{L1Entries: maxEntries + 1, L2Entries: 1}, nil, nil)
+	})
+	mustPanic("an L2 past maxEntries", func() {
+		New(eng, 0, Config{L1Entries: 1, L2Entries: maxEntries + 1}, nil, nil)
+	})
+	l := newLevel(2)
+	top := Entry{VPN: 1<<52 - 1, Frame: math.MaxUint32, Space: mem.SpaceCache}
+	l.insert(top)
+	if e, ok := l.lookup(top.VPN); !ok || e != top {
+		t.Fatalf("lookup after inserting %+v = %+v, %v", top, e, ok)
+	}
+	mustPanic("a frame past 32 bits", func() { l.insert(Entry{VPN: 2, Frame: 1 << 32}) })
 }
 
 // dirEvent is one Directory notification, in order.

@@ -13,6 +13,8 @@
 package tlb
 
 import (
+	"fmt"
+	"math"
 	"math/bits"
 
 	"nomad/internal/mem"
@@ -74,11 +76,29 @@ func (s *Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(t)
 }
 
+// maxEntries bounds each level's capacity: slots link to each other by
+// int16 index.
+const maxEntries = math.MaxInt16
+
 // slot is one entry of a level's slot array, linked into the level's
-// recency list by index.
+// recency list by index: 16 bytes.
 type slot struct {
-	e          Entry
-	prev, next int32 // neighbours toward the MRU and LRU ends; -1 at the ends
+	key        uint64 // VPN<<1 | space
+	frame      uint32
+	prev, next int16 // neighbours toward the MRU and LRU ends; -1 at the ends
+}
+
+func (s *slot) vpn() uint64 { return s.key >> 1 }
+
+// entry unpacks the slot's translation.
+func (s *slot) entry() Entry {
+	return Entry{VPN: s.key >> 1, Frame: uint64(s.frame), Space: mem.Space(s.key & 1)}
+}
+
+// set stores e in the slot; insert has checked that its frame fits.
+func (s *slot) set(e Entry) {
+	s.key = e.VPN<<1 | uint64(e.Space)
+	s.frame = uint32(e.Frame)
 }
 
 // level is one exact-LRU TLB array. Resident entries sit in a slot array
@@ -91,24 +111,27 @@ type level struct {
 	// Fibonacci hash. Deletion shifts the rest of the probe run back, so
 	// there are no tombstones and probes stay short under constant
 	// eviction.
-	table []int32
+	table []uint16
 	shift uint // 64 - log2(len(table))
 	n     int  // resident entries
 	// slots grows on demand up to cap, so a level that never fills never
 	// holds its full array.
 	slots      []slot
-	head, tail int32 // MRU and LRU slots; -1 when empty
-	free       int32 // invalidated slots, chained through next; -1 when none
+	head, tail int16 // MRU and LRU slots; -1 when empty
+	free       int16 // invalidated slots, chained through next; -1 when none
 	cap        int
 }
 
 func newLevel(capacity int) *level {
+	if capacity > maxEntries {
+		panic(fmt.Sprintf("tlb: %d entries in a level exceed the limit of %d", capacity, maxEntries))
+	}
 	size := 2
 	for size < 2*capacity {
 		size *= 2
 	}
 	return &level{
-		table: make([]int32, size),
+		table: make([]uint16, size),
 		shift: uint(64 - bits.TrailingZeros(uint(size))),
 		head:  -1, tail: -1, free: -1, cap: capacity,
 	}
@@ -121,15 +144,15 @@ func (l *level) home(vpn uint64) int {
 
 // find returns vpn's table position and slot, or the empty position that
 // ends its probe run and -1.
-func (l *level) find(vpn uint64) (pos int, slot int32) {
+func (l *level) find(vpn uint64) (pos int, slot int16) {
 	mask := len(l.table) - 1
 	for p := l.home(vpn); ; p = (p + 1) & mask {
 		s := l.table[p]
 		if s == 0 {
 			return p, -1
 		}
-		if l.slots[s-1].e.VPN == vpn {
-			return p, s - 1
+		if l.slots[s-1].vpn() == vpn {
+			return p, int16(s - 1)
 		}
 	}
 }
@@ -141,7 +164,7 @@ func (l *level) unindex(p int) {
 	mask := len(l.table) - 1
 	for q := (p + 1) & mask; l.table[q] != 0; q = (q + 1) & mask {
 		s := l.table[q]
-		if (q-l.home(l.slots[s-1].e.VPN))&mask >= (q-p)&mask {
+		if (q-l.home(l.slots[s-1].vpn()))&mask >= (q-p)&mask {
 			l.table[p] = s
 			p = q
 		}
@@ -150,7 +173,7 @@ func (l *level) unindex(p int) {
 }
 
 // unlink removes slot i from the recency list.
-func (l *level) unlink(i int32) {
+func (l *level) unlink(i int16) {
 	s := &l.slots[i]
 	if s.prev >= 0 {
 		l.slots[s.prev].next = s.next
@@ -165,7 +188,7 @@ func (l *level) unlink(i int32) {
 }
 
 // pushFront links slot i in as the most recently used.
-func (l *level) pushFront(i int32) {
+func (l *level) pushFront(i int16) {
 	s := &l.slots[i]
 	s.prev, s.next = -1, l.head
 	if l.head >= 0 {
@@ -179,7 +202,7 @@ func (l *level) pushFront(i int32) {
 // touch makes slot i the most recently used. It is unlink plus pushFront
 // for a slot that is not the head (so has a predecessor), written out
 // because it runs on every TLB hit.
-func (l *level) touch(i int32) {
+func (l *level) touch(i int16) {
 	if i == l.head {
 		return
 	}
@@ -198,7 +221,7 @@ func (l *level) touch(i int32) {
 
 // newSlot returns an unlinked slot: an invalidated one if any, else a new
 // one at the end of the array, which grows like append but never past cap.
-func (l *level) newSlot() int32 {
+func (l *level) newSlot() int16 {
 	if i := l.free; i >= 0 {
 		l.free = l.slots[i].next
 		return i
@@ -209,28 +232,32 @@ func (l *level) newSlot() int32 {
 		l.slots = grown
 	}
 	l.slots = append(l.slots, slot{})
-	return int32(len(l.slots) - 1)
+	return int16(len(l.slots) - 1)
 }
 
 // lookup returns vpn's entry and makes it the most recently used. A hit on
 // the list head returns before probing: touching the head changes nothing.
 func (l *level) lookup(vpn uint64) (Entry, bool) {
-	if h := l.head; h >= 0 && l.slots[h].e.VPN == vpn {
-		return l.slots[h].e, true
+	if h := l.head; h >= 0 && l.slots[h].vpn() == vpn {
+		return l.slots[h].entry(), true
 	}
 	_, i := l.find(vpn)
 	if i < 0 {
 		return Entry{}, false
 	}
 	l.touch(i)
-	return l.slots[i].e, true
+	return l.slots[i].entry(), true
 }
 
-// insert adds e, returning the evicted entry if the level was full.
+// insert adds e, returning the evicted entry if the level was full. It
+// panics on a frame past 32 bits; osmem keeps PFNs and CFNs below that.
 func (l *level) insert(e Entry) (Entry, bool) {
+	if e.Frame > math.MaxUint32 {
+		panic(fmt.Sprintf("tlb: frame %#x of VPN %#x exceeds 32 bits", e.Frame, e.VPN))
+	}
 	p, i := l.find(e.VPN)
 	if i >= 0 {
-		l.slots[i].e = e
+		l.slots[i].set(e)
 		l.touch(i)
 		return Entry{}, false
 	}
@@ -238,7 +265,7 @@ func (l *level) insert(e Entry) (Entry, bool) {
 	evicted := false
 	if l.n >= l.cap {
 		i = l.tail
-		victim = l.slots[i].e
+		victim = l.slots[i].entry()
 		evicted = true
 		l.unlink(i)
 		vp, _ := l.find(victim.VPN)
@@ -250,9 +277,9 @@ func (l *level) insert(e Entry) (Entry, bool) {
 		i = l.newSlot()
 		l.n++
 	}
-	l.slots[i].e = e
+	l.slots[i].set(e)
 	l.pushFront(i)
-	l.table[p] = i + 1
+	l.table[p] = uint16(i + 1)
 	return victim, evicted
 }
 
@@ -264,7 +291,7 @@ func (l *level) invalidate(vpn uint64) (Entry, bool) {
 	l.unindex(p)
 	l.n--
 	l.unlink(i)
-	e := l.slots[i].e
+	e := l.slots[i].entry()
 	l.slots[i] = slot{next: l.free}
 	l.free = i
 	return e, true
@@ -357,7 +384,8 @@ func (t *TLB) getHit() *hitOp {
 	return op
 }
 
-// New builds a TLB for the given core. dir may be nil.
+// New builds a TLB for the given core. dir may be nil. It panics on a level
+// of more than 32,767 entries.
 func New(eng *sim.Engine, core int, cfg Config, walker Walker, dir Directory) *TLB {
 	return &TLB{
 		core:     core,
