@@ -79,8 +79,8 @@ func main() {
 
 	opts := harness.Options{
 		Fast: *fast, Parallelism: *parallel, Verbose: *verbose, Logger: logger,
+		Telemetry: cf.Telemetry(),
 	}
-	cf.ApplyOptions(&opts)
 	if *progress {
 		opts.Progress = func(key string) func(system.Progress) {
 			return system.ProgressPrinter(os.Stderr, key)

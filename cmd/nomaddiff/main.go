@@ -92,7 +92,7 @@ func parseSpec(s string, fast bool) (diag.RunSpec, error) {
 	if !ok {
 		return diag.RunSpec{}, fmt.Errorf("run spec %q: unknown workload %q", s, parts[1])
 	}
-	cfg := system.DefaultConfig()
+	cfg := harness.Options{Fast: fast}.BaseConfig()
 	cfg.Scheme = system.SchemeName(parts[0])
 	known := false
 	for _, sc := range system.AllSchemes() {
@@ -110,10 +110,6 @@ func parseSpec(s string, fast bool) (diag.RunSpec, error) {
 			return diag.RunSpec{}, fmt.Errorf("run spec %q: bad seed %q", s, parts[2])
 		}
 		cfg.Seed = seed
-	}
-	if fast {
-		cfg.WarmupInstructions = 300_000
-		cfg.ROIInstructions = 400_000
 	}
 	return diag.RunSpec{Key: s, Cfg: cfg, Spec: sp}, nil
 }
@@ -185,7 +181,7 @@ func runDiff(a, b diag.RunSpec, format string, top int) int {
 
 // runBisect runs the full two-pass bisection and writes the prefix traces.
 func runBisect(a, b diag.RunSpec, format string, top int, outDir string) int {
-	rep, err := diag.Bisect(context.Background(), a, b, diag.Options{})
+	rep, err := diag.Bisect(context.Background(), a, b)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"runtime/debug"
 
 	"nomad/internal/cliflags"
+	"nomad/internal/harness"
 	"nomad/internal/mem"
 	"nomad/internal/metrics"
 	"nomad/internal/obs"
@@ -63,7 +65,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown workload %q (use -list)\n", *wl)
 		os.Exit(2)
 	}
-	cfg := system.DefaultConfig()
+	opts := harness.Options{Parallelism: 1, Telemetry: cf.Telemetry(), Tracker: cf.StartObs(logger)}
+	if *progress {
+		opts.Progress = func(string) func(system.Progress) {
+			return system.ProgressPrinter(os.Stderr, sp.Abbr)
+		}
+	}
+	cfg := opts.BaseConfig()
 	cfg.Scheme = system.SchemeName(*scheme)
 	if *cores > 0 {
 		cfg.Cores = *cores
@@ -85,36 +93,15 @@ func main() {
 		cfg.Seed = *seed
 	}
 	cfg.Frontend.CacheTouchThreshold = *touch
-	cf.ApplySystem(&cfg)
-	tracker := cf.StartObs(logger)
 
-	m, err := system.New(cfg, sp)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	man := obs.NewManifest(cfg, sp)
+	// The key is also the run's name on the -http tracker's /runs.
 	key := *scheme + "/" + sp.Abbr
-	h := tracker.Start(key, man) // nil-safe: nil tracker, nil handle
-	if *progress || h != nil {
-		var printFn func(system.Progress)
-		if *progress {
-			printFn = system.ProgressPrinter(os.Stderr, sp.Abbr)
-		}
-		reg := m.Metrics()
-		m.SetProgress(func(p system.Progress) {
-			if printFn != nil {
-				printFn(p)
-			}
-			h.Observe(p, reg)
-		})
-	}
-	r, err := m.Run()
-	h.Finish()
+	results, err := harness.Execute(context.Background(), opts, []harness.Run{{Key: key, Cfg: cfg, Spec: sp}})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	r, man := results[key].Result, results[key].Manifest
 
 	if t := r.Metrics.Trace; t != nil {
 		if t.EventsDropped > 0 {
@@ -133,7 +120,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		run := metrics.PerfettoRun{Name: *scheme + "/" + sp.Abbr, Dump: r.Trace}
+		run := metrics.PerfettoRun{Name: key, Dump: r.Trace}
 		if err := metrics.WritePerfetto(f, run); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -207,8 +194,11 @@ func main() {
 		}
 		fmt.Printf("  ddr %-10s     %.2f GB/s\n", mem.Kind(k), float64(r.DDRBytesByKind[k])/r.Seconds/1e9)
 	}
-	if tid, ok := m.Scheme().(*schemes.TiD); ok {
-		ts := tid.TiDStats()
+	if r.Scheme == system.SchemeTiD {
+		c := r.Metrics.Counters
+		ts := schemes.TiDStats{Hits: c["scheme.tid.hits"], Misses: c["scheme.tid.misses"],
+			Coalesced: c["scheme.tid.coalesced"], Writebacks: c["scheme.tid.writebacks"],
+			MSHRStalls: c["scheme.tid.mshr_stalls"]}
 		fmt.Printf("tid                 hits %d misses %d (rate %.1f%%) coalesced %d wb %d mshrStalls %d\n",
 			ts.Hits, ts.Misses, 100*ts.MissRate(), ts.Coalesced, ts.Writebacks, ts.MSHRStalls)
 	}

@@ -5,61 +5,15 @@ import (
 
 	"nomad/internal/core"
 	"nomad/internal/osmem"
-	"nomad/internal/sim"
 	"nomad/internal/system"
 )
 
-// maxRingDepth bounds Telemetry.TraceDepth and Telemetry.SpanDepth: the
-// rings are allocated whole when the machine is built, and 1<<20 records
-// (tens of MB) is 16 times the event depth the CLIs' -trace uses.
-const maxRingDepth = 1 << 20
-
-// Telemetry groups the observability knobs of a simulation. The zero value
-// disables all capture, which is the right setting for plain measurement
-// runs — every knob here costs some throughput when enabled.
-type Telemetry struct {
-	// TraceDepth, when positive, records the last TraceDepth machine
-	// events (tag misses, PCSHR fills/writebacks, row conflicts) of the
-	// ROI. A run with capture enabled exposes it through Result.WriteTrace
-	// and summarises it in Snapshot.Trace. At most 1<<20.
-	TraceDepth int
-	// SpanDepth, when positive, records per-access latency spans for
-	// 1-in-SpanSampleEvery loads per core into a ring of this many spans.
-	// At most 1<<20.
-	SpanDepth int
-	// SpanSampleEvery is the span sampling period in loads; 0 samples
-	// 1 in 64.
-	SpanSampleEvery uint64
-	// Timeline enables interval time-series telemetry: every
-	// TimelineInterval cycles of the measured region (default 100k), a set
-	// of registry metrics — per-core IPC, DC hit rate, PCSHR occupancy
-	// high-water, HBM/DDR bandwidth by category, row-buffer conflict rate,
-	// MSHR occupancy — is snapshotted into windowed columns, exposed via
-	// Result.Timeline(), Snapshot.Timeline, and (with WriteTrace) Perfetto
-	// counter tracks. The first window starts exactly at ROI cycle 0 and
-	// the capture is deterministic: same-seed runs marshal byte-identical
-	// timelines.
-	Timeline bool
-	// TimelineInterval is the window length in cycles; 0 selects 100_000.
-	TimelineInterval uint64
-	// TimelineMetrics restricts the collected columns to names matching
-	// these prefixes (e.g. "core.", "hbm.gbs."); empty collects all.
-	TimelineMetrics []string
-	// Digests enables interval digest chains: every TimelineInterval
-	// cycles of the measured region (default 100k), a chained FNV-1a
-	// digest of the full metrics registry is folded into
-	// Snapshot.Digests / Result.Digests(). Chains are byte-identical
-	// same-seed across engines and fast-forward modes; the first window
-	// whose digests differ between two runs localizes their divergence.
-	// The capture is orders of magnitude cheaper than Timeline — one hash
-	// per 100k cycles.
-	Digests bool
-	// SelfProfile samples the simulator's own host-side performance —
-	// wall-clock simulated-cycles/sec, events/sec, heap-in-use, GC pauses
-	// — into Result.Host(). Host readings are inherently non-deterministic
-	// and are never part of the metrics snapshot.
-	SelfProfile bool
-}
+// Telemetry groups the observability knobs of a simulation: event and span
+// traces, the interval timeline, digest chains and self-profiling. The zero
+// value disables all capture. A run with trace capture exposes it through
+// Result.WriteTrace, the timeline through Result.Timeline, the digest chain
+// through Result.Digests and the host profile through Result.Host.
+type Telemetry = system.Telemetry
 
 // Config parameterises a simulation. The zero value (plus a Scheme) selects
 // the paper's evaluation configuration at the scaled capacities documented
@@ -118,8 +72,8 @@ func DefaultConfig() Config {
 		ROIInstructions:    1_200_000,
 		Seed:               1,
 		Telemetry: Telemetry{
-			SpanSampleEvery:  64,
-			TimelineInterval: 100_000,
+			SpanSampleEvery: 64,
+			Interval:        100_000,
 		},
 	}
 }
@@ -167,17 +121,8 @@ func (c Config) Validate() *Error {
 	if c.VerifyLatency > icfg.MaxCycles {
 		return c.validationError("verify latency of %d cycles exceeds the run limit of %d", c.VerifyLatency, icfg.MaxCycles)
 	}
-	if c.Telemetry.TraceDepth < 0 {
-		return c.validationError("negative trace depth")
-	}
-	if c.Telemetry.TraceDepth > maxRingDepth {
-		return c.validationError("trace depth %d exceeds the limit of %d", c.Telemetry.TraceDepth, maxRingDepth)
-	}
-	if c.Telemetry.SpanDepth < 0 {
-		return c.validationError("negative span depth")
-	}
-	if c.Telemetry.SpanDepth > maxRingDepth {
-		return c.validationError("span depth %d exceeds the limit of %d", c.Telemetry.SpanDepth, maxRingDepth)
+	if err := c.Telemetry.Validate(); err != nil {
+		return c.validationError("%w", err)
 	}
 	return nil
 }
@@ -218,20 +163,6 @@ func (c Config) toInternal() system.Config {
 	if c.Seed > 0 {
 		cfg.Seed = c.Seed
 	}
-	tel := c.Telemetry
-	cfg.TraceDepth = tel.TraceDepth
-	cfg.SpanDepth = tel.SpanDepth
-	cfg.SpanSampleEvery = tel.SpanSampleEvery
-	if cfg.SpanSampleEvery == 0 {
-		cfg.SpanSampleEvery = system.DefaultSpanSampleEvery
-	}
-	cfg.Timeline = tel.Timeline
-	cfg.Interval = tel.TimelineInterval
-	if cfg.Interval == 0 {
-		cfg.Interval = sim.DefaultInterval
-	}
-	cfg.TimelineMetrics = tel.TimelineMetrics
-	cfg.Digests = tel.Digests
-	cfg.SelfProfile = tel.SelfProfile
+	cfg.Telemetry = c.Telemetry.Resolved()
 	return cfg
 }

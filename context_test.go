@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"nomad/internal/system"
 )
 
 func TestRunContextCancellation(t *testing.T) {
@@ -179,6 +181,19 @@ func TestRunExperimentResultStructured(t *testing.T) {
 	}
 	if text.Len() == 0 {
 		t.Fatal("empty text rendering")
+	}
+}
+
+// TestRunExperimentResultRejectsBadTelemetry: out-of-range ring depths fail
+// with the typed validate error before any run starts, under the bounds
+// Config.Validate applies.
+func TestRunExperimentResultRejectsBadTelemetry(t *testing.T) {
+	for _, tel := range []Telemetry{{TraceDepth: -1}, {SpanDepth: system.MaxRingDepth + 1}} {
+		res, err := RunExperimentResult(context.Background(), "replacement", ExperimentOptions{Telemetry: tel})
+		var e *Error
+		if !errors.As(err, &e) || e.Op != "validate" || res != nil {
+			t.Errorf("%+v: got (%v, %v), want a *nomad.Error with Op validate", tel, res != nil, err)
+		}
 	}
 }
 

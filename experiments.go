@@ -27,24 +27,10 @@ type ExperimentOptions struct {
 	// Log receives verbose progress output. Nil discards it, except under
 	// RunExperiment, which defaults Log to its output writer.
 	Log io.Writer
-	// TraceDepth/SpanDepth/SpanSampleEvery enable event and span capture
-	// in every underlying run (see Config); each run's Result then
-	// supports WriteTrace.
-	TraceDepth      int
-	SpanDepth       int
-	SpanSampleEvery uint64
-	// Timeline enables interval time-series capture in every underlying run
-	// (see Config.Telemetry.Timeline); TimelineInterval and TimelineMetrics
-	// carry the same meaning as their Config.Telemetry counterparts.
-	Timeline         bool
-	TimelineInterval uint64
-	TimelineMetrics  []string
-	// Digests enables interval digest chains in every underlying run (see
-	// Telemetry.Digests).
-	Digests bool
-	// SelfProfile attaches host-side simulator profiling to every run
-	// (Result.Host).
-	SelfProfile bool
+	// Telemetry enables capture in every underlying run, with the meaning
+	// it has in Config and the same bounds, which RunExperimentResult
+	// checks before any run starts.
+	Telemetry
 }
 
 // Experiments lists every reproducible table and figure.
@@ -105,23 +91,19 @@ func RunExperimentResult(ctx context.Context, id string, opts ExperimentOptions)
 	if !ok {
 		return nil, fmt.Errorf("nomad: unknown experiment %q", id)
 	}
+	if err := opts.Telemetry.Validate(); err != nil {
+		return nil, &Error{Op: "validate", Err: err}
+	}
 	var logger *slog.Logger
 	if opts.Log != nil {
 		logger = slog.New(slog.NewTextHandler(opts.Log, nil))
 	}
 	rep, err := e.Run(ctx, harness.Options{
-		Fast:            opts.Fast,
-		Parallelism:     opts.Parallelism,
-		Verbose:         opts.Verbose,
-		Logger:          logger,
-		TraceDepth:      opts.TraceDepth,
-		SpanDepth:       opts.SpanDepth,
-		SpanSampleEvery: opts.SpanSampleEvery,
-		Timeline:        opts.Timeline,
-		Interval:        opts.TimelineInterval,
-		TimelineMetrics: opts.TimelineMetrics,
-		Digests:         opts.Digests,
-		SelfProfile:     opts.SelfProfile,
+		Fast:        opts.Fast,
+		Parallelism: opts.Parallelism,
+		Verbose:     opts.Verbose,
+		Logger:      logger,
+		Telemetry:   opts.Telemetry,
 	})
 	if err != nil {
 		return nil, err
@@ -160,7 +142,7 @@ func fromReport(rep *harness.Report) *ExperimentResult {
 		out.Runs = make(map[string]*Result, len(rep.Runs))
 		for k, r := range rep.Runs {
 			res := fromInternal(r.Result)
-			res.manifest = fromObsManifest(r.Manifest)
+			res.manifest = r.Manifest
 			out.Runs[k] = res
 		}
 	}

@@ -12,34 +12,21 @@ import (
 	"net"
 	"strings"
 
-	"nomad/internal/harness"
 	"nomad/internal/obs"
 	"nomad/internal/system"
 )
 
-// Trace capture depths used when -trace is given: large enough that a short
-// ROI fits without wrapping, small enough to keep memory per run modest.
-const (
-	TraceEventDepth = 1 << 16
-	TraceSpanDepth  = 1 << 15
-)
-
-// Common holds the parsed shared flags. Each CLI applies the subset that is
-// meaningful to it through the Apply helpers; parsing is identical
-// everywhere.
+// Common holds the parsed shared flags. Each CLI reads the subset that is
+// meaningful to it; parsing is identical everywhere.
 type Common struct {
-	// Timeline, Interval, TimelineMetrics configure interval time-series
-	// capture (-timeline, -interval, -timeline-metrics).
-	Timeline        bool
-	Interval        uint64
-	TimelineMetrics string
-	// Digests enables interval digest-chain capture (-digests).
-	Digests bool
+	// tel receives -timeline, -interval, -digests and -profile; Telemetry
+	// adds the -timeline-metrics and -trace selections.
+	tel system.Telemetry
+	// metrics is the raw -timeline-metrics list.
+	metrics string
 	// Trace is the Perfetto output path (-trace); a non-empty value also
-	// enables event/span capture at the standard depths.
+	// enables event/span capture at system.TraceCapture's depths.
 	Trace string
-	// Profile enables host-side self-profiling (-profile).
-	Profile bool
 	// Format selects the output rendering (-format); each CLI validates
 	// it against its supported set with CheckFormat.
 	Format string
@@ -55,12 +42,12 @@ type Common struct {
 // values land in. Call before fs.Parse.
 func Register(fs *flag.FlagSet) *Common {
 	c := &Common{}
-	fs.BoolVar(&c.Timeline, "timeline", false, "capture interval time-series telemetry (per-window IPC, hit rates, bandwidth)")
-	fs.Uint64Var(&c.Interval, "interval", 0, "timeline/progress window in cycles (0 = 100000)")
-	fs.StringVar(&c.TimelineMetrics, "timeline-metrics", "", "comma-separated name prefixes restricting timeline columns (e.g. core.,hbm.gbs.)")
-	fs.BoolVar(&c.Digests, "digests", false, "capture interval digest chains (per-window chained registry digests; compare runs with nomaddiff)")
+	fs.BoolVar(&c.tel.Timeline, "timeline", false, "capture interval time-series telemetry (per-window IPC, hit rates, bandwidth)")
+	fs.Uint64Var(&c.tel.Interval, "interval", 0, "timeline/progress window in cycles (0 = 100000)")
+	fs.StringVar(&c.metrics, "timeline-metrics", "", "comma-separated name prefixes restricting timeline columns (e.g. core.,hbm.gbs.)")
+	fs.BoolVar(&c.tel.Digests, "digests", false, "capture interval digest chains (per-window chained registry digests; compare runs with nomaddiff)")
 	fs.StringVar(&c.Trace, "trace", "", "write a Perfetto trace to this file (open at ui.perfetto.dev)")
-	fs.BoolVar(&c.Profile, "profile", false, "self-profile the simulator (wall-clock cycles/sec, heap, GC pauses)")
+	fs.BoolVar(&c.tel.SelfProfile, "profile", false, "self-profile the simulator (wall-clock cycles/sec, heap, GC pauses)")
 	fs.StringVar(&c.Format, "format", "text", "output format")
 	fs.StringVar(&c.HTTP, "http", "", "serve live introspection on this address (e.g. :6060): /metrics, /runs, /runs/{key}/timeline, /debug/pprof")
 	fs.StringVar(&c.LogFormat, "log-format", "text", "structured log format for warnings and progress: text or json")
@@ -87,39 +74,17 @@ func (c *Common) Check(formats ...string) error {
 	return fmt.Errorf("unknown format %q; use %s", c.Format, strings.Join(formats, ", "))
 }
 
-// Metrics returns the -timeline-metrics prefixes, nil when unset.
-func (c *Common) Metrics() []string {
-	if c.TimelineMetrics == "" {
-		return nil
+// Telemetry returns the run telemetry the flags select; -trace turns on
+// event and span capture at system.TraceCapture's depths.
+func (c *Common) Telemetry() system.Telemetry {
+	t := c.tel
+	if c.metrics != "" {
+		t.TimelineMetrics = strings.Split(c.metrics, ",")
 	}
-	return strings.Split(c.TimelineMetrics, ",")
-}
-
-// ApplySystem writes the shared knobs into a system.Config (cmd/nomadsim).
-func (c *Common) ApplySystem(cfg *system.Config) {
 	if c.Trace != "" {
-		cfg.TraceDepth = TraceEventDepth
-		cfg.SpanDepth = TraceSpanDepth
+		t.TraceDepth, t.SpanDepth = system.TraceCapture()
 	}
-	cfg.Timeline = c.Timeline
-	cfg.Interval = c.Interval
-	cfg.TimelineMetrics = c.Metrics()
-	cfg.Digests = c.Digests
-	cfg.SelfProfile = c.Profile
-}
-
-// ApplyOptions writes the shared knobs into harness.Options
-// (cmd/experiments).
-func (c *Common) ApplyOptions(o *harness.Options) {
-	if c.Trace != "" {
-		o.TraceDepth = TraceEventDepth
-		o.SpanDepth = TraceSpanDepth
-	}
-	o.Timeline = c.Timeline
-	o.Interval = c.Interval
-	o.TimelineMetrics = c.Metrics()
-	o.Digests = c.Digests
-	o.SelfProfile = c.Profile
+	return t
 }
 
 // Logger builds the host-side structured logger writing to w in the

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"flag"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
-	"nomad/internal/harness"
 	"nomad/internal/system"
 )
 
@@ -25,10 +25,10 @@ func parse(t *testing.T, args ...string) *Common {
 
 func TestDefaults(t *testing.T) {
 	c := parse(t)
-	if c.Timeline || c.Interval != 0 || c.TimelineMetrics != "" || c.Trace != "" {
-		t.Errorf("timeline defaults wrong: %+v", c)
+	if tel := c.Telemetry(); !reflect.DeepEqual(tel, system.Telemetry{}) || c.Trace != "" {
+		t.Errorf("telemetry defaults wrong: %+v, trace %q", tel, c.Trace)
 	}
-	if c.Profile || c.HTTP != "" {
+	if c.HTTP != "" {
 		t.Errorf("host defaults wrong: %+v", c)
 	}
 	if c.Format != "text" || c.LogFormat != "text" {
@@ -89,26 +89,32 @@ func TestFormatValidation(t *testing.T) {
 }
 
 func TestTraceEnablesCapture(t *testing.T) {
-	c := parse(t, "-trace", "out.json")
-	var cfg system.Config
-	c.ApplySystem(&cfg)
-	if cfg.TraceDepth != TraceEventDepth || cfg.SpanDepth != TraceSpanDepth {
-		t.Errorf("-trace did not set capture depths: %+v", cfg)
+	tel := parse(t, "-trace", "out.json").Telemetry()
+	events, spans := system.TraceCapture()
+	if events <= 0 || spans <= 0 || tel.TraceDepth != events || tel.SpanDepth != spans {
+		t.Errorf("-trace did not set capture depths %d/%d: %+v", events, spans, tel)
 	}
-	var o harness.Options
-	c.ApplyOptions(&o)
-	if o.TraceDepth != TraceEventDepth || o.SpanDepth != TraceSpanDepth {
-		t.Errorf("-trace did not set harness capture depths: %+v", o)
+	if err := tel.Validate(); err != nil {
+		t.Errorf("-trace capture depths out of range: %v", err)
+	}
+}
+
+// TestTelemetryFlags: each shared telemetry flag lands in its knob.
+func TestTelemetryFlags(t *testing.T) {
+	got := parse(t, "-timeline", "-interval", "5000", "-digests", "-profile").Telemetry()
+	want := system.Telemetry{Timeline: true, Interval: 5000, Digests: true, SelfProfile: true}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Telemetry() = %+v, want %+v", got, want)
 	}
 }
 
 func TestMetricsSplit(t *testing.T) {
-	if m := parse(t).Metrics(); m != nil {
+	if m := parse(t).Telemetry().TimelineMetrics; m != nil {
 		t.Errorf("unset -timeline-metrics = %v, want nil", m)
 	}
-	m := parse(t, "-timeline-metrics", "core.,hbm.gbs.").Metrics()
+	m := parse(t, "-timeline-metrics", "core.,hbm.gbs.").Telemetry().TimelineMetrics
 	if len(m) != 2 || m[0] != "core." || m[1] != "hbm.gbs." {
-		t.Errorf("Metrics() = %v", m)
+		t.Errorf("TimelineMetrics = %v", m)
 	}
 }
 

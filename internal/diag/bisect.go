@@ -16,20 +16,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"log/slog"
 
 	"nomad/internal/harness"
 	"nomad/internal/metrics"
 	"nomad/internal/system"
 	"nomad/internal/workload"
-)
-
-// Default trace depths for the bisection replay, matching the CLIs' -trace
-// capture depths: deep enough that one interval window fits without the
-// event ring wrapping.
-const (
-	DefaultTraceDepth = 1 << 16
-	DefaultSpanDepth  = 1 << 15
 )
 
 // RunSpec names one side of a bisection: a config and workload to execute.
@@ -38,34 +29,6 @@ type RunSpec struct {
 	Key  string
 	Cfg  system.Config
 	Spec workload.Spec
-}
-
-// Options tunes Bisect.
-type Options struct {
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS); each pass
-	// runs its two simulations through the harness pool.
-	Parallelism int
-	// TraceDepth/SpanDepth size the event and span rings of the replay pass
-	// (0 = DefaultTraceDepth/DefaultSpanDepth).
-	TraceDepth int
-	SpanDepth  int
-	// Logger receives host-side progress (pass boundaries, localization);
-	// nil discards it.
-	Logger *slog.Logger
-}
-
-func (o Options) traceDepth() int {
-	if o.TraceDepth > 0 {
-		return o.TraceDepth
-	}
-	return DefaultTraceDepth
-}
-
-func (o Options) spanDepth() int {
-	if o.SpanDepth > 0 {
-		return o.SpanDepth
-	}
-	return DefaultSpanDepth
 }
 
 // Report is the outcome of a bisection.
@@ -97,13 +60,12 @@ type Report struct {
 // results. Keys are prefixed so identical spec keys (same config diffed
 // against itself, or A/B differing only in Config fields outside the key)
 // cannot collide in the harness results map.
-func execPair(ctx context.Context, a, b RunSpec, opts Options) (ra, rb *harness.RunResult, err error) {
-	hopts := harness.Options{Parallelism: opts.Parallelism, Logger: opts.Logger}
+func execPair(ctx context.Context, a, b RunSpec) (ra, rb *harness.RunResult, err error) {
 	runs := []harness.Run{
 		{Key: "A/" + a.Key, Cfg: a.Cfg, Spec: a.Spec},
 		{Key: "B/" + b.Key, Cfg: b.Cfg, Spec: b.Spec},
 	}
-	results, err := harness.Execute(ctx, hopts, runs)
+	results, err := harness.Execute(ctx, harness.Options{}, runs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -154,17 +116,14 @@ func perfetto(name string, r *harness.RunResult) ([]byte, error) {
 //
 // Both passes honor ctx; cancellation surfaces as the harness's context
 // error.
-func Bisect(ctx context.Context, a, b RunSpec, opts Options) (*Report, error) {
+func Bisect(ctx context.Context, a, b RunSpec) (*Report, error) {
 	rep := &Report{KeyA: a.Key, KeyB: b.Key}
 
 	// Pass 1: full runs with the localization captures on.
 	fa, fb := a, b
 	fa.Cfg.Digests, fa.Cfg.Timeline = true, true
 	fb.Cfg.Digests, fb.Cfg.Timeline = true, true
-	if opts.Logger != nil {
-		opts.Logger.Info("bisect pass 1: full runs with digest chains", "a", a.Key, "b", b.Key)
-	}
-	ra, rb, err := execPair(ctx, fa, fb, opts)
+	ra, rb, err := execPair(ctx, fa, fb)
 	if err != nil {
 		return nil, err
 	}
@@ -172,9 +131,6 @@ func Bisect(ctx context.Context, a, b RunSpec, opts Options) (*Report, error) {
 	rep.Digests = rep.Full.Digests
 	if rep.Digests.Identical() {
 		rep.Identical = true
-		if opts.Logger != nil {
-			opts.Logger.Info("bisect: digest chains identical", "windows", rep.Digests.WindowsA)
-		}
 		return rep, nil
 	}
 	i := rep.Digests.FirstDivergent
@@ -192,14 +148,9 @@ func Bisect(ctx context.Context, a, b RunSpec, opts Options) (*Report, error) {
 	pa, pb := fa, fb
 	for _, cfg := range []*system.Config{&pa.Cfg, &pb.Cfg} {
 		cfg.ROICycleLimit = stop
-		cfg.TraceDepth = opts.traceDepth()
-		cfg.SpanDepth = opts.spanDepth()
+		cfg.TraceDepth, cfg.SpanDepth = system.TraceCapture()
 	}
-	if opts.Logger != nil {
-		opts.Logger.Info("bisect pass 2: traced replay of divergent prefix",
-			"window", i, "window_start", rep.Digests.WindowStart, "window_end", stop)
-	}
-	ca, cb, err := execPair(ctx, pa, pb, opts)
+	ca, cb, err := execPair(ctx, pa, pb)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func testSpecRun(seed uint64) RunSpec {
 // interval, produce window deltas and a cutoff diff, and emit two non-empty
 // Perfetto traces of the prefix.
 func TestBisectLocalizesDivergence(t *testing.T) {
-	rep, err := Bisect(context.Background(), testSpecRun(1), testSpecRun(2), Options{})
+	rep, err := Bisect(context.Background(), testSpecRun(1), testSpecRun(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestBisectLocalizesDivergence(t *testing.T) {
 // TestBisectIdentical: the same spec against itself short-circuits after
 // pass 1 with no replay artifacts.
 func TestBisectIdentical(t *testing.T) {
-	rep, err := Bisect(context.Background(), testSpecRun(1), testSpecRun(1), Options{})
+	rep, err := Bisect(context.Background(), testSpecRun(1), testSpecRun(1))
 	if err != nil {
 		t.Fatal(err)
 	}

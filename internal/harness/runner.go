@@ -36,26 +36,10 @@ type Options struct {
 	// nil discards it. Host-side only: nothing logged here derives from or
 	// feeds back into simulation state.
 	Logger *slog.Logger
-	// TraceDepth/SpanDepth, when positive, enable the typed event-trace
-	// ring and per-access latency spans in every run (see system.Config);
-	// each Result then carries a Trace dump for Perfetto export.
-	TraceDepth int
-	SpanDepth  int
-	// SpanSampleEvery overrides the span sampling period (0 = default).
-	SpanSampleEvery uint64
-	// Timeline enables interval time-series capture in every run; Interval
-	// overrides the window length in cycles (0 = sim.DefaultInterval) and
-	// TimelineMetrics restricts the collected columns by name prefix.
-	Timeline        bool
-	Interval        uint64
-	TimelineMetrics []string
-	// Digests enables interval digest chains in every run (see
-	// system.Config.Digests): one chained registry digest per interval
-	// window, for run comparison and divergence localization.
-	Digests bool
-	// SelfProfile attaches host-side simulator profiling to every run
-	// (Result.Host). Host readings are non-deterministic.
-	SelfProfile bool
+	// Telemetry enables capture in every run (see system.Telemetry); each
+	// Result then carries the trace dump, timeline, digest chain or host
+	// profile it asks for.
+	system.Telemetry
 	// Progress, when non-nil, is called once per run with its key and must
 	// return a Machine.SetProgress callback (or nil). Callbacks fire on
 	// worker goroutines; system.ProgressPrinter returns a suitable one.
@@ -74,21 +58,15 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// BaseConfig returns the evaluation configuration, scaled down when fast.
+// BaseConfig returns the evaluation configuration, scaled down when fast,
+// carrying the options' telemetry.
 func (o Options) BaseConfig() system.Config {
 	cfg := system.DefaultConfig()
 	if o.Fast {
 		cfg.WarmupInstructions = 300_000
 		cfg.ROIInstructions = 400_000
 	}
-	cfg.TraceDepth = o.TraceDepth
-	cfg.SpanDepth = o.SpanDepth
-	cfg.SpanSampleEvery = o.SpanSampleEvery
-	cfg.Timeline = o.Timeline
-	cfg.Interval = o.Interval
-	cfg.TimelineMetrics = o.TimelineMetrics
-	cfg.Digests = o.Digests
-	cfg.SelfProfile = o.SelfProfile
+	cfg.Telemetry = o.Telemetry
 	return cfg
 }
 

@@ -110,10 +110,12 @@ func buildStamp() BuildStamp {
 	return stamp
 }
 
-// NewManifest computes the manifest of one run from its resolved
-// configuration and workload. It never runs a simulation; call it before,
-// after, or instead of one.
+// NewManifest computes the manifest of one run from its configuration and
+// workload. It never runs a simulation; call it before, after, or instead
+// of one. It hashes the telemetry defaults resolved as system.New resolves
+// them, so a zero Interval and an explicit 100k address the same run.
 func NewManifest(cfg system.Config, spec workload.Spec) *Manifest {
+	cfg.Telemetry = cfg.Telemetry.Resolved()
 	// Zero the result-neutral knob so equivalent runs collide on purpose:
 	// profiling on and off produce byte-identical snapshots.
 	cfg.SelfProfile = false

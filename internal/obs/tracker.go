@@ -35,41 +35,24 @@ type RunTracker struct {
 	// survives eviction, active never depends on map size.
 	active    uint64
 	completed uint64
-	retain    int
 }
 
-// DefaultCompletedRetention bounds how many completed runs a tracker keeps
-// by default. Long-lived servers register a run per simulation forever; the
-// status lines (and, between Observe throttles, registry snapshots) of
-// ancient runs are pure leak, so only the most recent completions stay
-// addressable.
+// DefaultCompletedRetention bounds how many completed runs a tracker keeps.
+// Long-lived servers register a run per simulation forever; the status
+// lines (and, between Observe throttles, registry snapshots) of ancient runs
+// are pure leak, so only the most recent completions stay addressable.
+// Active runs are never evicted.
 const DefaultCompletedRetention = 64
 
 // NewRunTracker returns an empty tracker retaining the last
 // DefaultCompletedRetention completed runs.
 func NewRunTracker() *RunTracker {
-	return &RunTracker{runs: map[string]*RunHandle{}, retain: DefaultCompletedRetention}
-}
-
-// SetRetention bounds retained completed runs to the last k, evicting
-// oldest-first immediately and on every later Finish. k < 0 disables
-// eviction. Active runs are never evicted.
-func (t *RunTracker) SetRetention(k int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.retain = k
-	t.evictLocked()
+	return &RunTracker{runs: map[string]*RunHandle{}}
 }
 
 // evictLocked drops the oldest completed runs beyond the retention bound.
 func (t *RunTracker) evictLocked() {
-	if t.retain < 0 {
-		return
-	}
-	for len(t.finished) > t.retain {
+	for len(t.finished) > DefaultCompletedRetention {
 		key := t.finished[0]
 		t.finished = t.finished[1:]
 		delete(t.runs, key)

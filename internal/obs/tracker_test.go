@@ -8,25 +8,29 @@ import (
 	"nomad/internal/system"
 )
 
-// TestTrackerEviction: completed runs beyond the retention bound are evicted
-// oldest-first, active runs are never evicted, and Counts stays consistent
-// (active by explicit counter, completed cumulative across evictions).
+// TestTrackerEviction: completed runs beyond DefaultCompletedRetention are
+// evicted oldest-first, active runs are never evicted, and Counts stays
+// consistent (active by explicit counter, completed cumulative across
+// evictions).
 func TestTrackerEviction(t *testing.T) {
 	tr := NewRunTracker()
-	tr.SetRetention(3)
 	live := tr.Start("live", nil)
-	for i := 0; i < 10; i++ {
+	const extra = 7
+	n := DefaultCompletedRetention + extra
+	for i := 0; i < n; i++ {
 		tr.Start(fmt.Sprintf("r%d", i), nil).Finish()
 	}
-	if active, completed := tr.Counts(); active != 1 || completed != 10 {
-		t.Fatalf("Counts() = (%d, %d), want (1, 10)", active, completed)
+	if active, completed := tr.Counts(); active != 1 || completed != uint64(n) {
+		t.Fatalf("Counts() = (%d, %d), want (1, %d)", active, completed, n)
 	}
-	st := tr.Statuses()
 	var keys []string
-	for _, s := range st {
+	for _, s := range tr.Statuses() {
 		keys = append(keys, s.Key)
 	}
-	want := []string{"live", "r7", "r8", "r9"}
+	want := []string{"live"}
+	for i := extra; i < n; i++ {
+		want = append(want, fmt.Sprintf("r%d", i))
+	}
 	if len(keys) != len(want) {
 		t.Fatalf("retained keys = %v, want %v", keys, want)
 	}
@@ -35,15 +39,15 @@ func TestTrackerEviction(t *testing.T) {
 			t.Fatalf("retained keys = %v, want %v", keys, want)
 		}
 	}
-	if tr.Handle("r0") != nil {
+	if tr.Handle("r0") != nil || tr.Handle(fmt.Sprintf("r%d", extra-1)) != nil {
 		t.Error("evicted run still addressable")
 	}
 	if tr.Handle("live") == nil {
 		t.Error("active run evicted")
 	}
 	live.Finish()
-	if active, completed := tr.Counts(); active != 0 || completed != 11 {
-		t.Fatalf("Counts() after final Finish = (%d, %d), want (0, 11)", active, completed)
+	if active, completed := tr.Counts(); active != 0 || completed != uint64(n)+1 {
+		t.Fatalf("Counts() after final Finish = (%d, %d), want (0, %d)", active, completed, n+1)
 	}
 }
 
@@ -64,27 +68,6 @@ func TestTrackerDoubleFinish(t *testing.T) {
 	b.Finish()
 	if active, completed := tr.Counts(); active != 0 || completed != 2 {
 		t.Fatalf("Counts() = (%d, %d), want (0, 2)", active, completed)
-	}
-}
-
-// TestTrackerRetentionTightening: lowering the bound evicts immediately, and
-// a negative bound disables eviction.
-func TestTrackerRetentionTightening(t *testing.T) {
-	tr := NewRunTracker()
-	tr.SetRetention(-1)
-	for i := 0; i < 5; i++ {
-		tr.Start(fmt.Sprintf("r%d", i), nil).Finish()
-	}
-	if got := len(tr.Statuses()); got != 5 {
-		t.Fatalf("unlimited retention kept %d runs, want 5", got)
-	}
-	tr.SetRetention(1)
-	st := tr.Statuses()
-	if len(st) != 1 || st[0].Key != "r4" {
-		t.Fatalf("tightened retention kept %+v, want just r4", st)
-	}
-	if _, completed := tr.Counts(); completed != 5 {
-		t.Fatalf("completed = %d after eviction, want cumulative 5", completed)
 	}
 }
 

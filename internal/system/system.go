@@ -68,34 +68,10 @@ type Config struct {
 	MaxCycles uint64
 	Seed      uint64
 
-	// TraceDepth, when positive, enables the typed event-trace ring
-	// buffer with that many entries.
-	TraceDepth int
-	// SpanDepth, when positive, enables per-access latency spans: 1 in
-	// SpanSampleEvery loads per core is followed from issue to data
-	// return, each hop recorded into a ring of this many spans.
-	SpanDepth int
-	// SpanSampleEvery is the span sampling period in loads (deterministic,
-	// by per-core load sequence number); 0 selects DefaultSpanSampleEvery.
-	SpanSampleEvery uint64
-
-	// Timeline enables interval time-series telemetry: every Interval
-	// cycles of the measured region, a configurable set of registry
-	// metrics is snapshotted into windowed columns (Snapshot.Timeline).
-	// The first window starts exactly at the ROI boundary.
-	Timeline bool
-	// Interval is the interval-hook period in cycles, used by the timeline
-	// and progress reporting; 0 selects sim.DefaultInterval (100k).
-	Interval uint64
-	// TimelineMetrics restricts collected timeline columns to names
-	// matching these prefixes; empty collects the full default set.
-	TimelineMetrics []string
-	// Digests enables interval digest chains: every Interval cycles of the
-	// measured region, a chained FNV-1a digest of the full registry is
-	// folded into Snapshot.Digests. Chains are byte-identical across
-	// engines and fast-forward modes, same-seed, and localize a divergence
-	// between two runs to one interval window (see internal/diag).
-	Digests bool
+	// Telemetry holds the observability knobs (traces, spans, timeline,
+	// digests, self-profiling); New validates it and fills in its
+	// defaults.
+	Telemetry
 	// ROICycleLimit, when positive, ends the measured region successfully
 	// after exactly this many ROI cycles even if the retirement target has
 	// not been reached. Because the engine lands on the limit cycle
@@ -103,16 +79,7 @@ type Config struct {
 	// snapshot is a deterministic prefix of the full run's — the replay
 	// knob diag.Bisect uses to re-run just up to a divergent window.
 	ROICycleLimit uint64
-	// SelfProfile attaches a host-side profiler to the run: wall-clock
-	// simulated-cycles/sec, events/sec, heap-in-use, and GC pauses, in
-	// Result.Host. Host readings are inherently non-deterministic, so this
-	// is off by default and never part of the metrics snapshot.
-	SelfProfile bool
 }
-
-// DefaultSpanSampleEvery is the span sampling period used when
-// Config.SpanSampleEvery is zero: 1 in 64 loads.
-const DefaultSpanSampleEvery = 64
 
 // DefaultConfig returns the Table II-derived evaluation configuration at the
 // scaled capacities documented in DESIGN.md: 8 cores, 32 KB L1 / 256 KB L2 /
@@ -295,6 +262,10 @@ func newMachine(cfg Config, spec workload.Spec, opts ...sim.Option) (*Machine, e
 	if cfg.Backend.PCSHRs > core.MaxPCSHRs {
 		return nil, fmt.Errorf("system: %d PCSHRs exceed the limit of %d", cfg.Backend.PCSHRs, core.MaxPCSHRs)
 	}
+	if err := cfg.Telemetry.Validate(); err != nil {
+		return nil, fmt.Errorf("system: %w", err)
+	}
+	cfg.Telemetry = cfg.Telemetry.Resolved()
 	m := &Machine{cfg: cfg, workload: spec.Abbr, eng: sim.New(opts...)}
 	m.hbm = dram.New(m.eng, cfg.HBM)
 	m.ddr = dram.New(m.eng, cfg.DDR)
@@ -402,14 +373,6 @@ func (p Progress) Fraction() float64 {
 // observes simulation state but must not mutate it; it is intended for
 // host-side progress/ETA printing and does not perturb determinism.
 func (m *Machine) SetProgress(fn func(Progress)) { m.progressFn = fn }
-
-// interval returns the machine's interval-hook period.
-func (m *Machine) interval() uint64 {
-	if m.cfg.Interval > 0 {
-		return m.cfg.Interval
-	}
-	return sim.DefaultInterval
-}
 
 // intervalTick is the engine interval hook: progress first (host-facing),
 // then the timeline sample (no-op until BeginTimeline).
@@ -529,12 +492,12 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	// Re-anchor the interval hook at the ROI boundary so the first timeline
 	// window starts at ROI cycle 0 and every boundary is an exact multiple
 	// of the interval from MarkROI.
-	m.eng.SetInterval(m.interval(), m.intervalTick)
+	m.eng.SetInterval(cfg.Interval, m.intervalTick)
 	if cfg.Timeline {
-		m.reg.BeginTimeline(m.eng.Now(), m.interval())
+		m.reg.BeginTimeline(m.eng.Now(), cfg.Interval)
 	}
 	if cfg.Digests {
-		m.reg.BeginDigests(m.eng.Now(), m.interval())
+		m.reg.BeginDigests(m.eng.Now(), cfg.Interval)
 	}
 	for i, c := range m.cores {
 		base[i] = c.Stats().Instructions

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"strings"
 	"testing"
 
 	"nomad/internal/workload"
@@ -54,6 +55,23 @@ func TestAllSchemesComplete(t *testing.T) {
 			}
 			t.Logf("%s", r)
 		})
+	}
+}
+
+// TestNewRejectsRingDepthOutOfRange: New refuses a negative ring depth, or
+// one beyond MaxRingDepth, with an error instead of building the machine
+// and its rings.
+func TestNewRejectsRingDepthOutOfRange(t *testing.T) {
+	for _, tel := range []Telemetry{
+		{TraceDepth: -1}, {SpanDepth: -1},
+		{TraceDepth: MaxRingDepth + 1}, {SpanDepth: MaxRingDepth + 1},
+	} {
+		cfg := smallConfig(SchemeNOMAD)
+		cfg.Telemetry = tel
+		m, err := New(cfg, smallSpec())
+		if err == nil || m != nil || !strings.Contains(err.Error(), "depth") {
+			t.Errorf("New with %+v = (%v, %v), want a depth error", tel, m != nil, err)
+		}
 	}
 }
 

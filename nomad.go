@@ -189,7 +189,7 @@ func RunContext(ctx context.Context, cfg Config, w Workload) (*Result, error) {
 		return nil, fail("run", err)
 	}
 	out := fromInternal(r)
-	out.manifest = fromObsManifest(obs.NewManifest(icfg, w.spec))
+	out.manifest = obs.NewManifest(icfg, w.spec)
 	return out, nil
 }
 
@@ -203,5 +203,5 @@ func ManifestFor(cfg Config, w Workload) (*Manifest, error) {
 		verr.Workload = w.Abbr()
 		return nil, verr
 	}
-	return fromObsManifest(obs.NewManifest(cfg.toInternal(), w.spec)), nil
+	return obs.NewManifest(cfg.toInternal(), w.spec), nil
 }

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"nomad/internal/harness"
+	"nomad/internal/obs"
+	"nomad/internal/system"
 )
 
 func fastConfig(s Scheme) Config {
@@ -205,5 +209,28 @@ func TestExperimentRegistry(t *testing.T) {
 			id != "cpistack" && id != "timeline" {
 			t.Fatalf("unexpected experiment id %q", e.ID)
 		}
+	}
+}
+
+// TestManifestAddressAgreesAcrossEntryPoints: the public API and the harness
+// (RunExperimentResult, cmd/experiments, cmd/nomadsim) address the same run
+// alike, whether its telemetry defaults are left at zero or spelled out.
+func TestManifestAddressAgreesAcrossEntryPoints(t *testing.T) {
+	w, err := WorkloadByAbbr("cact")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := ManifestFor(Config{Scheme: SchemeNOMAD}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := harness.Options{}.BaseConfig()
+	cfg.Scheme = system.SchemeNOMAD
+	if got := obs.NewManifest(cfg, w.spec).Address; got != pub.Address {
+		t.Errorf("harness address %s, ManifestFor address %s", got, pub.Address)
+	}
+	cfg.Telemetry = Telemetry{Interval: 100_000, SpanSampleEvery: 64}
+	if got := obs.NewManifest(cfg, w.spec).Address; got != pub.Address {
+		t.Errorf("address with spelled-out defaults %s, ManifestFor address %s", got, pub.Address)
 	}
 }

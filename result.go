@@ -98,48 +98,14 @@ type Result struct {
 	manifest *Manifest
 }
 
-// Manifest is a run's content address: the SHA-256 of the resolved
-// configuration, workload definition, and module build stamp, as
-// "sha256:<hex>". Because same-seed runs are byte-identical, two runs with
-// the same address have the same Snapshot — the address is a sound cache
-// key for results. It is host-side metadata: never part of the Snapshot,
-// which marshals identically with manifests on or off.
-type Manifest struct {
-	// Address is "sha256:<hex>" over the canonical config/workload/build
-	// document.
-	Address  string `json:"address"`
-	Scheme   Scheme `json:"scheme"`
-	Workload string `json:"workload"`
-	Seed     uint64 `json:"seed"`
-	// Module/Version/Revision/VCSTime/Modified stamp the code version the
-	// address is relative to (runtime/debug.ReadBuildInfo). Revision is
-	// empty for builds outside a VCS checkout.
-	Module   string `json:"module,omitempty"`
-	Version  string `json:"version,omitempty"`
-	Revision string `json:"vcs_revision,omitempty"`
-	VCSTime  string `json:"vcs_time,omitempty"`
-	Modified bool   `json:"vcs_modified,omitempty"`
-	// GoVersion is informational and excluded from the address.
-	GoVersion string `json:"go_version,omitempty"`
-}
-
-func fromObsManifest(m *obs.Manifest) *Manifest {
-	if m == nil {
-		return nil
-	}
-	return &Manifest{
-		Address:   m.Address,
-		Scheme:    Scheme(m.Scheme),
-		Workload:  m.Workload,
-		Seed:      m.Seed,
-		Module:    m.Build.Module,
-		Version:   m.Build.Version,
-		Revision:  m.Build.Revision,
-		VCSTime:   m.Build.Time,
-		Modified:  m.Build.Modified,
-		GoVersion: m.Build.GoVersion,
-	}
-}
+// Manifest is a run's content address: Address is "sha256:<hex>" over the
+// resolved configuration, the workload definition and the module build
+// stamp, which Build records. Because same-seed runs are byte-identical, two
+// runs with the same address have the same Snapshot, so the address is a
+// sound cache key for results; Run, ManifestFor and RunExperimentResult
+// give the same run the same address. It is host-side metadata: never part
+// of the Snapshot, which marshals identically with manifests on or off.
+type Manifest = obs.Manifest
 
 // Manifest returns the run's content-addressed identity, or nil for Results
 // not produced by Run/RunContext/RunExperimentResult.
