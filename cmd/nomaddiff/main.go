@@ -21,6 +21,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -92,18 +93,12 @@ func parseSpec(s string, fast bool) (diag.RunSpec, error) {
 	if !ok {
 		return diag.RunSpec{}, fmt.Errorf("run spec %q: unknown workload %q", s, parts[1])
 	}
+	scheme, err := system.ParseScheme(parts[0])
+	if err != nil {
+		return diag.RunSpec{}, fmt.Errorf("run spec %q: %w", s, err)
+	}
 	cfg := harness.Options{Fast: fast}.BaseConfig()
-	cfg.Scheme = system.SchemeName(parts[0])
-	known := false
-	for _, sc := range system.AllSchemes() {
-		if cfg.Scheme == sc {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return diag.RunSpec{}, fmt.Errorf("run spec %q: unknown scheme %q", s, parts[0])
-	}
+	cfg.Scheme = scheme
 	if len(parts) == 3 {
 		seed, err := strconv.ParseUint(parts[2], 10, 64)
 		if err != nil {
@@ -112,27 +107,6 @@ func parseSpec(s string, fast bool) (diag.RunSpec, error) {
 		cfg.Seed = seed
 	}
 	return diag.RunSpec{Key: s, Cfg: cfg, Spec: sp}, nil
-}
-
-// executePair runs the two specs through the harness pool and returns their
-// snapshots in order. Keys are prefixed so identical specs (same run diffed
-// against itself) cannot collide in the results map.
-func executePair(a, b diag.RunSpec) ([2]*metrics.Snapshot, error) {
-	var out [2]*metrics.Snapshot
-	runs := []harness.Run{
-		{Key: "A/" + a.Key, Cfg: a.Cfg, Spec: a.Spec},
-		{Key: "B/" + b.Key, Cfg: b.Cfg, Spec: b.Spec},
-	}
-	results, err := harness.Execute(context.Background(), harness.Options{}, runs)
-	if err != nil {
-		return out, err
-	}
-	ra, rb := results["A/"+a.Key], results["B/"+b.Key]
-	if ra == nil || rb == nil {
-		return out, fmt.Errorf("nomaddiff: run pair did not complete")
-	}
-	out[0], out[1] = ra.Metrics, rb.Metrics
-	return out, nil
 }
 
 // diffFiles loads two snapshots from disk and diffs them.
@@ -163,12 +137,12 @@ func diffFiles(pathA, pathB, format string, top int) int {
 func runDiff(a, b diag.RunSpec, format string, top int) int {
 	a.Cfg.Digests, a.Cfg.Timeline = true, true
 	b.Cfg.Digests, b.Cfg.Timeline = true, true
-	res, err := executePair(a, b)
+	ra, rb, err := diag.ExecPair(context.Background(), a, b)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	d := diag.DiffSnapshots(res[0], res[1])
+	d := diag.DiffSnapshots(ra.Metrics, rb.Metrics)
 	if err := render(d, format, top); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -249,21 +223,44 @@ func loadSnapshot(path string) (*metrics.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	var f resultFile
-	if err := json.Unmarshal(data, &f); err != nil {
+	s, err := parseSnapshot(data)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	return s, nil
+}
+
+// parseSnapshot decodes a snapshot from any of the supported file shapes
+// and rejects one whose captures are ragged, which the diff would index
+// past their ends.
+func parseSnapshot(data []byte) (*metrics.Snapshot, error) {
+	var f resultFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, err
+	}
+	var s *metrics.Snapshot
 	switch {
 	case f.Result != nil && f.Result.Metrics != nil:
-		return f.Result.Metrics, nil
+		s = f.Result.Metrics
 	case f.Metrics != nil:
-		return f.Metrics, nil
+		s = f.Metrics
 	case f.Counters != nil:
-		var s metrics.Snapshot
-		if err := json.Unmarshal(data, &s); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
+		s = new(metrics.Snapshot)
+		if err := json.Unmarshal(data, s); err != nil {
+			return nil, err
 		}
-		return &s, nil
+	default:
+		return nil, errors.New("no metrics snapshot found (want nomadsim -format json output, a system.Result, or a bare snapshot)")
 	}
-	return nil, fmt.Errorf("%s: no metrics snapshot found (want nomadsim -format json output, a system.Result, or a bare snapshot)", path)
+	if d := s.Digests; d != nil && len(d.Cycles) != len(d.Digests) {
+		return nil, fmt.Errorf("digest chain has %d window cycles for %d digests", len(d.Cycles), len(d.Digests))
+	}
+	if tl := s.Timeline; tl != nil {
+		for _, name := range tl.MetricNames() {
+			if n := len(tl.Metrics[name]); n != len(tl.Cycles) {
+				return nil, fmt.Errorf("timeline column %q has %d values for %d windows", name, n, len(tl.Cycles))
+			}
+		}
+	}
+	return s, nil
 }

@@ -65,6 +65,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown workload %q (use -list)\n", *wl)
 		os.Exit(2)
 	}
+	schemeName, err := system.ParseScheme(*scheme)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	opts := harness.Options{Parallelism: 1, Telemetry: cf.Telemetry(), Tracker: cf.StartObs(logger)}
 	if *progress {
 		opts.Progress = func(string) func(system.Progress) {
@@ -72,7 +77,7 @@ func main() {
 		}
 	}
 	cfg := opts.BaseConfig()
-	cfg.Scheme = system.SchemeName(*scheme)
+	cfg.Scheme = schemeName
 	if *cores > 0 {
 		cfg.Cores = *cores
 	}

@@ -318,9 +318,7 @@ func (f *Frontend) shouldCache(pte *osmem.PTE) bool {
 	if f.cfg.CacheTouchThreshold <= 1 {
 		return true
 	}
-	ppd := f.mm.PPDOf(pte.Frame)
-	ppd.Walks++
-	return ppd.Walks >= f.cfg.CacheTouchThreshold
+	return uint64(f.mm.PPDOf(pte.Frame).CountWalk()) >= f.cfg.CacheTouchThreshold
 }
 
 // tagMiss is Algorithm 1: allocate a frame, offload the fill, update the

@@ -56,11 +56,11 @@ type Report struct {
 	TraceB []byte `json:"-"`
 }
 
-// execPair runs the two specs through the harness pool and returns their
+// ExecPair runs the two specs through the harness pool and returns their
 // results. Keys are prefixed so identical spec keys (same config diffed
 // against itself, or A/B differing only in Config fields outside the key)
 // cannot collide in the harness results map.
-func execPair(ctx context.Context, a, b RunSpec) (ra, rb *harness.RunResult, err error) {
+func ExecPair(ctx context.Context, a, b RunSpec) (ra, rb *harness.RunResult, err error) {
 	runs := []harness.Run{
 		{Key: "A/" + a.Key, Cfg: a.Cfg, Spec: a.Spec},
 		{Key: "B/" + b.Key, Cfg: b.Cfg, Spec: b.Spec},
@@ -71,7 +71,7 @@ func execPair(ctx context.Context, a, b RunSpec) (ra, rb *harness.RunResult, err
 	}
 	ra, rb = results["A/"+a.Key], results["B/"+b.Key]
 	if ra == nil || rb == nil {
-		return nil, nil, fmt.Errorf("diag: bisection pair did not complete (A=%v B=%v)", ra != nil, rb != nil)
+		return nil, nil, fmt.Errorf("diag: run pair did not complete (A=%v B=%v)", ra != nil, rb != nil)
 	}
 	return ra, rb, nil
 }
@@ -123,7 +123,7 @@ func Bisect(ctx context.Context, a, b RunSpec) (*Report, error) {
 	fa, fb := a, b
 	fa.Cfg.Digests, fa.Cfg.Timeline = true, true
 	fb.Cfg.Digests, fb.Cfg.Timeline = true, true
-	ra, rb, err := execPair(ctx, fa, fb)
+	ra, rb, err := ExecPair(ctx, fa, fb)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +150,7 @@ func Bisect(ctx context.Context, a, b RunSpec) (*Report, error) {
 		cfg.ROICycleLimit = stop
 		cfg.TraceDepth, cfg.SpanDepth = system.TraceCapture()
 	}
-	ca, cb, err := execPair(ctx, pa, pb)
+	ca, cb, err := ExecPair(ctx, pa, pb)
 	if err != nil {
 		return nil, err
 	}

@@ -43,11 +43,20 @@ type PPD struct {
 	// Walks counts page-table walks that found the page uncached; the
 	// selective-caching policy (§V: Thermostat/KLOCs-style mechanisms the
 	// OS-managed design can adopt) caches a page only after a threshold
-	// of such touches.
-	Walks        uint64
+	// of such touches. CountWalk saturates it at math.MaxUint32, past any
+	// count a run can reach.
+	Walks        uint32
 	Cached       bool
 	NonCacheable bool
 	Dirty        bool
+}
+
+// CountWalk counts one walk of the uncached page and returns the count.
+func (p *PPD) CountWalk() uint32 {
+	if p.Walks < math.MaxUint32 {
+		p.Walks++
+	}
+	return p.Walks
 }
 
 // CPD is a cache page descriptor (Fig. 4): the state of one DRAM-cache
@@ -69,6 +78,16 @@ const (
 	chunkBits = 10
 	chunkMask = 1<<chunkBits - 1
 )
+
+// An owner word packs a PTE's (core, VPN) as core<<vpnBits | VPN: MaxCores
+// takes the top six bits.
+const (
+	vpnBits = 58
+	vpnMask = 1<<vpnBits - 1
+)
+
+// indexInitBits sizes the page-table index of a new Manager: 64 slots.
+const indexInitBits = 6
 
 // arena is append-only storage in fixed-size chunks. An element never moves
 // once added, so a pointer into the arena stays valid while it grows: the
@@ -93,17 +112,27 @@ func (a *arena[T]) add(v T) uint64 {
 }
 
 // Manager owns page tables, descriptors, and the cache-frame free queue.
-// PFNs are handed out densely from 0, so the per-frame state is indexed by
-// PFN rather than looked up.
+// PTEs are numbered densely from 0 in mapping order, and PFNs likewise, so
+// the per-PTE and per-frame state is indexed by number rather than looked
+// up.
 type Manager struct {
-	pageTables []map[uint64]uint32 // per core: VPN -> index in ptes
-	ptes       arena[PTE]
+	cores int
+	// index holds every core's page table: a power-of-two table of PTE
+	// number+1 (0 = empty), probed linearly from the owner word's Fibonacci
+	// hash and doubled at 3/4 load. Nothing is ever unmapped, so it needs no
+	// deletion.
+	index  []uint32
+	shift  uint          // 64 - log2(len(index))
+	ptes   arena[PTE]    // PTE number -> entry
+	owners arena[uint64] // PTE number -> owner word
 
-	descs arena[PPD]     // PFN -> physical page descriptor
-	first arena[Mapping] // PFN -> the frame's first mapping
+	descs arena[PPD]    // PFN -> physical page descriptor
+	first arena[uint32] // PFN -> the PTE number of the frame's first mapping
 	// shared holds every mapping of a frame that MapShared mapped a second
 	// time, the first one first; other frames have only their first.
 	shared map[uint64][]Mapping
+	// one is what Mappings returns for a frame mapped once.
+	one [1]Mapping
 
 	// cpds maps a CFN to its descriptor (dense: the DC is small). CPDOf
 	// allocates it on first use, so a machine whose scheme never caches a
@@ -121,16 +150,14 @@ func New(cores int, cacheFrames uint64) *Manager {
 	if cores > MaxCores {
 		panic(fmt.Sprintf("osmem: %d cores exceed MaxCores (%d)", cores, MaxCores))
 	}
-	m := &Manager{
-		pageTables: make([]map[uint64]uint32, cores),
-		shared:     make(map[uint64][]Mapping),
-		frames:     cacheFrames,
-		numFree:    cacheFrames,
+	return &Manager{
+		cores:   cores,
+		index:   make([]uint32, 1<<indexInitBits),
+		shift:   64 - indexInitBits,
+		shared:  make(map[uint64][]Mapping),
+		frames:  cacheFrames,
+		numFree: cacheFrames,
 	}
-	for i := range m.pageTables {
-		m.pageTables[i] = make(map[uint64]uint32)
-	}
-	return m
 }
 
 // CacheFrames returns the DRAM-cache capacity in frames.
@@ -147,51 +174,98 @@ func (m *Manager) Tail() uint64 { return m.tail }
 // frame on first touch (conventional first-touch allocation policy). The
 // PTE never moves: the pointer stays valid for the Manager's lifetime.
 func (m *Manager) PTEOf(core int, vpn uint64) *PTE {
-	pt := m.pageTables[core]
-	if i, ok := pt[vpn]; ok {
-		return m.ptes.at(uint64(i))
+	key := m.owner(core, vpn)
+	p, e := m.find(key)
+	if e != 0 {
+		return m.ptes.at(uint64(e - 1))
 	}
-	pfn := m.descs.n
-	pte := m.newPTE(core, vpn, PTE{Frame: pfn, Present: true})
+	pte := m.newPTE(p, key, PTE{Frame: m.descs.n, Present: true})
 	m.descs.add(PPD{})
-	m.first.add(Mapping{Core: core, VPN: vpn})
+	m.first.add(uint32(m.ptes.n - 1))
 	return pte
 }
 
-// newPTE maps (core, vpn) to a new PTE holding pte. Every PFN comes with a
-// PTE, so bounding the PTE count below math.MaxUint32 also keeps every PFN
-// within CPD.PFN's 32 bits.
-func (m *Manager) newPTE(core int, vpn uint64, pte PTE) *PTE {
+// owner packs (core, vpn) into an owner word. It panics on a core the
+// Manager was not built for or a VPN past vpnBits, either of which would
+// alias another core's page.
+func (m *Manager) owner(core int, vpn uint64) uint64 {
+	if uint(core) >= uint(m.cores) || vpn > vpnMask {
+		panic(fmt.Sprintf("osmem: page (core %d, VPN %#x) outside %d cores and %d-bit VPNs", core, vpn, m.cores, vpnBits))
+	}
+	return uint64(core)<<vpnBits | vpn
+}
+
+// mapping unpacks PTE i's owner word.
+func (m *Manager) mapping(i uint32) Mapping {
+	w := *m.owners.at(uint64(i))
+	return Mapping{Core: int(w >> vpnBits), VPN: w & vpnMask}
+}
+
+// find returns the index position holding key's PTE number+1, or the empty
+// position that ends key's probe run and 0.
+func (m *Manager) find(key uint64) (pos int, e uint32) {
+	mask := len(m.index) - 1
+	for p := int((key * 0x9e3779b97f4a7c15) >> m.shift); ; p = (p + 1) & mask {
+		e := m.index[p]
+		if e == 0 || *m.owners.at(uint64(e - 1)) == key {
+			return p, e
+		}
+	}
+}
+
+// newPTE adds a PTE holding pte for the owner word key, whose probe run
+// ends at the empty index position p. Every PFN comes with a PTE, so
+// bounding the PTE count below math.MaxUint32 also keeps every PFN within
+// CPD.PFN's 32 bits.
+func (m *Manager) newPTE(p int, key uint64, pte PTE) *PTE {
 	if m.ptes.n >= math.MaxUint32 {
 		panic(fmt.Sprintf("osmem: %d page-table entries exhaust the 32-bit frame and PTE indices", m.ptes.n))
 	}
 	i := m.ptes.add(pte)
-	m.pageTables[core][vpn] = uint32(i)
+	m.owners.add(key)
+	m.index[p] = uint32(i + 1)
+	if 4*m.ptes.n > 3*uint64(len(m.index)) {
+		m.grow()
+	}
 	return m.ptes.at(i)
+}
+
+// grow doubles the index and re-inserts every PTE in number order.
+func (m *Manager) grow() {
+	m.index = make([]uint32, 2*len(m.index))
+	m.shift--
+	for i := uint64(0); i < m.ptes.n; i++ {
+		p, _ := m.find(*m.owners.at(i))
+		m.index[p] = uint32(i + 1)
+	}
 }
 
 // MapShared maps (core, vpn) to an existing physical frame, modeling a
 // shared page: both PTEs resolve to the same PFN and the frame's reverse
-// mapping covers both.
+// mapping covers both. The page must not be mapped yet.
 func (m *Manager) MapShared(core int, vpn uint64, pfn uint64) *PTE {
 	ppd := m.PPDOf(pfn)
 	if ppd == nil {
 		panic(fmt.Sprintf("osmem: MapShared to unallocated PFN %d", pfn))
 	}
+	key := m.owner(core, vpn)
+	p, e := m.find(key)
+	if e != 0 {
+		panic(fmt.Sprintf("osmem: MapShared of mapped page (core %d, VPN %#x)", core, vpn))
+	}
+	first := *m.first.at(pfn)
 	pte := PTE{Frame: pfn, Present: true, Cached: ppd.Cached, NonCacheable: ppd.NonCacheable}
 	if ppd.Cached {
 		// Shared page already cached: the new PTE must resolve to the
 		// CFN, which SetCached put in every existing mapping's PTE.
-		first := m.first.at(pfn)
-		pte.Frame = m.ptes.at(uint64(m.pageTables[first.Core][first.VPN])).Frame
+		pte.Frame = m.ptes.at(uint64(first)).Frame
 	}
-	p := m.newPTE(core, vpn, pte)
 	ms, ok := m.shared[pfn]
 	if !ok {
-		ms = []Mapping{*m.first.at(pfn)}
+		ms = []Mapping{m.mapping(first)}
 	}
 	m.shared[pfn] = append(ms, Mapping{Core: core, VPN: vpn})
-	return p
+	return m.newPTE(p, key, pte)
 }
 
 // PPDOf returns the descriptor of a physical frame (nil if unallocated).
@@ -203,14 +277,28 @@ func (m *Manager) PPDOf(pfn uint64) *PPD {
 }
 
 // Mappings returns every (core, VPN) mapping of an allocated physical frame,
-// its first mapping first. The slice is the Manager's own storage: callers
-// read it and must not modify it.
+// its first mapping first. The slice is the Manager's own storage, valid
+// until the next call: callers read it and must not modify it.
 func (m *Manager) Mappings(pfn uint64) []Mapping {
 	if ms, ok := m.shared[pfn]; ok {
 		return ms
 	}
-	i := pfn & chunkMask
-	return m.first.chunks[pfn>>chunkBits][i : i+1 : i+1]
+	m.one[0] = m.mapping(*m.first.at(pfn))
+	return m.one[:]
+}
+
+// eachPTE calls f with every PTE of an allocated physical frame, in
+// Mappings order.
+func (m *Manager) eachPTE(pfn uint64, f func(*PTE)) {
+	ms, ok := m.shared[pfn]
+	if !ok {
+		f(m.ptes.at(uint64(*m.first.at(pfn))))
+		return
+	}
+	for _, mp := range ms {
+		_, e := m.find(m.owner(mp.Core, mp.VPN))
+		f(m.ptes.at(uint64(e - 1)))
+	}
 }
 
 // CPDOf returns the descriptor of a cache frame, allocating the CPD array on
@@ -295,12 +383,11 @@ func (m *Manager) ReleaseFrame(cfn uint64) (pfn uint64, dirty bool) {
 	}
 	pfn = uint64(cpd.PFN)
 	dirty = cpd.DirtyInCache
-	for _, mp := range m.Mappings(pfn) {
-		pte := m.ptes.at(uint64(m.pageTables[mp.Core][mp.VPN]))
+	m.eachPTE(pfn, func(pte *PTE) {
 		pte.Frame = pfn
 		pte.Cached = false
 		pte.DirtyInCache = false
-	}
+	})
 	m.descs.at(pfn).Cached = false
 	cpd.Valid = false
 	cpd.DirtyInCache = false
@@ -315,11 +402,10 @@ func (m *Manager) ReleaseFrame(cfn uint64) (pfn uint64, dirty bool) {
 // SetCached updates every PTE of pfn to point at cfn with the C bit set
 // (Algorithm 1 lines 7-10, plus the shared-page extension of §III-G).
 func (m *Manager) SetCached(pfn, cfn uint64) {
-	for _, mp := range m.Mappings(pfn) {
-		pte := m.ptes.at(uint64(m.pageTables[mp.Core][mp.VPN]))
+	m.eachPTE(pfn, func(pte *PTE) {
 		pte.Frame = cfn
 		pte.Cached = true
-	}
+	})
 	m.descs.at(pfn).Cached = true
 }
 

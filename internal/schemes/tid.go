@@ -2,8 +2,6 @@ package schemes
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 
 	"nomad/internal/check"
 	"nomad/internal/dram"
@@ -49,83 +47,98 @@ func (s *TiDStats) MissRate() float64 {
 	return float64(s.Misses) / float64(t)
 }
 
-// tidSet is one set of the tag store: the four ways' tags and their
-// replacement state, 20 bytes per set. The recency order is exact LRU, kept
-// as in the SRAM caches (see cache.setState): a way's last install or hit
+// tidSet is one set of the tag store, 16 bytes: one word per way holding
+// the way's tag in its low 28 bits and its valid bit, dirty bit and 2-bit
+// recency rank in the top nibble. The recency order is exact LRU, kept as
+// in the SRAM caches (see cache.setState): a way's last install or hit
 // moves it to rank 0, and invalid ways are taken before ranks are read. A
-// tag is the line address divided by the set count, PA >> 25 at the default
-// 128 MB, so 32 bits cover 2^57 bytes of physical memory there.
+// tag is the line address divided by the set count, PA >> 25 at the
+// default 128 MB, so 28 bits cover 2^53 bytes of physical memory there.
 type tidSet struct {
-	tags [tidWays]uint32
-	// perm holds the way at rank r in bits 2r..2r+1, rank 0 the most
-	// recently used.
-	perm  uint8
-	valid uint8
-	dirty uint8
+	ways [tidWays]uint32
 }
 
-// tidIdentityPerm ranks way r at rank r.
-const tidIdentityPerm = 3<<6 | 2<<4 | 1<<2
+// The fields of a tidSet way word.
+const (
+	tidTagBits   = 28
+	tidTagMask   = 1<<tidTagBits - 1
+	tidRankShift = tidTagBits // rank 0 is the most recently used
+	tidRankMask  = 3 << tidRankShift
+	tidDirty     = 1 << 30
+	tidValid     = 1 << 31
+)
 
-// touch moves way w to rank 0.
+// tidEmptySet ranks way w at rank w, every way invalid.
+var tidEmptySet = tidSet{[tidWays]uint32{0, 1 << tidRankShift, 2 << tidRankShift, 3 << tidRankShift}}
+
+// tag returns way w's tag.
+func (s *tidSet) tag(w int) uint64 { return uint64(s.ways[w] & tidTagMask) }
+
+// rank returns way w's recency rank.
+func (s *tidSet) rank(w int) int { return int(s.ways[w] >> tidRankShift & 3) }
+
+// touch moves way w to rank 0 and the ways more recent than it down one.
 func (s *tidSet) touch(w int) {
-	r := 0
-	for s.perm>>(2*r)&3 != uint8(w) {
-		r++
+	r := s.ways[w] & tidRankMask
+	for v, x := range s.ways {
+		if x&tidRankMask < r {
+			s.ways[v] = x + 1<<tidRankShift
+		}
 	}
-	below := uint8(1)<<(2*r) - 1 // the ranks more recent than w
-	s.perm = s.perm&^(below<<2|3) | (s.perm&below)<<2 | uint8(w)
+	s.ways[w] &^= tidRankMask
 }
 
 // hit makes way w the most recently used and, for a write, dirty.
 func (s *tidSet) hit(w int, write bool) {
 	s.touch(w)
 	if write {
-		s.dirty |= 1 << w
+		s.ways[w] |= tidDirty
 	}
 }
 
 // victim returns the way a miss takes: the lowest invalid way, else the
 // least recently used one.
 func (s *tidSet) victim() int {
-	if free := ^s.valid & (1<<tidWays - 1); free != 0 {
-		return bits.TrailingZeros8(free)
+	lru := 0
+	for w, x := range s.ways {
+		if x&tidValid == 0 {
+			return w
+		}
+		if x&tidRankMask == tidRankMask {
+			lru = w
+		}
 	}
-	return int(s.perm >> (2 * (tidWays - 1)))
+	return lru
 }
 
 // install makes way w hold tag, valid, clean or dirty, and the most
-// recently used. It panics on a tag wider than the record's 32 bits.
+// recently used. It panics on a tag wider than the record's 28 bits.
 func (s *tidSet) install(w int, tag uint64, dirty bool) {
-	if tag > math.MaxUint32 {
-		panic(fmt.Sprintf("tid: tag %#x does not fit the tag store's 32 bits", tag))
+	if tag > tidTagMask {
+		panic(fmt.Sprintf("tid: tag %#x does not fit the tag store's %d bits", tag, tidTagBits))
 	}
-	bit := uint8(1) << w
-	s.tags[w] = uint32(tag)
-	s.valid |= bit
-	s.dirty &^= bit
+	x := s.ways[w]&tidRankMask | uint32(tag) | tidValid
 	if dirty {
-		s.dirty |= bit
+		x |= tidDirty
 	}
+	s.ways[w] = x
 	s.touch(w)
 }
 
 // invalidate clears way w's valid and dirty bits and leaves its rank.
 func (s *tidSet) invalidate(w int) {
-	s.valid &^= 1 << w
-	s.dirty &^= 1 << w
+	s.ways[w] &^= tidValid | tidDirty
 }
 
 // audit asserts the record's structure under the invariants build: dirty
 // ways are valid and the four ranks hold each way once.
 func (s *tidSet) audit() {
-	check.Assert(s.dirty&^s.valid == 0,
-		"tid: dirty mask %#x not within valid mask %#x", s.dirty, s.valid)
 	var seen uint8
-	for r := 0; r < tidWays; r++ {
-		seen |= 1 << (s.perm >> (2 * r) & 3)
+	for w, x := range s.ways {
+		check.Assert(x&tidDirty == 0 || x&tidValid != 0, "tid: way %d dirty but not valid (%#x)", w, x)
+		seen |= 1 << s.rank(w)
 	}
-	check.Assert(seen == 1<<tidWays-1, "tid: recency order %#x is not a permutation", s.perm)
+	check.Assert(seen == 1<<tidWays-1, "tid: recency ranks %#x are not a permutation", s.ways)
 }
 
 type tidWaiter struct {
@@ -226,7 +239,7 @@ func NewTiD(eng *sim.Engine, hbm, ddr *dram.Device, mm *osmem.Manager, walkLaten
 		spanTap:  spanTap{now: eng.Now},
 	}
 	for i := range t.sets {
-		t.sets[i].perm = tidIdentityPerm
+		t.sets[i] = tidEmptySet
 	}
 	return t
 }
@@ -276,8 +289,8 @@ func (t *TiD) lookup(req mem.Request, done mem.Done) {
 	t.hbm.Access(t.metaAddr(set), false, mem.KindMetadata, false, nil)
 
 	s := &t.sets[set]
-	for w, wt := range s.tags {
-		if s.valid&(1<<w) != 0 && uint64(wt) == tag {
+	for w, x := range s.ways {
+		if x&tidValid != 0 && uint64(x&tidTagMask) == tag {
 			t.tidStats.Hits++
 			s.hit(w, req.Write)
 			da := t.dataAddr(set, w, req.Addr)
@@ -340,9 +353,9 @@ func (t *TiD) miss(req mem.Request, lineAddr, set uint64, done mem.Done) {
 	// way again.
 	s := &t.sets[set]
 	way := s.victim()
-	if s.dirty&(1<<way) != 0 {
+	if s.ways[way]&tidDirty != 0 {
 		t.tidStats.Writebacks++
-		victimLine := uint64(s.tags[way])*t.numSets + set
+		victimLine := s.tag(way)*t.numSets + set
 		for sub := uint64(0); sub < tidSubPerLine; sub++ {
 			src := t.dataAddr(set, way, sub*mem.BlockSize)
 			dst := victimLine<<tidLineBits | sub*mem.BlockSize

@@ -2,7 +2,6 @@ package schemes
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -78,24 +77,18 @@ func compareTiDSet(s *tidSet, o *tickTiDSet) error {
 	if got, want := s.victim(), o.victim(); got != want {
 		return fmt.Errorf("victim %d, oracle %d", got, want)
 	}
-	var valid, dirty uint8
 	for w := range o.valid {
-		if o.valid[w] {
-			valid |= 1 << w
-			if uint64(s.tags[w]) != o.tags[w] {
-				return fmt.Errorf("way %d tag %#x, oracle %#x", w, s.tags[w], o.tags[w])
-			}
+		valid, dirty := s.ways[w]&tidValid != 0, s.ways[w]&tidDirty != 0
+		if valid != o.valid[w] || dirty != o.dirty[w] {
+			return fmt.Errorf("way %d valid/dirty %v/%v, oracle %v/%v", w, valid, dirty, o.valid[w], o.dirty[w])
 		}
-		if o.dirty[w] {
-			dirty |= 1 << w
+		if o.valid[w] && s.tag(w) != o.tags[w] {
+			return fmt.Errorf("way %d tag %#x, oracle %#x", w, s.tag(w), o.tags[w])
 		}
-	}
-	if s.valid != valid || s.dirty != dirty {
-		return fmt.Errorf("valid/dirty %#x/%#x, oracle %#x/%#x", s.valid, s.dirty, valid, dirty)
 	}
 	for r, w := range o.order() {
-		if got := int(s.perm >> (2 * r) & 3); got != w {
-			return fmt.Errorf("rank %d holds way %d, oracle %d (perm %#x)", r, got, w, s.perm)
+		if got := s.rank(w); got != r {
+			return fmt.Errorf("way %d at rank %d, oracle %d (ways %#x)", w, got, r, s.ways)
 		}
 	}
 	return nil
@@ -114,7 +107,7 @@ func TestTiDSetMatchesTickOracle(t *testing.T) {
 		dirty bool
 	}
 	for seq := 0; seq < 200; seq++ {
-		s := tidSet{perm: tidIdentityPerm}
+		s := tidEmptySet
 		var o tickTiDSet
 		var fills []fill
 		for step := 0; step < 500; step++ {
@@ -133,7 +126,7 @@ func TestTiDSetMatchesTickOracle(t *testing.T) {
 				}
 				s.invalidate(v)
 				o.invalidate(v)
-				fills = append(fills, fill{v, uint64(rng.Uint32()), rng.Intn(2) == 1})
+				fills = append(fills, fill{v, uint64(rng.Int63n(tidTagMask + 1)), rng.Intn(2) == 1})
 			case len(fills) > 0:
 				i := rng.Intn(len(fills))
 				f := fills[i]
@@ -148,25 +141,29 @@ func TestTiDSetMatchesTickOracle(t *testing.T) {
 	}
 }
 
-// TestTiDSetSize pins the tag store's record at 20 bytes per set.
+// TestTiDSetSize pins the tag store's record at 16 bytes per set.
 func TestTiDSetSize(t *testing.T) {
-	if n := unsafe.Sizeof(tidSet{}); n != 20 {
-		t.Fatalf("tidSet is %d bytes, want 20", n)
+	if n := unsafe.Sizeof(tidSet{}); n != 16 {
+		t.Fatalf("tidSet is %d bytes, want 16", n)
 	}
 }
 
-// TestTiDSetTagLimit: the widest 32-bit tag installs and reads back, and a
-// wider one panics instead of aliasing another line.
+// TestTiDSetTagLimit: the widest 28-bit tag installs, dirty, and reads back
+// without touching the way's state bits, and a wider one panics instead of
+// aliasing another line or a state bit.
 func TestTiDSetTagLimit(t *testing.T) {
-	s := tidSet{perm: tidIdentityPerm}
-	s.install(1, math.MaxUint32, false)
-	if s.tags[1] != math.MaxUint32 {
-		t.Fatalf("tag %#x, want %#x", s.tags[1], uint32(math.MaxUint32))
+	s := tidEmptySet
+	s.install(1, tidTagMask, true)
+	if s.tag(1) != tidTagMask || s.rank(1) != 0 || s.ways[1]&(tidValid|tidDirty) != tidValid|tidDirty {
+		t.Fatalf("way word %#x, want tag %#x, valid, dirty, rank 0", s.ways[1], tidTagMask)
+	}
+	if s.tag(0) != 0 || s.rank(0) != 1 {
+		t.Fatalf("way 0 word %#x after installing way 1, want tag 0 at rank 1", s.ways[0])
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("installing a 33-bit tag did not panic")
+			t.Fatal("installing a 29-bit tag did not panic")
 		}
 	}()
-	s.install(2, math.MaxUint32+1, false)
+	s.install(2, tidTagMask+1, false)
 }

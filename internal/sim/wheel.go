@@ -7,19 +7,21 @@ import (
 
 // Wheel geometry. The near wheel covers wheelSize consecutive cycles in
 // power-of-two buckets; anything further out sits in the overflow calendar
-// (a (cycle, seq) min-heap) until the window slides over it. 2048 cycles
-// comfortably covers every latency the models schedule on the hot path —
-// SRAM lookups (4..38), DRAM bursts (~60..200), the 400-cycle tag handler,
-// buffer reads — so overflow traffic is limited to rare far-future work
-// (long OS suspensions, pathological configs).
+// (a (cycle, seq) min-heap) until the window slides over it. 1024 cycles
+// cover every latency the models schedule on the hot path — SRAM lookups
+// (4..38), DRAM bursts (~60..200), the 400-cycle tag handler, buffer
+// reads — so overflow traffic is limited to rare far-future work (long OS
+// suspensions, pathological configs): the four benchmark workloads at seed
+// 1 send one event in total to the overflow heap.
 const (
-	wheelBits  = 11
+	wheelBits  = 10
 	wheelSize  = 1 << wheelBits // cycles covered by the near wheel
 	wheelMask  = wheelSize - 1
 	wheelWords = wheelSize / 64 // occupancy-bitmap words
 )
 
-// WheelScheduler is a hierarchical timing wheel: the default engine queue.
+// WheelScheduler is a one-level timing wheel over an overflow heap: the
+// default engine queue.
 //
 //   - Schedule/ScheduleAt is O(1): events within the wheel window append to
 //     the bucket of their cycle; farther events go to the overflow heap.

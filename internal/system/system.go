@@ -7,6 +7,7 @@ package system
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"nomad/internal/cache"
 	"nomad/internal/core"
@@ -42,6 +43,20 @@ const (
 // AllSchemes lists the evaluation's schemes in Fig. 9 order.
 func AllSchemes() []SchemeName {
 	return []SchemeName{SchemeBaseline, SchemeTiD, SchemeTDC, SchemeNOMAD, SchemeIdeal}
+}
+
+// ParseScheme returns the scheme a command line names, or an error that
+// lists the valid names.
+func ParseScheme(name string) (SchemeName, error) {
+	all := AllSchemes()
+	names := make([]string, len(all))
+	for i, s := range all {
+		if SchemeName(name) == s {
+			return s, nil
+		}
+		names[i] = string(s)
+	}
+	return "", fmt.Errorf("unknown scheme %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // Config describes one simulated machine.

@@ -231,3 +231,27 @@ func TestNOMADStallsBelowTDC(t *testing.T) {
 		t.Errorf("NOMAD stall ratio %.3f should be below TDC %.3f", n.OSStallRatio, d.OSStallRatio)
 	}
 }
+
+// TestParseScheme: every evaluated scheme parses to itself, and anything
+// else, a case variant or the empty name included, is an error naming the
+// input and every valid scheme.
+func TestParseScheme(t *testing.T) {
+	for _, s := range AllSchemes() {
+		if got, err := ParseScheme(string(s)); err != nil || got != s {
+			t.Errorf("ParseScheme(%q) = %q, %v", s, got, err)
+		}
+	}
+	for _, bad := range []string{"Bogus", "nomad", ""} {
+		_, err := ParseScheme(bad)
+		if err == nil {
+			t.Errorf("ParseScheme(%q) accepted", bad)
+			continue
+		}
+		msg := err.Error()
+		for _, want := range []string{`"` + bad + `"`, "Baseline, TiD, TDC, NOMAD, Ideal"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("ParseScheme(%q) error %q lacks %q", bad, msg, want)
+			}
+		}
+	}
+}
