@@ -6,13 +6,12 @@
 // Usage:
 //
 //	go run ./cmd/nomadlint ./...
-//	go run ./cmd/nomadlint -rules wallclock,maporder ./...
 //
-// The package pattern argument is accepted for familiarity but the analyzer
-// always loads the whole module containing the working directory. Findings
-// print as file:line:col: rule: message. Exit status is 0 on a clean tree,
-// 1 when there are findings, and 2 on a usage or load error; an unknown
-// rule name exits 2 with the list of valid ones.
+// It takes no flags and runs every rule. The package pattern argument is
+// accepted for familiarity but the analyzer always loads the whole module
+// containing the working directory. Findings print as file:line:col: rule:
+// message. Exit status is 0 on a clean tree, 1 when there are findings, and
+// 2 on a usage or load error.
 package main
 
 import (
@@ -20,23 +19,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"nomad/internal/lint"
 )
 
 func main() {
-	rules := flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	flag.Parse()
-
-	var sel []string
-	if *rules != "" {
-		sel = strings.Split(*rules, ",")
-	}
-	if err := lint.CheckRules(sel); err != nil {
-		fmt.Fprintln(os.Stderr, "nomadlint:", err)
-		os.Exit(2)
-	}
 
 	root, err := moduleRoot()
 	if err != nil {
@@ -49,9 +37,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := lint.DefaultConfig()
-	cfg.Rules = sel
-	diags := lint.Run(mod, cfg)
+	diags := lint.Run(mod, lint.DefaultConfig())
 	for _, d := range diags {
 		fmt.Println(d)
 	}

@@ -108,15 +108,8 @@ func main() {
 	}
 	r, man := results[key].Result, results[key].Manifest
 
-	if t := r.Metrics.Trace; t != nil {
-		if t.EventsDropped > 0 {
-			logger.Warn("event ring dropped events; raise trace depth for full coverage",
-				"dropped", t.EventsDropped, "total", t.EventsDropped+t.Events)
-		}
-		if t.SpansDropped > 0 {
-			logger.Warn("span ring dropped spans; raise span depth or sampling period",
-				"dropped", t.SpansDropped, "total", t.SpansDropped+t.Spans)
-		}
+	for _, warn := range harness.DropWarnings(results) {
+		logger.Warn("data-quality warning", "detail", warn)
 	}
 
 	if cf.Trace != "" && r.Trace != nil {

@@ -292,7 +292,7 @@ func (c *Cache) getOp() *accessOp {
 		c.ops = c.ops[:n-1]
 		return op
 	}
-	op := &accessOp{} //nomadlint:ignore poolalloc -- freelist constructor: the one allocation the pool amortizes
+	op := &accessOp{}
 	op.runFn = func() { c.runOp(op) }
 	return op
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"nomad/internal/check"
 	"nomad/internal/mem"
 	"nomad/internal/sim"
 )
@@ -220,5 +221,69 @@ func TestFlushPageDoesNotAllocate(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("FlushPage of %d dirty lines: %v allocs/op, want 0", wbs, allocs)
+	}
+}
+
+// delayLower completes each access after a fixed delay through the
+// caller's own callback, so it allocates nothing itself.
+type delayLower struct {
+	eng   *sim.Engine
+	delay uint64
+}
+
+func (l delayLower) Access(_ *mem.Request, done mem.Done) {
+	if done != nil {
+		l.eng.Schedule(l.delay, done)
+	}
+}
+
+// TestAccessDoesNotAllocate: at steady state an access allocates nothing,
+// whether it hits, misses with a dirty victim to write back, or finds the
+// MSHR file full and is re-admitted through a pooled op when a fill frees
+// one.
+func TestAccessDoesNotAllocate(t *testing.T) {
+	if check.Enabled {
+		t.Skip("the invariants build allocates in its assertions")
+	}
+	eng := sim.New()
+	c := New(eng, Config{Name: "T", Sets: 4, Ways: 2, Latency: 2, MSHRs: 2}, delayLower{eng, 50})
+	n, want := 0, 0
+	done := func() { n++ }
+	pred := func() bool { return n == want }
+	var req mem.Request
+	i := uint64(0)
+	run := func() {
+		n = 0
+		// Four misses at once against two MSHRs: two stall. Cycling
+		// through 64 blocks keeps the eight-line cache missing, and every
+		// other access is a write, so victims are dirty.
+		want = 4
+		for k := 0; k < 4; k++ {
+			req = mem.Request{Addr: (i % 64) * mem.BlockSize, Write: i%2 == 0}
+			i++
+			c.Access(&req, done)
+		}
+		eng.RunUntil(pred, 100_000)
+		// The block just filled hits.
+		want = 5
+		c.Access(&req, done)
+		eng.RunUntil(pred, 100_000)
+	}
+	// Warm up until the engine's event-wheel buckets and the pending
+	// queue have grown to their steady-state capacity.
+	for k := 0; k < 1000; k++ {
+		run()
+	}
+	before := *c.Stats()
+	if a := testing.AllocsPerRun(100, run); a != 0 {
+		t.Fatalf("%v allocs/op, want 0", a)
+	}
+	s := c.Stats()
+	if got := s.Misses - before.Misses; got != 4*101 {
+		t.Fatalf("%d misses in 101 ops, want %d", got, 4*101)
+	}
+	if s.Hits-before.Hits != 101 || s.MSHRStalls-before.MSHRStalls != 2*101 || s.Writebacks == before.Writebacks {
+		t.Fatalf("hits %d, MSHR stalls %d, writebacks %d in 101 ops; want 101, 202 and some",
+			s.Hits-before.Hits, s.MSHRStalls-before.MSHRStalls, s.Writebacks-before.Writebacks)
 	}
 }

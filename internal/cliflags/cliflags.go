@@ -31,7 +31,8 @@ type Common struct {
 	// it against its supported set with CheckFormat.
 	Format string
 	// HTTP is the introspection-server listen address (-http, "" = off):
-	// /metrics, /runs, /runs/{key}/timeline, /debug/pprof.
+	// /metrics, /runs, /runs/{key}/timeline, /runs/{key}/digests,
+	// /debug/pprof.
 	HTTP string
 	// LogFormat selects the slog handler for host-side structured output
 	// (-log-format): "text" or "json".
@@ -49,7 +50,7 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.StringVar(&c.Trace, "trace", "", "write a Perfetto trace to this file (open at ui.perfetto.dev)")
 	fs.BoolVar(&c.tel.SelfProfile, "profile", false, "self-profile the simulator (wall-clock cycles/sec, heap, GC pauses)")
 	fs.StringVar(&c.Format, "format", "text", "output format")
-	fs.StringVar(&c.HTTP, "http", "", "serve live introspection on this address (e.g. :6060): /metrics, /runs, /runs/{key}/timeline, /debug/pprof")
+	fs.StringVar(&c.HTTP, "http", "", "serve live introspection on this address (e.g. :6060): /metrics, /runs, /runs/{key}/timeline, /runs/{key}/digests, /debug/pprof")
 	fs.StringVar(&c.LogFormat, "log-format", "text", "structured log format for warnings and progress: text or json")
 	return c
 }

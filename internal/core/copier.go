@@ -65,7 +65,7 @@ func (c *Copier) getOp() *pageCopier {
 		c.ops = c.ops[:n-1]
 		return op
 	}
-	return &pageCopier{c: c} //nomadlint:ignore poolalloc -- freelist constructor: the one allocation the pool amortizes
+	return &pageCopier{c: c}
 }
 
 // issue keeps up to maxReadsInFlight sub-block reads outstanding.

@@ -212,7 +212,7 @@ func (f *Frontend) getWalk() *fwalkOp {
 		f.walks = f.walks[:n-1]
 		return op
 	}
-	op := &fwalkOp{} //nomadlint:ignore poolalloc -- freelist constructor: the one allocation the pool amortizes
+	op := &fwalkOp{}
 	op.fn = func() { f.runWalk(op) }
 	return op
 }

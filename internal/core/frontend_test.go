@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"nomad/internal/check"
 	"nomad/internal/mem"
 	"nomad/internal/osmem"
 	"nomad/internal/sim"
@@ -126,6 +127,41 @@ func TestTagHitNoBlocking(t *testing.T) {
 	}
 	if env.threads[0].events != 1 {
 		t.Fatal("tag hit suspended the thread")
+	}
+}
+
+// TestTagHitWalkDoesNotAllocate: at steady state a page-table walk that
+// finds its page cached allocates nothing: the walk rides a pooled op
+// across the walk latency.
+func TestTagHitWalkDoesNotAllocate(t *testing.T) {
+	if check.Enabled {
+		t.Skip("the invariants build allocates in its assertions")
+	}
+	env := newFrontendEnv(t, DefaultFrontendConfig(), 1024, 1)
+	n := 0
+	done := func(tlb.Entry) { n++ }
+	pred := func() bool { return n == 2 }
+	page := uint64(0)
+	// Two overlapping walks per op, so that AllocsPerRun's integer average
+	// cannot round a per-walk allocation down to 0.
+	run := func() {
+		n = 0
+		env.fe.Walk(0, page*mem.PageSize, done)
+		env.fe.Walk(0, (page+1)*mem.PageSize, done)
+		page = (page + 2) % 16
+		env.eng.RunUntil(pred, 100_000)
+	}
+	// The first pass over the 16 pages takes their tag misses; the rest
+	// warm the engine's event-wheel buckets.
+	for k := 0; k < 1000; k++ {
+		run()
+	}
+	hits := env.fe.Stats().TagHits
+	if a := testing.AllocsPerRun(100, run); a != 0 {
+		t.Fatalf("%v allocs/op, want 0", a)
+	}
+	if got := env.fe.Stats().TagHits - hits; got != 2*101 {
+		t.Fatalf("%d tag hits in %d walks", got, 2*101)
 	}
 }
 

@@ -204,7 +204,7 @@ func (d *Device) getRequest() *request {
 		d.free = d.free[:n-1]
 		return r
 	}
-	r := &request{} //nomadlint:ignore poolalloc -- freelist constructor: the one allocation the pool amortizes
+	r := &request{}
 	r.completeFn = func() { d.complete(r) }
 	return r
 }

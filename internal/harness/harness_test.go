@@ -282,7 +282,7 @@ func TestDropWarnings(t *testing.T) {
 		"c/spans":   mk(0, 3),
 		"d/notrace": {Result: &system.Result{Metrics: &metrics.Snapshot{}}},
 	}
-	warns := dropWarnings(res)
+	warns := DropWarnings(res)
 	if len(warns) != 2 {
 		t.Fatalf("warnings = %v, want 2", warns)
 	}

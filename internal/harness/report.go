@@ -44,7 +44,7 @@ type Section struct {
 // run's host-side metadata (manifest, wall-clock duration) into the report
 // maps.
 func newReport(id string, res Results) *Report {
-	rep := &Report{ID: id, Title: registry[id].Title, Runs: res, Warnings: dropWarnings(res)}
+	rep := &Report{ID: id, Title: registry[id].Title, Runs: res, Warnings: DropWarnings(res)}
 	if len(res) > 0 {
 		rep.Manifests = make(map[string]*obs.Manifest, len(res))
 		rep.RunSeconds = make(map[string]float64, len(res))
@@ -59,10 +59,11 @@ func newReport(id string, res Results) *Report {
 	return rep
 }
 
-// dropWarnings scans run snapshots for ring-buffer overwrites: a dropped
+// DropWarnings scans run snapshots for ring-buffer overwrites: a dropped
 // event or span means the exported trace silently lost its oldest entries,
-// which matters for any analysis that assumes full coverage.
-func dropWarnings(res Results) []string {
+// which matters for any analysis that assumes full coverage. The lines are
+// sorted and each names its run's key.
+func DropWarnings(res Results) []string {
 	var warns []string
 	for k, r := range res {
 		if r == nil || r.Metrics == nil || r.Metrics.Trace == nil {

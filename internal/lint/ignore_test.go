@@ -49,7 +49,7 @@ func TestIgnoreWrongRuleDoesNotSuppress(t *testing.T) {
 import "time"
 
 func stamp() time.Time {
-	//nomadlint:ignore maporder -- irrelevant rule
+	//nomadlint:ignore obsboundary -- irrelevant rule
 	return time.Now()
 }
 `, snippetConfig(), nil)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/token"
 	"path"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -22,28 +21,12 @@ func (d Diagnostic) String() string {
 
 // RuleNames lists every rule the analyzer implements, in report order.
 // "directive" is the meta-rule covering malformed //nomadlint:ignore
-// comments and is always active.
+// comments.
 var RuleNames = []string{
 	"wallclock",
-	"maporder",
-	"concurrency",
 	"floatclock",
-	"poolalloc",
 	"obsboundary",
 	"directive",
-}
-
-// CheckRules reports an error listing the valid rule names when any of names
-// is not one of RuleNames. Config.Rules is not validated by Run: a
-// misspelled rule would silently check nothing, so callers taking rule
-// names from users check them here first.
-func CheckRules(names []string) error {
-	for _, n := range names {
-		if !slices.Contains(RuleNames, n) {
-			return fmt.Errorf("unknown rule %q; valid rules: %s", n, strings.Join(RuleNames, ", "))
-		}
-	}
-	return nil
 }
 
 // Config scopes the determinism contract.
@@ -56,8 +39,6 @@ type Config struct {
 	// e.g. "internal/metrics/hostprof.go") from the wallclock rule: these
 	// knowingly read host state and are documented as non-deterministic.
 	AllowFiles []string
-	// Rules restricts the run to a subset of RuleNames; empty means all.
-	Rules []string
 }
 
 // DefaultConfig returns the contract for this repository: every package
@@ -84,19 +65,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// ruleEnabled reports whether the named rule runs under this config.
-func (c *Config) ruleEnabled(name string) bool {
-	if len(c.Rules) == 0 {
-		return true
-	}
-	for _, r := range c.Rules {
-		if r == name {
-			return true
-		}
-	}
-	return false
-}
-
 // isModel reports whether the package at import path ip is in contract
 // scope.
 func (c *Config) isModel(modPath, ip string) bool {
@@ -119,7 +87,7 @@ func (c *Config) fileAllowed(filename string) bool {
 	return false
 }
 
-// Run executes the configured rules over a loaded module and returns the
+// Run executes every rule over a loaded module and returns the
 // surviving diagnostics sorted by position. Type errors are reported first:
 // a module that does not compile cannot be certified.
 func Run(mod *Module, cfg Config) []Diagnostic {
@@ -136,24 +104,9 @@ func Run(mod *Module, cfg Config) []Diagnostic {
 	ign := collectIgnores(mod)
 	diags = append(diags, ign.malformed...)
 
-	if cfg.ruleEnabled("wallclock") {
-		diags = append(diags, checkWallclock(mod, &cfg)...)
-	}
-	if cfg.ruleEnabled("maporder") {
-		diags = append(diags, checkMapOrder(mod, &cfg)...)
-	}
-	if cfg.ruleEnabled("concurrency") {
-		diags = append(diags, checkConcurrency(mod, &cfg)...)
-	}
-	if cfg.ruleEnabled("floatclock") {
-		diags = append(diags, checkFloatClock(mod, &cfg)...)
-	}
-	if cfg.ruleEnabled("poolalloc") {
-		diags = append(diags, checkPoolAlloc(mod, &cfg)...)
-	}
-	if cfg.ruleEnabled("obsboundary") {
-		diags = append(diags, checkObsBoundary(mod, &cfg)...)
-	}
+	diags = append(diags, checkWallclock(mod, &cfg)...)
+	diags = append(diags, checkFloatClock(mod, &cfg)...)
+	diags = append(diags, checkObsBoundary(mod, &cfg)...)
 
 	kept := diags[:0]
 	for _, d := range diags {

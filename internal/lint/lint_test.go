@@ -3,7 +3,6 @@ package lint
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -32,14 +31,6 @@ func Environ() []string
 	"math/rand": {"rand.go": `package rand
 func Intn(n int) int
 func Int63() int64
-`},
-	"fmt": {"fmt.go": `package fmt
-func Sprintf(format string, a ...any) string
-func Println(a ...any) (int, error)
-`},
-	"sort": {"sort.go": `package sort
-func Strings(x []string)
-func Ints(x []int)
 `},
 }
 
@@ -120,37 +111,16 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-func TestCheckRules(t *testing.T) {
-	if err := CheckRules(nil); err != nil {
-		t.Errorf("no rules: %v", err)
-	}
-	if err := CheckRules([]string{"wallclock", "poolalloc", "directive"}); err != nil {
-		t.Errorf("known rules: %v", err)
-	}
-	err := CheckRules([]string{"wallclock", "nosuchrule"})
-	if err == nil {
-		t.Fatal("unknown rule accepted")
-	}
-	for _, want := range []string{`"nosuchrule"`, "poolalloc"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %s", err, want)
-		}
-	}
-	if err := CheckRules([]string{"ownership"}); err == nil {
-		t.Error("the deleted ownership rule is still accepted")
-	}
-}
-
 // TestBuildTaggedFileExcluded: files behind a build constraint the simulator
 // does not ship with are not loaded, matching the compiled build graph, so
-// only the untagged file's goroutine is reported.
+// only the untagged file's wall-clock read is reported.
 func TestBuildTaggedFileExcluded(t *testing.T) {
 	diags := lintSnippet(t, `package model
 `, Config{ModelPackages: []string{"model", "hooks"}}, map[string]map[string]string{
 		"m/hooks": {
-			"m/hooks/hooks.go": "package hooks\n\nfunc spawn() { go spawn() }\n",
-			"m/hooks/debug.go": "//go:build debughooks\n\npackage hooks\n\nfunc spawnDebug() { go spawnDebug() }\n",
+			"m/hooks/hooks.go": "package hooks\n\nimport \"time\"\n\nvar start = time.Now()\n",
+			"m/hooks/debug.go": "//go:build debughooks\n\npackage hooks\n\nimport \"time\"\n\nvar debugStart = time.Now()\n",
 		},
 	})
-	wantDiags(t, diags, [2]any{"concurrency", 3})
+	wantDiags(t, diags, [2]any{"wallclock", 5})
 }

@@ -1,10 +1,10 @@
-// Package lint implements nomadlint, a stdlib-only static analyzer that
-// enforces the simulator's determinism contract (DESIGN.md): model packages
-// must not read wall-clock time, global randomness, or the environment; must
-// not iterate maps in observable order; must not use goroutines or channels;
-// must not push cycle counts through floating point; must take pooled
-// objects from their freelists; and must not import the host-side
-// observability packages.
+// Package lint implements nomadlint, a stdlib-only static analyzer for the
+// part of the simulator's determinism contract (DESIGN.md) that no run-time
+// test can see: model packages must not read wall-clock time, global
+// randomness, or the environment; must not push cycle counts through
+// floating point; and must not import the host-side observability packages.
+// Map-order iteration, goroutines and pool bypasses are caught at run time
+// instead, by the byte-identity suites and the zero-allocation tests.
 //
 // The analyzer is built purely on go/ast, go/parser, go/token, and go/types
 // with the source importer — no golang.org/x/tools dependency — so the

@@ -20,6 +20,7 @@ var sseKeepalivePeriod = 15 * time.Second
 //	/metrics              Prometheus text exposition (registry + host stats)
 //	/runs                 JSON statuses of tracked runs
 //	/runs/{key}/timeline  SSE stream of the run's interval timeline rows
+//	/runs/{key}/digests   JSON interval digest chain of the latest snapshot
 //	/debug/pprof/...      standard net/http/pprof handlers
 //
 // It reads only the tracker's published copies, never live simulation

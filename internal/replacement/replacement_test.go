@@ -1,6 +1,8 @@
 package replacement
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -21,6 +23,30 @@ func TestFIFOBasics(t *testing.T) {
 	refString(f, 3, 1)
 	if f.Misses() != 4 {
 		t.Fatalf("FIFO did not evict in insertion order: misses=%d", f.Misses())
+	}
+}
+
+// TestFIFOMatchesQueueOracle: on a long random stream FIFO-FA misses exactly
+// where a plain insertion-order queue does, so every victim is the oldest
+// resident page. TestFIFOBasics' two-page cache cannot reliably tell that
+// apart from a victim picked in map order.
+func TestFIFOMatchesQueueOracle(t *testing.T) {
+	const capacity = 16
+	f := NewFIFO(capacity)
+	var queue []uint64
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10_000; i++ {
+		pg := uint64(rng.Intn(64))
+		hit := slices.Contains(queue, pg)
+		if !hit {
+			if len(queue) == capacity {
+				queue = queue[1:]
+			}
+			queue = append(queue, pg)
+		}
+		if miss := f.Access(pg); miss == hit {
+			t.Fatalf("reference %d (page %d): FIFO miss %v, oracle miss %v", i, pg, miss, !hit)
+		}
 	}
 }
 

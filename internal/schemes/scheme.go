@@ -71,7 +71,7 @@ func (s *AccessStats) getRec() *readRec {
 		s.recs = s.recs[:n-1]
 		return r
 	}
-	r := &readRec{} //nomadlint:ignore poolalloc -- freelist constructor: the one allocation the pool amortizes
+	r := &readRec{}
 	r.fn = func() {
 		lat := r.now() - r.start
 		s.ReadLatencySum += lat

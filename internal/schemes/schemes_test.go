@@ -364,41 +364,52 @@ func TestSchemeNames(t *testing.T) {
 
 // TestAccessDoesNotAllocate: at steady state a post-LLC access allocates
 // nothing. TiD's row covers a miss (MSHR, critical sub-block first, line
-// fill, dirty victim writeback); Ideal's mixes cache-space (HBM) and
-// physical (DDR) reads and writes.
+// fill, dirty victim writeback); TiD-MSHR-full issues two misses at once
+// against one MSHR, so the second stalls and is re-looked-up through a
+// pooled retry; Ideal's mixes cache-space (HBM) and physical (DDR) reads
+// and writes.
 func TestAccessDoesNotAllocate(t *testing.T) {
 	if check.Enabled {
 		t.Skip("the invariants build allocates in its assertions")
 	}
+	// One set of four ways: cycling through eight lines misses every time
+	// and evicts the LRU line, dirty every other time.
+	tid := func(mshrs int) func(e *env) Scheme {
+		return func(e *env) Scheme {
+			return NewTiD(e.eng, e.hbm, e.ddr, e.mm, 100, TiDConfig{CapacityBytes: 4 * 1024, MSHRs: mshrs})
+		}
+	}
 	for _, tc := range []struct {
-		name string
-		new  func(e *env) Scheme
+		name  string
+		new   func(e *env) Scheme
+		burst int // accesses issued at once
 	}{
-		// One set of four ways: cycling through eight lines misses every
-		// time and evicts the LRU line, dirty every other time.
-		{"TiD", func(e *env) Scheme { return NewTiD(e.eng, e.hbm, e.ddr, e.mm, 100, TiDConfig{CapacityBytes: 4 * 1024}) }},
-		{"Baseline", func(e *env) Scheme { return NewBaseline(e.eng, e.ddr, e.mm, 100) }},
-		{"Ideal", func(e *env) Scheme { return NewIdeal(e.eng, e.hbm, e.ddr, e.mm, 100) }},
+		{"TiD", tid(0), 1},
+		{"TiD-MSHR-full", tid(1), 2},
+		{"Baseline", func(e *env) Scheme { return NewBaseline(e.eng, e.ddr, e.mm, 100) }, 1},
+		{"Ideal", func(e *env) Scheme { return NewIdeal(e.eng, e.hbm, e.ddr, e.mm, 100) }, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEnv(1, 1024)
 			s := tc.new(e)
 			n := 0
 			done := func() { n++ }
-			pred := func() bool { return n > 0 && s.Drained() }
+			pred := func() bool { return n == tc.burst && s.Drained() }
 			var req mem.Request
 			i, completed := uint64(0), 0
 			access := func() {
 				n = 0
-				space := mem.SpacePhysical
-				if i%3 == 0 {
-					space = mem.SpaceCache
+				for k := 0; k < tc.burst; k++ {
+					space := mem.SpacePhysical
+					if i%3 == 0 {
+						space = mem.SpaceCache
+					}
+					req = mem.Request{Addr: mem.TagSpace(i%8*1024+i%16*mem.BlockSize, space), Write: i%2 == 0, Kind: mem.KindDemand}
+					i++
+					s.Access(&req, done)
 				}
-				req = mem.Request{Addr: mem.TagSpace(i%8*1024+i%16*mem.BlockSize, space), Write: i%2 == 0, Kind: mem.KindDemand}
-				i++
-				s.Access(&req, done)
 				if e.eng.RunUntil(pred, 1_000_000) {
-					completed++
+					completed += tc.burst
 				}
 			}
 			// One write and one read per op, so that AllocsPerRun's integer
@@ -419,12 +430,18 @@ func TestAccessDoesNotAllocate(t *testing.T) {
 			if a := testing.AllocsPerRun(100, run); a != 0 {
 				t.Fatalf("%v allocs/op, want 0", a)
 			}
-			if completed != 202 {
-				t.Fatalf("%d of 202 accesses completed", completed)
+			want := 202 * tc.burst
+			if completed != want {
+				t.Fatalf("%d of %d accesses completed", completed, want)
 			}
 			if isTiD {
-				if got := td.TiDStats().Misses - before.Misses; got != 202 {
-					t.Fatalf("%d misses in 202 accesses", got)
+				// A stalled access misses again on its retry.
+				stalls := td.TiDStats().MSHRStalls - before.MSHRStalls
+				if got := td.TiDStats().Misses - before.Misses; got != uint64(want)+stalls {
+					t.Fatalf("%d misses in %d accesses with %d MSHR stalls", got, want, stalls)
+				}
+				if tc.burst > 1 && stalls < 202 {
+					t.Fatalf("%d MSHR stalls in 202 bursts of %d", stalls, tc.burst)
 				}
 				if td.TiDStats().Writebacks == before.Writebacks {
 					t.Fatal("no dirty victim written back")

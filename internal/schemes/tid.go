@@ -467,7 +467,7 @@ func (t *TiD) getMSHR() *tidMSHR {
 		t.freeMSHRs = t.freeMSHRs[:n-1]
 		return m
 	}
-	m := &tidMSHR{} //nomadlint:ignore poolalloc -- freelist constructor: the one allocation the pool amortizes
+	m := &tidMSHR{}
 	for si := range m.arrive {
 		si := uint(si)
 		m.arrive[si] = func() { t.subArrived(m, si) }
@@ -498,7 +498,7 @@ func (t *TiD) getRetry() *tidRetry {
 		t.retries = t.retries[:n-1]
 		return r
 	}
-	r := &tidRetry{} //nomadlint:ignore poolalloc -- freelist constructor: the one allocation the pool amortizes
+	r := &tidRetry{}
 	r.fn = func() {
 		req, done := r.req, r.done
 		r.req, r.done = mem.Request{}, nil

@@ -17,15 +17,30 @@ import (
 // timeline, trace summary) and the same Perfetto trace as the same run on
 // the binary-heap oracle, and the wheel runs with fast-forward on and off
 // must agree too: each row pins the full 2x2 engine/fast-forward matrix to
-// one observable behaviour. Two NOMAD rows cover paths the default config
-// never runs: selective caching under eviction pressure, and the
-// distributed back-end.
+// one observable behaviour. The rows after the per-scheme ones cover paths
+// the default config never runs, so that a map-order or goroutine defect on
+// any path an experiment reaches makes some row diverge: selective caching
+// under eviction pressure, the distributed back-end, the area-optimized
+// back-end with the ablation knobs, and a DRAM cache so small that NOMAD
+// falls back to direct reclaim and forced shootdowns and Ideal evicts.
 func TestEngineByteIdentical(t *testing.T) {
+	// floor is a counter the row's path drives past min.
+	type floor struct {
+		name string
+		min  uint64
+	}
 	type row struct {
 		name string
 		cfg  Config
 		spec workload.Spec
-		ran  []string // counters that must be non-zero: the row's path ran
+		ran  []floor // counters that prove the row's path ran
+	}
+	nonZero := func(names ...string) []floor {
+		fs := make([]floor, len(names))
+		for i, n := range names {
+			fs[i] = floor{n, 0}
+		}
+		return fs
 	}
 	var rows []row
 	for _, s := range AllSchemes() {
@@ -39,8 +54,11 @@ func TestEngineByteIdentical(t *testing.T) {
 	dist := smallConfig(SchemeNOMAD)
 	dist.Backend.Distributed = true
 	rows = append(rows,
-		row{"NOMAD-selective", sel, selSpec, []string{"frontend.selective_bypasses", "frontend.daemon_runs"}},
-		row{"NOMAD-distributed", dist, smallSpec(), []string{"backend.fills"}})
+		row{"NOMAD-selective", sel, selSpec, nonZero("frontend.selective_bypasses", "frontend.daemon_runs")},
+		row{"NOMAD-distributed", dist, smallSpec(), nonZero("backend.fills")},
+		row{"NOMAD-area", areaConfig(), smallSpec(), nonZero("backend.buffer_wait_sum", "backend.sub_entry_overflows")},
+		row{"NOMAD-64frames", tinyConfig(SchemeNOMAD), smallSpec(), nonZero("frontend.forced_shootdowns", "frontend.direct_reclaims")},
+		row{"Ideal-64frames", tinyConfig(SchemeIdeal), smallSpec(), []floor{{"scheme.tag_misses", 64}}})
 
 	for _, r := range rows {
 		r := r
@@ -59,9 +77,9 @@ func TestEngineByteIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Run(%s, %s): %v", r.name, engine, err)
 					}
-					for _, name := range r.ran {
-						if res.Metrics.Counter(name) == 0 {
-							t.Errorf("%s on %s: %s is 0; the path under test never ran", r.name, engine, name)
+					for _, f := range r.ran {
+						if v := res.Metrics.Counter(f.name); v <= f.min {
+							t.Errorf("%s on %s: %s is %d, want above %d; the path under test never ran", r.name, engine, f.name, v, f.min)
 						}
 					}
 					snap, err := json.Marshal(res.Metrics)
@@ -90,6 +108,26 @@ func TestEngineByteIdentical(t *testing.T) {
 			})
 		}
 	}
+}
+
+// areaConfig is Fig. 15's area-optimized back-end with the §IV-B.5
+// ablation knobs. Four cores keep several fills queued for the one copy
+// buffer; two cores with two PCSHRs never queue two waiters.
+func areaConfig() Config {
+	cfg := smallConfig(SchemeNOMAD)
+	cfg.Cores = 4
+	cfg.Backend.PCSHRs, cfg.Backend.CopyBuffers = 4, 1
+	cfg.Backend.VerifyLatency, cfg.Backend.NoCriticalFirst = 1, true
+	return cfg
+}
+
+// tinyConfig puts scheme on a 64-frame DRAM cache, below every core's TLB
+// reach, so reclaim starves: NOMAD falls back to direct reclaim and forced
+// shootdowns, and Ideal evicts.
+func tinyConfig(scheme SchemeName) Config {
+	cfg := smallConfig(scheme)
+	cfg.CacheFrames = 64
+	return cfg
 }
 
 // engines names the two event queues the differential suites compare: the

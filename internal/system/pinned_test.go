@@ -33,9 +33,13 @@ func tidEvictConfig() Config {
 // shares (Core.Tick, say) passes all of them. The first four rows are the
 // benchmark configurations with digests on, and each final digest must
 // equal the one recorded in perfbench/baseline; a deliberate model change
-// updates both. The last row pins TiD replacement: it writes back dirty
-// victims, so a change to TiD's victim choice or dirty tracking moves its
-// digest.
+// updates both. The other rows pin paths the benchmark does not run. TiD
+// replacement writes back dirty victims, so a change to TiD's victim choice
+// or dirty tracking moves its digest. The area-optimized back-end and the
+// 64-frame NOMAD and Ideal caches are TestEngineByteIdentical's rows: a
+// change there that every run of one process makes alike, such as a
+// goroutine race that resolves the same way each time, passes that test
+// but moves these digests.
 func TestPinnedDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four 8-core benchmark simulations")
@@ -60,6 +64,9 @@ func TestPinnedDigests(t *testing.T) {
 		{"tid-mcf", pinnedBenchConfig(SchemeTiD), bench("mcf"), "eb24c8aa920ab3b8", ""},
 		{"nomad-lbm", pinnedBenchConfig(SchemeNOMAD), bench("lbm"), "5cf7330490027ee4", ""},
 		{"tid-writebacks", tidEvictConfig(), smallSpec(), "02ad66a575d0679b", "scheme.tid.writebacks"},
+		{"nomad-area", areaConfig(), smallSpec(), "168ce250b3052d16", "backend.buffer_wait_sum"},
+		{"nomad-64frames", tinyConfig(SchemeNOMAD), smallSpec(), "c38f6eb26f5b1dd4", "frontend.forced_shootdowns"},
+		{"ideal-64frames", tinyConfig(SchemeIdeal), smallSpec(), "4cbeaa6041b14ed9", "scheme.tag_misses"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Digests = true

@@ -172,7 +172,7 @@ func (m *Machine) getMemOp() *memOp {
 		m.memOps = m.memOps[:n-1]
 		return op
 	}
-	op := &memOp{} //nomadlint:ignore poolalloc -- freelist constructor: the one allocation the pool amortizes
+	op := &memOp{}
 	op.fn = func(e tlb.Entry) { m.runMemOp(op, e) }
 	return op
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"nomad/internal/check"
+	"nomad/internal/mem"
 	"nomad/internal/workload"
 )
 
@@ -253,5 +255,52 @@ func TestParseScheme(t *testing.T) {
 				t.Errorf("ParseScheme(%q) error %q lacks %q", bad, msg, want)
 			}
 		}
+	}
+}
+
+// TestPortDoesNotAllocate: at steady state a core's load or store allocates
+// nothing on its way through the port: the TLB callback is the prebuilt fn
+// of a pooled op. The core is kept OS-blocked, so only the port's own
+// accesses run.
+func TestPortDoesNotAllocate(t *testing.T) {
+	if check.Enabled {
+		t.Skip("the invariants build allocates in its assertions")
+	}
+	cfg := smallConfig(SchemeBaseline)
+	cfg.Cores = 1
+	m, err := New(cfg, smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.cores[0].Block()
+	p := port{m: m, coreID: 0}
+	n := 0
+	done := func() { n++ }
+	pred := func() bool { return n == 2 }
+	i := uint64(0)
+	// Two loads and two stores per op over 16 blocks of 4 pages: the TLB
+	// and the L1 hold them all after the first pass, and each store's
+	// translation is done by the time the load issued beside it completes.
+	run := func() {
+		n = 0
+		for k := 0; k < 2; k++ {
+			vaddr := i%4*mem.PageSize + i%16*mem.BlockSize
+			i++
+			p.Load(0, vaddr, nil, done)
+			p.Store(0, vaddr+mem.BlockSize/2)
+		}
+		m.eng.RunUntil(pred, 1_000_000)
+	}
+	for k := 0; k < 1000; k++ {
+		run()
+	}
+	if len(m.memOps) != 4 {
+		t.Fatalf("%d memOps pooled after the warm-up, want 4", len(m.memOps))
+	}
+	if a := testing.AllocsPerRun(100, run); a != 0 {
+		t.Fatalf("%v allocs/op, want 0", a)
+	}
+	if n != 2 {
+		t.Fatalf("%d of 2 loads completed", n)
 	}
 }

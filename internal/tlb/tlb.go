@@ -341,7 +341,7 @@ func (t *TLB) getWalk() *walkOp {
 		t.walks = t.walks[:n-1]
 		return op
 	}
-	op := &walkOp{} //nomadlint:ignore poolalloc -- freelist constructor: the one allocation the pool amortizes
+	op := &walkOp{}
 	op.fn = func(e Entry) { t.walkDone(op, e) }
 	return op
 }
@@ -374,7 +374,7 @@ func (t *TLB) getHit() *hitOp {
 		t.hits = t.hits[:n-1]
 		return op
 	}
-	op := &hitOp{} //nomadlint:ignore poolalloc -- freelist constructor: the one allocation the pool amortizes
+	op := &hitOp{}
 	op.fn = func() {
 		e, done := op.e, op.done
 		op.done = nil
