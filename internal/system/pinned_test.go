@@ -28,6 +28,24 @@ func tidEvictConfig() Config {
 	return cfg
 }
 
+// tdcEvictConfig puts TDC on a 512-frame DRAM cache under evictSpec's
+// footprint, so its eviction daemon reclaims frames and copies dirty
+// victims back; no benchmark run or per-scheme row evicts a TDC frame.
+func tdcEvictConfig() Config {
+	cfg := smallConfig(SchemeTDC)
+	cfg.CacheFrames = 512
+	return cfg
+}
+
+// evictSpec is smallSpec with a footprint of 16 times a 512-frame DRAM
+// cache and a warm set of six times it, so a 512-frame cache keeps its
+// eviction daemon working.
+func evictSpec() workload.Spec {
+	spec := smallSpec()
+	spec.FootprintPages, spec.WarmPages, spec.WarmFrac = 8192, 3072, 0.7
+	return spec
+}
+
 // TestPinnedDigests pins the model's output. The byte-identity suites
 // compare variants inside one tree, so a model edit in code every variant
 // shares (Core.Tick, say) passes all of them. The first four rows are the
@@ -39,7 +57,8 @@ func tidEvictConfig() Config {
 // 64-frame NOMAD and Ideal caches are TestEngineByteIdentical's rows: a
 // change there that every run of one process makes alike, such as a
 // goroutine race that resolves the same way each time, passes that test
-// but moves these digests.
+// but moves these digests. The 512-frame TDC row runs the blocking
+// front-end's eviction daemon and its dirty-page writeback copies.
 func TestPinnedDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four 8-core benchmark simulations")
@@ -67,6 +86,7 @@ func TestPinnedDigests(t *testing.T) {
 		{"nomad-area", areaConfig(), smallSpec(), "168ce250b3052d16", "backend.buffer_wait_sum"},
 		{"nomad-64frames", tinyConfig(SchemeNOMAD), smallSpec(), "c38f6eb26f5b1dd4", "frontend.forced_shootdowns"},
 		{"ideal-64frames", tinyConfig(SchemeIdeal), smallSpec(), "4cbeaa6041b14ed9", "scheme.tag_misses"},
+		{"tdc-512frames", tdcEvictConfig(), evictSpec(), "4bad82594c94bc0b", "frontend.dirty_evictions"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Digests = true
