@@ -83,7 +83,7 @@ func main() {
 	}
 	if *progress {
 		opts.Progress = func(key string) func(system.Progress) {
-			return system.ProgressPrinter(os.Stderr, key)
+			return harness.ProgressPrinter(os.Stderr, key)
 		}
 	}
 	opts.Tracker = cf.StartObs(logger)

@@ -72,8 +72,8 @@ func main() {
 	}
 	opts := harness.Options{Parallelism: 1, Telemetry: cf.Telemetry(), Tracker: cf.StartObs(logger)}
 	if *progress {
-		opts.Progress = func(string) func(system.Progress) {
-			return system.ProgressPrinter(os.Stderr, sp.Abbr)
+		opts.Progress = func(key string) func(system.Progress) {
+			return harness.ProgressPrinter(os.Stderr, key)
 		}
 	}
 	cfg := opts.BaseConfig()

@@ -34,18 +34,34 @@ type Shootdowner interface {
 }
 
 // FillBackend is the data-management engine fills and writebacks are
-// offloaded to. The NOMAD Backend implements it; the blocking TDC front-end
-// substitutes synchronous copies instead.
+// offloaded to. The NOMAD Backend implements it; in blocking (TDC) mode the
+// front-end wraps its page-copy functions in a blockingCopier.
 type FillBackend interface {
 	Send(cmd Command, accepted mem.Done)
+}
+
+// blockingCopier is the blocking (TDC) mode's fill engine: OS page copies
+// running on the faulting CPU, so a command is accepted only when its copy
+// completes. It tracks no in-flight transfers, so the eviction paths cannot
+// see a frame whose copy is still running (DESIGN.md, deviation #8).
+type blockingCopier struct {
+	fill, writeback func(src, dst uint64, done mem.Done)
+}
+
+// Send implements FillBackend: done fires when the page copy completes.
+func (c blockingCopier) Send(cmd Command, done mem.Done) {
+	if cmd.Type == CmdWriteback {
+		c.writeback(cmd.CFN, cmd.PFN, done)
+		return
+	}
+	c.fill(cmd.PFN, cmd.CFN, done)
 }
 
 // transferTracker is the optional back-end view the eviction paths consult:
 // a frame whose fill is still streaming through the data-management engine
 // must not be reclaimed, or the recycled CFN would carry two concurrent
 // fills through the PCSHR CAM (whose byCFN index tolerates one). The NOMAD
-// Backend implements it; blocking (TDC) mode has no in-flight fills to
-// track.
+// Backend implements it; blockingCopier does not.
 type transferTracker interface {
 	InTransfer(cfn uint64) bool
 }
@@ -173,15 +189,13 @@ func (m *mutexSim) unlock() {
 // Frontend implements the NOMAD OS routines (and, with Blocking set, the
 // TDC variant). It satisfies tlb.Walker and tlb.Directory.
 type Frontend struct {
-	cfg      FrontendConfig
-	eng      *sim.Engine
-	mm       *osmem.Manager
-	backend  FillBackend                                // non-blocking mode
-	tracker  transferTracker                            // backend's in-flight-fill view, if any
-	copier   func(srcPFN, dstCFN uint64, done mem.Done) // blocking fills
-	wbCopier func(srcCFN, dstPFN uint64, done mem.Done) // blocking writebacks
-	threads  []Thread
-	flusher  Flusher
+	cfg     FrontendConfig
+	eng     *sim.Engine
+	mm      *osmem.Manager
+	backend FillBackend
+	tracker transferTracker // backend's in-flight-fill view, if any
+	threads []Thread
+	flusher Flusher
 
 	shootdowner Shootdowner
 
@@ -249,25 +263,21 @@ func (f *Frontend) runWalk(op *fwalkOp) {
 func (f *Frontend) SetShootdowner(s Shootdowner) { f.shootdowner = s }
 
 // NewFrontend builds the OS front-end. For non-blocking (NOMAD) mode pass a
-// backend; for blocking (TDC) mode pass fill/writeback copier functions.
+// backend; for blocking (TDC) mode pass the fill (PFN to CFN) and writeback
+// (CFN to PFN) page-copy functions, which become the fill engine.
 func NewFrontend(eng *sim.Engine, cfg FrontendConfig, mm *osmem.Manager, threads []Thread, flusher Flusher, backend FillBackend,
 	copier, wbCopier func(src, dst uint64, done mem.Done)) *Frontend {
-	f := &Frontend{
-		cfg:      cfg.normalized(),
-		eng:      eng,
-		mm:       mm,
-		backend:  backend,
-		copier:   copier,
-		wbCopier: wbCopier,
-		threads:  threads,
-		flusher:  flusher,
+	cfg = cfg.normalized()
+	if cfg.Blocking {
+		if copier == nil || wbCopier == nil {
+			panic("core: blocking front-end requires copier functions")
+		}
+		backend = blockingCopier{fill: copier, writeback: wbCopier}
 	}
-	if !f.cfg.Blocking && backend == nil {
+	if backend == nil {
 		panic("core: non-blocking front-end requires a backend")
 	}
-	if f.cfg.Blocking && (copier == nil || wbCopier == nil) {
-		panic("core: blocking front-end requires copier functions")
-	}
+	f := &Frontend{cfg: cfg, eng: eng, mm: mm, backend: backend, threads: threads, flusher: flusher}
 	f.tracker, _ = backend.(transferTracker)
 	return f
 }
@@ -380,24 +390,10 @@ func (f *Frontend) blockingMiss(coreID int, vpn uint64, pte *osmem.PTE, done fun
 	cfn := f.mm.AllocateFrame(pfn)
 	f.mm.SetCached(pfn, cfn)
 	f.maybeEvict()
-	f.copier(pfn, cfn, func() {
+	f.backend.Send(Command{Type: CmdFill, PFN: pfn, CFN: cfn}, func() {
 		thread.Unblock()
 		done(tlb.Entry{VPN: vpn, Frame: cfn, Space: mem.SpaceCache})
 	})
-}
-
-// evictable reports whether cfn may be reclaimed now. Frames whose fill is
-// still in flight are skipped exactly like TLB-resident frames: the tail has
-// already passed them, so the next revolution reconsiders them once the
-// transfer drains. Without this, a tiny cache under churn can release a
-// mid-fill frame, re-allocate the same CFN, and issue a second concurrent
-// fill that collides in the back-end's byCFN CAM.
-func (f *Frontend) evictable(cfn uint64) bool {
-	if f.tracker != nil && f.tracker.InTransfer(cfn) {
-		f.stats.FillSkips++
-		return false
-	}
-	return true
 }
 
 // maybeEvict sets the eviction flag when free frames run low and schedules
@@ -410,37 +406,59 @@ func (f *Frontend) maybeEvict() {
 	f.eng.Schedule(1, f.runDaemon)
 }
 
+// candidates takes up to n victims from the FIFO tail, counting the
+// TLB-resident frames shootdown avoidance skips.
+func (f *Frontend) candidates(n int) []uint64 {
+	victims, skips := f.mm.EvictCandidates(n)
+	f.stats.TLBSkips += uint64(skips)
+	return victims
+}
+
+// release is Algorithm 2's per-victim work, shared by every eviction path:
+// flush the frame's SRAM-cached lines, restore its PTEs and free it, and
+// hand each dirty victim's writeback command to wb. Frames whose fill is
+// still in flight are skipped exactly like TLB-resident frames: the tail
+// has already passed them, so the next revolution reconsiders them once
+// the transfer drains. Without this, a tiny cache under churn can release a
+// mid-fill frame, re-allocate the same CFN, and issue a second concurrent
+// fill that collides in the back-end's byCFN CAM. Only a fill engine that
+// tracks its transfers can report them; the blocking copier does not.
+func (f *Frontend) release(victims []uint64, wb func(Command)) {
+	for _, cfn := range victims {
+		if f.tracker != nil && f.tracker.InTransfer(cfn) {
+			f.stats.FillSkips++
+			continue
+		}
+		f.stats.Evictions++
+		if f.flusher != nil {
+			f.flusher.FlushFrame(cfn)
+		}
+		if pfn, dirty := f.mm.ReleaseFrame(cfn); dirty {
+			f.stats.DirtyEvictions++
+			wb(Command{Type: CmdWriteback, PFN: pfn, CFN: cfn})
+		}
+	}
+}
+
+// writeback offloads one writeback without waiting for its acceptance.
+func (f *Frontend) writeback(cmd Command) { f.backend.Send(cmd, nil) }
+
 // runDaemon is Algorithm 2. In NOMAD mode it holds the cache-frame mutex
 // for its critical section (competing with tag miss handlers); in TDC mode
 // reclamation is immediate.
 func (f *Frontend) runDaemon() {
 	f.stats.DaemonRuns++
 	if f.cfg.Blocking {
-		f.evictBatch()
+		f.release(f.candidates(f.cfg.EvictionBatch), f.writeback)
 		f.daemonFinished()
 		return
 	}
 	f.mu.lock(func(unlock func()) {
-		victims, skips := f.mm.EvictCandidates(f.cfg.EvictionBatch)
-		f.stats.TLBSkips += uint64(skips)
-		// Functional phase under the mutex: flush, restore PTEs,
-		// release frames, collect dirty victims (Algorithm 2). The
-		// critical section is charged as base + per-frame work.
+		// Functional phase under the mutex; the critical section is
+		// charged as base + per-frame work.
+		victims := f.candidates(f.cfg.EvictionBatch)
 		wbs := make([]Command, 0, len(victims))
-		for _, cfn := range victims {
-			if !f.evictable(cfn) {
-				continue
-			}
-			f.stats.Evictions++
-			if f.flusher != nil {
-				f.flusher.FlushFrame(cfn)
-			}
-			pfn, dirty := f.mm.ReleaseFrame(cfn)
-			if dirty {
-				f.stats.DirtyEvictions++
-				wbs = append(wbs, Command{Type: CmdWriteback, PFN: pfn, CFN: cfn})
-			}
-		}
+		f.release(victims, func(cmd Command) { wbs = append(wbs, cmd) })
 		hold := f.cfg.DaemonBase + f.cfg.DaemonPerFrame*uint64(len(victims))
 		f.eng.Schedule(hold, func() {
 			// Writeback commands are issued after the mutex is
@@ -473,27 +491,6 @@ func (f *Frontend) sendWritebacks(wbs []Command, i int) {
 	f.backend.Send(wbs[i], func() { f.sendWritebacks(wbs, i+1) })
 }
 
-// evictBatch is the TDC daemon body: functional reclamation with
-// fire-and-forget writebacks.
-func (f *Frontend) evictBatch() {
-	victims, skips := f.mm.EvictCandidates(f.cfg.EvictionBatch)
-	f.stats.TLBSkips += uint64(skips)
-	for _, cfn := range victims {
-		if !f.evictable(cfn) {
-			continue
-		}
-		f.stats.Evictions++
-		if f.flusher != nil {
-			f.flusher.FlushFrame(cfn)
-		}
-		pfn, dirty := f.mm.ReleaseFrame(cfn)
-		if dirty {
-			f.stats.DirtyEvictions++
-			f.wbCopier(cfn, pfn, nil)
-		}
-	}
-}
-
 // directReclaim synchronously frees a batch when allocation would otherwise
 // starve (direct reclaim in a real kernel). It bypasses timing: the cost is
 // absorbed into the surrounding handler latency, and it is rare by
@@ -510,26 +507,7 @@ func (f *Frontend) directReclaim() {
 			f.forcedReclaim()
 			continue
 		}
-		victims, skips := f.mm.EvictCandidates(f.cfg.EvictionBatch)
-		f.stats.TLBSkips += uint64(skips)
-		for _, cfn := range victims {
-			if !f.evictable(cfn) {
-				continue
-			}
-			f.stats.Evictions++
-			if f.flusher != nil {
-				f.flusher.FlushFrame(cfn)
-			}
-			pfn, dirty := f.mm.ReleaseFrame(cfn)
-			if dirty {
-				f.stats.DirtyEvictions++
-				if f.cfg.Blocking {
-					f.wbCopier(cfn, pfn, nil)
-				} else {
-					f.backend.Send(Command{Type: CmdWriteback, PFN: pfn, CFN: cfn}, nil)
-				}
-			}
-		}
+		f.release(f.candidates(f.cfg.EvictionBatch), f.writeback)
 	}
 }
 
@@ -556,24 +534,7 @@ func (f *Frontend) forcedReclaim() {
 	}
 	// Phase 2: regular eviction over the now-unpinned window.
 	victims, _ := f.mm.EvictCandidates(int(batch))
-	for _, cfn := range victims {
-		if !f.evictable(cfn) {
-			continue
-		}
-		f.stats.Evictions++
-		if f.flusher != nil {
-			f.flusher.FlushFrame(cfn)
-		}
-		pfn, dirty := f.mm.ReleaseFrame(cfn)
-		if dirty {
-			f.stats.DirtyEvictions++
-			if f.cfg.Blocking {
-				f.wbCopier(cfn, pfn, nil)
-			} else {
-				f.backend.Send(Command{Type: CmdWriteback, PFN: pfn, CFN: cfn}, nil)
-			}
-		}
-	}
+	f.release(victims, f.writeback)
 }
 
 // shootdownFrame invalidates every TLB translation of one cache frame.

@@ -330,6 +330,46 @@ func TestBlockingModeWaitsForCopy(t *testing.T) {
 	}
 }
 
+// TestBlockingModeWritesBackDirtyVictims: in blocking mode the daemon hands
+// a dirty victim to the writeback copier, frame to page, without waiting
+// for the copy.
+func TestBlockingModeWritesBackDirtyVictims(t *testing.T) {
+	cfg := DefaultFrontendConfig()
+	cfg.Blocking = true
+	cfg.EvictionLowWater, cfg.EvictionBatch = 4, 2
+	eng := sim.New()
+	mm := osmem.New(1, 8)
+	fill := func(src, dst uint64, done mem.Done) { eng.Schedule(100, done) }
+	type copyArgs struct {
+		src, dst uint64
+		done     mem.Done
+	}
+	var wbs []copyArgs
+	wb := func(src, dst uint64, done mem.Done) { wbs = append(wbs, copyArgs{src, dst, done}) }
+	fe := NewFrontend(eng, cfg, mm, []Thread{&fakeThread{}}, nil, nil, fill, wb)
+	var first tlb.Entry
+	for vpn := uint64(0); vpn < 5; vpn++ {
+		var got *tlb.Entry
+		fe.Walk(0, vpn*mem.PageSize, func(e tlb.Entry) { got = &e })
+		eng.RunUntil(func() bool { return got != nil }, 100_000)
+		if got == nil {
+			t.Fatalf("walk of page %d never completed", vpn)
+		}
+		if vpn == 0 {
+			first = *got
+			mm.MarkDirty(first.Frame)
+		}
+	}
+	eng.RunUntil(func() bool { return fe.Stats().DaemonRuns > 0 }, 100_000)
+	pfn := mm.PTEOf(0, 0).Frame
+	if len(wbs) != 1 || wbs[0].src != first.Frame || wbs[0].dst != pfn || wbs[0].done != nil {
+		t.Fatalf("writebacks %+v, want one fire-and-forget copy of frame %d to page %d", wbs, first.Frame, pfn)
+	}
+	if s := fe.Stats(); s.Evictions != 2 || s.DirtyEvictions != 1 {
+		t.Fatalf("stats %+v, want 2 evictions, 1 dirty", s)
+	}
+}
+
 func TestUncacheablePage(t *testing.T) {
 	cfg := DefaultFrontendConfig()
 	env := newFrontendEnv(t, cfg, 64, 1)

@@ -93,14 +93,6 @@ func (s *Stats) IPC() float64 {
 	return float64(s.Instructions) / float64(s.Cycles)
 }
 
-// StallRatio returns the fraction of cycles the thread was OS-suspended.
-func (s *Stats) StallRatio() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.OSBlockedCycles) / float64(s.Cycles)
-}
-
 type loadSlot struct {
 	pos   uint64 // absolute instruction index
 	done  bool
@@ -228,9 +220,6 @@ func (c *Core) Unblock() {
 
 // Blocked reports whether the thread is currently OS-suspended.
 func (c *Core) Blocked() bool { return c.blockCount > 0 }
-
-// OutstandingLoads reports in-flight loads (tests).
-func (c *Core) OutstandingLoads() int { return c.inFlight }
 
 // SetWaker implements sim.Sleeper.
 func (c *Core) SetWaker(w sim.Waker) { c.wake = w }

@@ -42,7 +42,7 @@ type Options struct {
 	system.Telemetry
 	// Progress, when non-nil, is called once per run with its key and must
 	// return a Machine.SetProgress callback (or nil). Callbacks fire on
-	// worker goroutines; system.ProgressPrinter returns a suitable one.
+	// worker goroutines; ProgressPrinter returns a suitable one.
 	Progress func(key string) func(system.Progress)
 	// Tracker, when non-nil, registers every run with the live
 	// introspection tracker: manifest, progress fractions, and throttled

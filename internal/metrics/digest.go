@@ -100,9 +100,6 @@ func sortedIdx(n int, name func(int) string) []int {
 	return idx
 }
 
-// DigestsActive reports whether BeginDigests has been called.
-func (r *Registry) DigestsActive() bool { return r.digActive }
-
 // sampleDigest closes the digest window ending at cycle now. SampleInterval
 // calls it from the engine's interval hook; it is a no-op until
 // BeginDigests.

@@ -57,70 +57,27 @@ type Span struct {
 // Trace: Emit overwrites the oldest record once full, Dropped reports lost
 // history, and a nil *SpanRing ignores Emit so components hook spans in
 // unconditionally.
-type SpanRing struct {
-	buf []Span
-	n   uint64 // total spans emitted
-}
+type SpanRing ring[Span]
 
 // NewSpanRing returns a ring holding depth spans (default 4096 when
 // depth <= 0). Exported for tests; simulations obtain one through
 // Registry.EnableSpans.
-func NewSpanRing(depth int) *SpanRing {
-	if depth <= 0 {
-		depth = 4096
-	}
-	return &SpanRing{buf: make([]Span, depth)}
-}
+func NewSpanRing(depth int) *SpanRing { return (*SpanRing)(newRing[Span](depth)) }
+
+func (r *SpanRing) ring() *ring[Span] { return (*ring[Span])(r) }
 
 // Emit records one span. Nil-safe and allocation-free.
-func (r *SpanRing) Emit(s Span) {
-	if r == nil {
-		return
-	}
-	r.buf[r.n%uint64(len(r.buf))] = s
-	r.n++
-}
+func (r *SpanRing) Emit(s Span) { r.ring().emit(s) }
 
 // Len returns the number of spans currently held.
-func (r *SpanRing) Len() int {
-	if r == nil {
-		return 0
-	}
-	if r.n < uint64(len(r.buf)) {
-		return int(r.n)
-	}
-	return len(r.buf)
-}
+func (r *SpanRing) Len() int { return r.ring().len() }
 
 // Dropped returns how many spans were overwritten.
-func (r *SpanRing) Dropped() uint64 {
-	if r == nil || r.n <= uint64(len(r.buf)) {
-		return 0
-	}
-	return r.n - uint64(len(r.buf))
-}
+func (r *SpanRing) Dropped() uint64 { return r.ring().dropped() }
 
 // Spans returns the retained spans in emission order.
-func (r *SpanRing) Spans() []Span {
-	if r == nil {
-		return nil
-	}
-	depth := uint64(len(r.buf))
-	if r.n <= depth {
-		return append([]Span(nil), r.buf[:r.n]...)
-	}
-	out := make([]Span, 0, depth)
-	start := r.n % depth
-	out = append(out, r.buf[start:]...)
-	out = append(out, r.buf[:start]...)
-	return out
-}
+func (r *SpanRing) Spans() []Span { return r.ring().records() }
 
 // Reset discards every span, keeping the storage (MarkROI calls it so
 // exported spans cover the measured region only).
-func (r *SpanRing) Reset() {
-	if r == nil {
-		return
-	}
-	r.n = 0
-}
+func (r *SpanRing) Reset() { r.ring().reset() }

@@ -80,9 +80,6 @@ func (r *Registry) BeginTimeline(now, every uint64) {
 	}
 }
 
-// TimelineActive reports whether BeginTimeline has been called.
-func (r *Registry) TimelineActive() bool { return r.tlActive }
-
 // SampleInterval closes the interval window ending at cycle now: one value
 // per registered timeline metric (after BeginTimeline) and one chained
 // digest (after BeginDigests). The engine's interval hook calls it; each

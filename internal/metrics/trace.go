@@ -62,68 +62,27 @@ type Event struct {
 // window of activity; Dropped reports how much history was lost. A nil
 // *Trace is valid and ignores Emit, which lets components call it
 // unconditionally on hot paths.
-type Trace struct {
-	buf []Event
-	n   uint64 // total events emitted
-}
+type Trace ring[Event]
 
-func newTrace(depth int) *Trace {
-	if depth <= 0 {
-		depth = 4096
-	}
-	return &Trace{buf: make([]Event, depth)}
-}
+func newTrace(depth int) *Trace { return (*Trace)(newRing[Event](depth)) }
+
+func (t *Trace) ring() *ring[Event] { return (*ring[Event])(t) }
 
 // Emit records one event. Nil-safe and allocation-free.
 func (t *Trace) Emit(cycle uint64, kind EventKind, a, b uint64) {
-	if t == nil {
-		return
-	}
-	t.buf[t.n%uint64(len(t.buf))] = Event{Cycle: cycle, Kind: kind, A: a, B: b}
-	t.n++
+	t.ring().emit(Event{Cycle: cycle, Kind: kind, A: a, B: b})
 }
 
 // Len returns the number of events currently held.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	if t.n < uint64(len(t.buf)) {
-		return int(t.n)
-	}
-	return len(t.buf)
-}
+func (t *Trace) Len() int { return t.ring().len() }
 
 // Dropped returns how many events were overwritten.
-func (t *Trace) Dropped() uint64 {
-	if t == nil || t.n <= uint64(len(t.buf)) {
-		return 0
-	}
-	return t.n - uint64(len(t.buf))
-}
+func (t *Trace) Dropped() uint64 { return t.ring().dropped() }
 
 // Reset discards every event, keeping the storage (MarkROI calls it so
 // exported traces cover the measured region instead of being diluted — or
 // fully evicted — by warmup events).
-func (t *Trace) Reset() {
-	if t == nil {
-		return
-	}
-	t.n = 0
-}
+func (t *Trace) Reset() { t.ring().reset() }
 
 // Events returns the retained events in chronological order.
-func (t *Trace) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	depth := uint64(len(t.buf))
-	if t.n <= depth {
-		return append([]Event(nil), t.buf[:t.n]...)
-	}
-	out := make([]Event, 0, depth)
-	start := t.n % depth
-	out = append(out, t.buf[start:]...)
-	out = append(out, t.buf[:start]...)
-	return out
-}
+func (t *Trace) Events() []Event { return t.ring().records() }

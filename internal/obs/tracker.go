@@ -196,7 +196,6 @@ func (h *RunHandle) Observe(p system.Progress, reg *metrics.Registry) {
 	if h == nil {
 		return
 	}
-	//nomadlint:ignore wallclock -- obs is host-side by charter; wall time never feeds simulation state
 	now := time.Now()
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -166,8 +166,7 @@ func (m *Manager) CacheFrames() uint64 { return m.frames }
 // FreeFrames returns the current number of free cache frames.
 func (m *Manager) FreeFrames() uint64 { return m.numFree }
 
-// Head and Tail expose the free-queue pointers (for tests and stats).
-func (m *Manager) Head() uint64 { return m.head }
+// Tail exposes the free queue's tail pointer, where eviction scans start.
 func (m *Manager) Tail() uint64 { return m.tail }
 
 // PTEOf returns the PTE for (core, vpn), demand-allocating the physical

@@ -13,17 +13,14 @@ import (
 // lower bound of DRAM cache performance (§IV-A). Every post-LLC access goes
 // to DDR; translation is a plain page-table walk.
 type Baseline struct {
-	eng   *sim.Engine
-	ddr   *dram.Device
-	mm    *osmem.Manager
-	walk  uint64
-	stats AccessStats
-	spanTap
+	dcPort
+	ddr    *dram.Device
+	walker physWalker
 }
 
 // NewBaseline builds the baseline scheme.
 func NewBaseline(eng *sim.Engine, ddr *dram.Device, mm *osmem.Manager, walkLatency uint64) *Baseline {
-	return &Baseline{eng: eng, ddr: ddr, mm: mm, walk: walkLatency, spanTap: spanTap{now: eng.Now}}
+	return &Baseline{dcPort: dcPort{now: eng.Now}, ddr: ddr, walker: physWalker{eng, mm, walkLatency}}
 }
 
 // Name implements Scheme.
@@ -42,17 +39,7 @@ func (b *Baseline) Access(req *mem.Request, done mem.Done) {
 }
 
 // Walker implements Scheme.
-func (b *Baseline) Walker() tlb.Walker { return baselineWalker{b} }
-
-type baselineWalker struct{ b *Baseline }
-
-func (w baselineWalker) Walk(coreID int, vaddr uint64, done func(tlb.Entry)) {
-	w.b.eng.Schedule(w.b.walk, func() {
-		vpn := mem.PageNum(vaddr)
-		pte := w.b.mm.PTEOf(coreID, vpn)
-		done(tlb.Entry{VPN: vpn, Frame: pte.Frame, Space: mem.SpacePhysical})
-	})
-}
+func (b *Baseline) Walker() tlb.Walker { return &b.walker }
 
 // Directory implements Scheme.
 func (b *Baseline) Directory() tlb.Directory { return nil }
@@ -62,6 +49,3 @@ func (b *Baseline) NoteStore(coreID int, e tlb.Entry) {}
 
 // Drained implements Scheme.
 func (b *Baseline) Drained() bool { return true }
-
-// AccessStats returns the scheme's DC-controller statistics.
-func (b *Baseline) AccessStats() *AccessStats { return &b.stats }

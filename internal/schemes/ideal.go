@@ -4,7 +4,6 @@ import (
 	"nomad/internal/core"
 	"nomad/internal/dram"
 	"nomad/internal/mem"
-	"nomad/internal/metrics"
 	"nomad/internal/osmem"
 	"nomad/internal/sim"
 	"nomad/internal/tlb"
@@ -18,22 +17,18 @@ import (
 // fill bandwidth that *would have been* needed, accumulated in
 // WouldFillBytes.
 type Ideal struct {
+	dcController
 	eng      *sim.Engine
-	hbm      *dram.Device
-	ddr      *dram.Device
-	mm       *osmem.Manager
 	walk     uint64
 	lowWater uint64
 	batch    int
 
-	stats AccessStats
 	// WouldFillBytes counts 4 KB per tag miss: the miss-handling traffic
 	// an actual fill engine would generate.
 	WouldFillBytes uint64
 	TagMisses      uint64
 
 	sd core.Shootdowner
-	spanTap
 }
 
 // SetShootdowner wires the TLB shootdown fallback used when every frame is
@@ -50,37 +45,12 @@ func NewIdeal(eng *sim.Engine, hbm, ddr *dram.Device, mm *osmem.Manager, walkLat
 	if b := int(mm.CacheFrames() / 2); batch > b && b > 0 {
 		batch = b
 	}
-	return &Ideal{
-		eng: eng, hbm: hbm, ddr: ddr, mm: mm, walk: walkLatency,
-		lowWater: low, batch: batch, spanTap: spanTap{now: eng.Now},
-	}
+	return &Ideal{dcController: newDCController(eng, hbm, ddr, mm),
+		eng: eng, walk: walkLatency, lowWater: low, batch: batch}
 }
 
 // Name implements Scheme.
 func (s *Ideal) Name() string { return "Ideal" }
-
-// Access implements Scheme.
-func (s *Ideal) Access(req *mem.Request, done mem.Done) {
-	addr := mem.Untag(req.Addr)
-	if req.Write {
-		s.stats.Writes++
-	} else {
-		done = s.stats.recordRead(s.now, done)
-	}
-	if mem.SpaceOf(req.Addr) == mem.SpaceCache {
-		if !req.Write {
-			s.stats.CacheSpaceReads++
-		}
-		done = s.wrap(req.Probe, metrics.SpanHBM, done)
-		s.hbm.AccessProbe(addr, req.Write, req.Kind, req.Priority, req.Probe, done)
-	} else {
-		if !req.Write {
-			s.stats.PhysSpaceReads++
-		}
-		done = s.wrap(req.Probe, metrics.SpanDDR, done)
-		s.ddr.AccessProbe(addr, req.Write, req.Kind, req.Priority, req.Probe, done)
-	}
-}
 
 // Walker implements Scheme.
 func (s *Ideal) Walker() tlb.Walker { return idealWalker{s} }
@@ -154,15 +124,5 @@ type idealDir struct{ s *Ideal }
 func (d idealDir) TLBInserted(coreID int, e tlb.Entry) { d.s.mm.TLBSet(e.Frame, coreID, true) }
 func (d idealDir) TLBEvicted(coreID int, e tlb.Entry)  { d.s.mm.TLBSet(e.Frame, coreID, false) }
 
-// NoteStore implements Scheme.
-func (s *Ideal) NoteStore(coreID int, e tlb.Entry) {
-	if e.Space == mem.SpaceCache {
-		s.mm.MarkDirty(e.Frame)
-	}
-}
-
 // Drained implements Scheme.
 func (s *Ideal) Drained() bool { return true }
-
-// AccessStats returns the scheme's DC-controller statistics.
-func (s *Ideal) AccessStats() *AccessStats { return &s.stats }

@@ -16,13 +16,10 @@ import (
 // verification of §III-D.3: every cache-space access CAM-matches the PCSHR
 // CFN tags before touching the on-package DRAM.
 type NOMAD struct {
+	dcController
 	eng      *sim.Engine
-	hbm, ddr *dram.Device
-	mm       *osmem.Manager
 	frontend *core.Frontend
 	backend  *core.Backend
-	stats    AccessStats
-	spanTap
 }
 
 // NewNOMAD builds the full NOMAD scheme. threads and flusher are supplied by
@@ -33,8 +30,8 @@ func NewNOMAD(eng *sim.Engine, hbm, ddr *dram.Device, mm *osmem.Manager,
 	fcfg.Blocking = false
 	backend := core.NewBackend(eng, bcfg, hbm, ddr)
 	frontend := core.NewFrontend(eng, fcfg, mm, threads, flusher, backend, nil, nil)
-	return &NOMAD{eng: eng, hbm: hbm, ddr: ddr, mm: mm, frontend: frontend,
-		backend: backend, spanTap: spanTap{now: eng.Now}}
+	return &NOMAD{dcController: newDCController(eng, hbm, ddr, mm), eng: eng,
+		frontend: frontend, backend: backend}
 }
 
 // Name implements Scheme.
@@ -97,14 +94,6 @@ func (n *NOMAD) Walker() tlb.Walker { return n.frontend }
 // Directory implements Scheme.
 func (n *NOMAD) Directory() tlb.Directory { return n.frontend }
 
-// NoteStore implements Scheme: sets the dirty-in-cache bit alongside the
-// conventional PTE dirty bit (no extra cost, §III-C.1).
-func (n *NOMAD) NoteStore(coreID int, e tlb.Entry) {
-	if e.Space == mem.SpaceCache {
-		n.mm.MarkDirty(e.Frame)
-	}
-}
-
 // Drained implements Scheme.
 func (n *NOMAD) Drained() bool { return n.backend.ActivePCSHRs() == 0 }
 
@@ -113,6 +102,3 @@ func (n *NOMAD) Frontend() *core.Frontend { return n.frontend }
 
 // Backend exposes the hardware engine (stats, tests).
 func (n *NOMAD) Backend() *core.Backend { return n.backend }
-
-// AccessStats returns the scheme's DC-controller statistics.
-func (n *NOMAD) AccessStats() *AccessStats { return &n.stats }

@@ -8,8 +8,11 @@
 package schemes
 
 import (
+	"nomad/internal/dram"
 	"nomad/internal/mem"
 	"nomad/internal/metrics"
+	"nomad/internal/osmem"
+	"nomad/internal/sim"
 	"nomad/internal/tlb"
 )
 
@@ -32,6 +35,8 @@ type Scheme interface {
 	// Drained reports whether background work has quiesced (used to
 	// drain between warmup and measurement windows if desired).
 	Drained() bool
+	// AccessStats returns the DC controller's post-LLC statistics.
+	AccessStats() *AccessStats
 }
 
 // AccessStats measures the effective DC access time at the DC controller
@@ -44,8 +49,8 @@ type AccessStats struct {
 	// CacheSpaceReads counts reads served by the on-package DRAM path.
 	CacheSpaceReads uint64
 	PhysSpaceReads  uint64
-	// Lat, when set (system wiring), gets one observation per read — the
-	// distribution behind AvgReadLatency (Fig. 9's right axis).
+	// Lat, when set (system wiring), gets one observation per read: the
+	// distribution behind Fig. 9's right axis.
 	Lat *metrics.Histogram
 
 	// recs is the readRec freelist: recordRead recycles its latency
@@ -86,14 +91,6 @@ func (s *AccessStats) getRec() *readRec {
 	return r
 }
 
-// AvgReadLatency returns the mean post-LLC read latency in cycles.
-func (s *AccessStats) AvgReadLatency() float64 {
-	if s.Reads == 0 {
-		return 0
-	}
-	return float64(s.ReadLatencySum) / float64(s.Reads)
-}
-
 // recordRead wraps done to account a read's latency (pooled: the returned
 // wrapper is recycled at completion, so steady-state reads do not allocate).
 func (s *AccessStats) recordRead(now func() uint64, done mem.Done) mem.Done {
@@ -105,32 +102,103 @@ func (s *AccessStats) recordRead(now func() uint64, done mem.Done) mem.Done {
 	return r.fn
 }
 
-// spanTap is the span-emission hook every scheme embeds: wrap() records a
-// hop of a sampled access (Probe.SpanID != 0) into the attached ring. The
-// zero value is disabled; schemes set now at construction and the system
-// wiring attaches the ring via SetSpans.
-type spanTap struct {
+// dcPort is the post-LLC side every scheme embeds: the access statistics
+// and the span hook, whose wrap() records a hop of a sampled access
+// (Probe.SpanID != 0) into the attached ring. Schemes set now at
+// construction; the span ring is nil until the system wiring attaches one
+// via SetSpans.
+type dcPort struct {
+	stats AccessStats
 	spans *metrics.SpanRing
 	now   func() uint64
 }
 
+// AccessStats returns the scheme's DC-controller statistics.
+func (p *dcPort) AccessStats() *AccessStats { return &p.stats }
+
 // SetSpans attaches the span ring sampled accesses emit into (nil disables).
-func (st *spanTap) SetSpans(spans *metrics.SpanRing) { st.spans = spans }
+func (p *dcPort) SetSpans(spans *metrics.SpanRing) { p.spans = spans }
 
 // wrap returns done wrapped to emit one span of the given kind covering
 // now()..completion. Untagged or unsampled requests pass through untouched.
-func (st *spanTap) wrap(p *mem.Probe, kind metrics.SpanKind, done mem.Done) mem.Done {
-	if st.spans == nil || p == nil || p.SpanID == 0 {
+func (p *dcPort) wrap(pr *mem.Probe, kind metrics.SpanKind, done mem.Done) mem.Done {
+	if p.spans == nil || pr == nil || pr.SpanID == 0 {
 		return done
 	}
-	start := st.now()
-	id, core := p.SpanID, p.Core
+	start := p.now()
+	id, core := pr.SpanID, pr.Core
 	return func() {
-		st.spans.Emit(metrics.Span{
-			ID: id, Kind: kind, Core: core, Start: start, End: st.now(),
+		p.spans.Emit(metrics.Span{
+			ID: id, Kind: kind, Core: core, Start: start, End: p.now(),
 		})
 		if done != nil {
 			done()
 		}
 	}
+}
+
+// dcController is the DC controller the OS-managed schemes (TDC, NOMAD and
+// Ideal) embed. Their tags live in the page tables, so a request's address
+// space says where its data is: cache-space addresses go to the
+// on-package DRAM, physical ones off package. NOMAD replaces Access with
+// its PCSHR-checking path.
+type dcController struct {
+	dcPort
+	hbm, ddr *dram.Device
+	mm       *osmem.Manager
+}
+
+func newDCController(eng *sim.Engine, hbm, ddr *dram.Device, mm *osmem.Manager) dcController {
+	return dcController{dcPort: dcPort{now: eng.Now}, hbm: hbm, ddr: ddr, mm: mm}
+}
+
+// Access implements Scheme: with coupled tag-data management a tag hit
+// guarantees a data hit, so cache-space accesses go straight to the
+// on-package DRAM.
+func (c *dcController) Access(req *mem.Request, done mem.Done) {
+	addr := mem.Untag(req.Addr)
+	if req.Write {
+		c.stats.Writes++
+	} else {
+		done = c.stats.recordRead(c.now, done)
+	}
+	if mem.SpaceOf(req.Addr) == mem.SpaceCache {
+		if !req.Write {
+			c.stats.CacheSpaceReads++
+		}
+		done = c.wrap(req.Probe, metrics.SpanHBM, done)
+		c.hbm.AccessProbe(addr, req.Write, req.Kind, req.Priority, req.Probe, done)
+	} else {
+		if !req.Write {
+			c.stats.PhysSpaceReads++
+		}
+		done = c.wrap(req.Probe, metrics.SpanDDR, done)
+		c.ddr.AccessProbe(addr, req.Write, req.Kind, req.Priority, req.Probe, done)
+	}
+}
+
+// NoteStore implements Scheme: sets the dirty-in-cache bit alongside the
+// conventional PTE dirty bit (no extra cost, §III-C.1).
+func (c *dcController) NoteStore(coreID int, e tlb.Entry) {
+	if e.Space == mem.SpaceCache {
+		c.mm.MarkDirty(e.Frame)
+	}
+}
+
+// physWalker is the conventional page-table walk of the schemes without an
+// OS-managed DRAM cache (Baseline and TiD): every translation is to
+// physical space.
+type physWalker struct {
+	eng     *sim.Engine
+	mm      *osmem.Manager
+	latency uint64
+}
+
+// Walk implements tlb.Walker.
+func (w *physWalker) Walk(coreID int, vaddr uint64, done func(tlb.Entry)) {
+	w.eng.Schedule(w.latency, func() {
+		vpn := mem.PageNum(vaddr)
+		pte := w.mm.PTEOf(coreID, vpn)
+		done(tlb.Entry{VPN: vpn, Frame: pte.Frame, Space: mem.SpacePhysical})
+	})
 }

@@ -366,8 +366,8 @@ func TestSchemeNames(t *testing.T) {
 // nothing. TiD's row covers a miss (MSHR, critical sub-block first, line
 // fill, dirty victim writeback); TiD-MSHR-full issues two misses at once
 // against one MSHR, so the second stalls and is re-looked-up through a
-// pooled retry; Ideal's mixes cache-space (HBM) and physical (DDR) reads
-// and writes.
+// pooled retry; Ideal's and TDC's mix cache-space (HBM) and physical (DDR)
+// reads and writes.
 func TestAccessDoesNotAllocate(t *testing.T) {
 	if check.Enabled {
 		t.Skip("the invariants build allocates in its assertions")
@@ -388,6 +388,9 @@ func TestAccessDoesNotAllocate(t *testing.T) {
 		{"TiD-MSHR-full", tid(1), 2},
 		{"Baseline", func(e *env) Scheme { return NewBaseline(e.eng, e.ddr, e.mm, 100) }, 1},
 		{"Ideal", func(e *env) Scheme { return NewIdeal(e.eng, e.hbm, e.ddr, e.mm, 100) }, 1},
+		{"TDC", func(e *env) Scheme {
+			return NewTDC(e.eng, e.hbm, e.ddr, e.mm, core.DefaultFrontendConfig(), e.threads(1), nil)
+		}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEnv(1, 1024)

@@ -4,7 +4,6 @@ import (
 	"nomad/internal/core"
 	"nomad/internal/dram"
 	"nomad/internal/mem"
-	"nomad/internal/metrics"
 	"nomad/internal/osmem"
 	"nomad/internal/sim"
 	"nomad/internal/tlb"
@@ -18,19 +17,15 @@ import (
 // critical PTEs are locked) and no tag-management penalty is charged, which
 // isolates the blocking-vs-non-blocking comparison.
 type TDC struct {
-	eng            *sim.Engine
-	hbm, ddr       *dram.Device
-	mm             *osmem.Manager
+	dcController
 	frontend       *core.Frontend
-	stats          AccessStats
 	inflightCopies int
-	spanTap
 }
 
 // NewTDC builds the blocking OS-managed scheme.
 func NewTDC(eng *sim.Engine, hbm, ddr *dram.Device, mm *osmem.Manager,
 	fcfg core.FrontendConfig, threads []core.Thread, flusher core.Flusher) *TDC {
-	t := &TDC{eng: eng, hbm: hbm, ddr: ddr, mm: mm, spanTap: spanTap{now: eng.Now}}
+	t := &TDC{dcController: newDCController(eng, hbm, ddr, mm)}
 	// The TDC page copy is OS software running on the faulting CPU — a
 	// cache-line copy loop with the memory-level parallelism of a memcpy
 	// (~2 outstanding lines), not a hardware DMA engine. This is the
@@ -66,49 +61,14 @@ func NewTDC(eng *sim.Engine, hbm, ddr *dram.Device, mm *osmem.Manager,
 // Name implements Scheme.
 func (t *TDC) Name() string { return "TDC" }
 
-// Access implements Scheme: with coupled tag-data management a tag hit
-// guarantees a data hit, so cache-space accesses go straight to the
-// on-package DRAM.
-func (t *TDC) Access(req *mem.Request, done mem.Done) {
-	addr := mem.Untag(req.Addr)
-	if req.Write {
-		t.stats.Writes++
-	} else {
-		done = t.stats.recordRead(t.now, done)
-	}
-	if mem.SpaceOf(req.Addr) == mem.SpaceCache {
-		if !req.Write {
-			t.stats.CacheSpaceReads++
-		}
-		done = t.wrap(req.Probe, metrics.SpanHBM, done)
-		t.hbm.AccessProbe(addr, req.Write, req.Kind, req.Priority, req.Probe, done)
-	} else {
-		if !req.Write {
-			t.stats.PhysSpaceReads++
-		}
-		done = t.wrap(req.Probe, metrics.SpanDDR, done)
-		t.ddr.AccessProbe(addr, req.Write, req.Kind, req.Priority, req.Probe, done)
-	}
-}
-
 // Walker implements Scheme.
 func (t *TDC) Walker() tlb.Walker { return t.frontend }
 
 // Directory implements Scheme.
 func (t *TDC) Directory() tlb.Directory { return t.frontend }
 
-// NoteStore implements Scheme.
-func (t *TDC) NoteStore(coreID int, e tlb.Entry) {
-	if e.Space == mem.SpaceCache {
-		t.mm.MarkDirty(e.Frame)
-	}
-}
-
 // Drained implements Scheme.
 func (t *TDC) Drained() bool { return t.inflightCopies == 0 }
 
 // Frontend exposes the OS routines (stats, tests).
 func (t *TDC) Frontend() *core.Frontend { return t.frontend }
-
-// AccessStats returns the scheme's DC-controller statistics.
-func (t *TDC) AccessStats() *AccessStats { return &t.stats }

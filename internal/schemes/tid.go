@@ -192,10 +192,10 @@ func (w tidWriteback) Complete(dst uint64) {
 // critical-data-first early restart. This is the tag-management mechanism
 // of Unison Cache with a 1 KB line, 4 ways, and an ideal way predictor.
 type TiD struct {
+	dcPort
 	eng      *sim.Engine
 	hbm, ddr *dram.Device
-	mm       *osmem.Manager
-	walk     uint64
+	walker   physWalker
 
 	// sets is the tag store, one record per set.
 	sets    []tidSet
@@ -213,9 +213,7 @@ type TiD struct {
 	wb        tidWriteback
 	metaBase  uint64
 
-	stats    AccessStats
 	tidStats TiDStats
-	spanTap
 }
 
 // NewTiD builds the HW-based scheme.
@@ -229,14 +227,17 @@ func NewTiD(eng *sim.Engine, hbm, ddr *dram.Device, mm *osmem.Manager, walkLaten
 		cfg.MSHRs = 32
 	}
 	t := &TiD{
-		eng: eng, hbm: hbm, ddr: ddr, mm: mm, walk: walkLatency,
+		dcPort:   dcPort{now: eng.Now},
+		eng:      eng,
+		hbm:      hbm,
+		ddr:      ddr,
+		walker:   physWalker{eng, mm, walkLatency},
 		sets:     make([]tidSet, numSets),
 		numSets:  numSets,
 		mshrs:    make(map[uint64]*tidMSHR),
 		maxMSHR:  cfg.MSHRs,
 		metaBase: cfg.CapacityBytes, // metadata region above the data array
 		wb:       tidWriteback{ddr},
-		spanTap:  spanTap{now: eng.Now},
 	}
 	for i := range t.sets {
 		t.sets[i] = tidEmptySet
@@ -509,17 +510,7 @@ func (t *TiD) getRetry() *tidRetry {
 }
 
 // Walker implements Scheme: conventional translation only.
-func (t *TiD) Walker() tlb.Walker { return tidWalker{t} }
-
-type tidWalker struct{ t *TiD }
-
-func (w tidWalker) Walk(coreID int, vaddr uint64, done func(tlb.Entry)) {
-	w.t.eng.Schedule(w.t.walk, func() {
-		vpn := mem.PageNum(vaddr)
-		pte := w.t.mm.PTEOf(coreID, vpn)
-		done(tlb.Entry{VPN: vpn, Frame: pte.Frame, Space: mem.SpacePhysical})
-	})
-}
+func (t *TiD) Walker() tlb.Walker { return &t.walker }
 
 // Directory implements Scheme.
 func (t *TiD) Directory() tlb.Directory { return nil }
@@ -529,9 +520,6 @@ func (t *TiD) NoteStore(coreID int, e tlb.Entry) {}
 
 // Drained implements Scheme.
 func (t *TiD) Drained() bool { return len(t.mshrs) == 0 }
-
-// AccessStats returns the scheme's DC-controller statistics.
-func (t *TiD) AccessStats() *AccessStats { return &t.stats }
 
 // TiDStats returns the HW-scheme counters.
 func (t *TiD) TiDStats() *TiDStats { return &t.tidStats }

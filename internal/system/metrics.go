@@ -88,11 +88,9 @@ func (m *Machine) registerMetrics() {
 		st.SetSpans(reg.Spans())
 	}
 
+	registerAccess(reg, m.scheme.AccessStats())
 	switch sc := m.scheme.(type) {
-	case *schemes.Baseline:
-		registerAccess(reg, sc.AccessStats())
 	case *schemes.TiD:
-		registerAccess(reg, sc.AccessStats())
 		t := sc.TiDStats()
 		reg.CounterFunc("scheme.tid.hits", func() uint64 { return t.Hits })
 		reg.CounterFunc("scheme.tid.misses", func() uint64 { return t.Misses })
@@ -100,14 +98,11 @@ func (m *Machine) registerMetrics() {
 		reg.CounterFunc("scheme.tid.writebacks", func() uint64 { return t.Writebacks })
 		reg.CounterFunc("scheme.tid.mshr_stalls", func() uint64 { return t.MSHRStalls })
 	case *schemes.TDC:
-		registerAccess(reg, sc.AccessStats())
 		sc.Frontend().RegisterMetrics(reg, "frontend")
 	case *schemes.NOMAD:
-		registerAccess(reg, sc.AccessStats())
 		sc.Frontend().RegisterMetrics(reg, "frontend")
 		sc.Backend().RegisterMetrics(reg, "backend")
 	case *schemes.Ideal:
-		registerAccess(reg, sc.AccessStats())
 		reg.CounterFunc("scheme.tag_misses", func() uint64 { return sc.TagMisses })
 		reg.CounterFunc("scheme.would_fill_bytes", func() uint64 { return sc.WouldFillBytes })
 	}

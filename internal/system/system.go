@@ -74,7 +74,6 @@ type Config struct {
 	Scheme      SchemeName
 	Frontend    core.FrontendConfig
 	Backend     core.BackendConfig
-	TiDMSHRs    int
 
 	// WarmupInstructions/ROIInstructions are per-core retirement targets.
 	WarmupInstructions uint64
@@ -311,7 +310,7 @@ func newMachine(cfg Config, spec workload.Spec, opts ...sim.Option) (*Machine, e
 		m.scheme = schemes.NewBaseline(m.eng, m.ddr, m.mm, walk)
 	case SchemeTiD:
 		m.scheme = schemes.NewTiD(m.eng, m.hbm, m.ddr, m.mm, walk,
-			schemes.TiDConfig{CapacityBytes: cfg.CacheFrames * mem.PageSize, MSHRs: cfg.TiDMSHRs})
+			schemes.TiDConfig{CapacityBytes: cfg.CacheFrames * mem.PageSize})
 	case SchemeTDC:
 		m.scheme = schemes.NewTDC(m.eng, m.hbm, m.ddr, m.mm, cfg.Frontend, threads, flusher{m})
 	case SchemeNOMAD:
@@ -415,8 +414,8 @@ func (m *Machine) setPhase(phase string, base []uint64, target uint64) {
 // finishPhase emits one final Progress report the moment a retirement phase
 // completes. Phases almost never end exactly on an interval boundary, so
 // without this the callback's last observation is the last throttled tick's
-// fraction; consumers (ProgressPrinter's 100% line, the obs tracker's done
-// state) need the fraction-1 report.
+// fraction; consumers (harness.ProgressPrinter's 100% line, the obs
+// tracker's done state) need the fraction-1 report.
 func (m *Machine) finishPhase() {
 	if m.progressFn != nil {
 		m.progressFn(Progress{Phase: m.phase, Cycle: m.eng.Now(), Done: m.phaseTarget, Target: m.phaseTarget})
