@@ -60,15 +60,16 @@ func (s *Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(t)
 }
 
-// invalidTag marks an empty way in the packed tag array; tagOf never
-// returns it.
-const invalidTag = ^uint32(0)
+// invalidTag marks an empty way in the packed tag array. It is the zero
+// value, so a new cache's tags need no initialisation: tagOf stores every
+// tag plus one and never returns it.
+const invalidTag = 0
 
 // spaceBlockBit is mem.SpaceBit's position in a block number.
 const spaceBlockBit = mem.SpaceBit >> mem.BlockBits
 
 // maxTagHigh bounds the block bits a tag keeps: 31 of them above the space
-// bit, short of the all-ones value that would make invalidTag.
+// bit, short of the all-ones value whose tag plus one wraps to invalidTag.
 const maxTagHigh = 1<<31 - 1
 
 // maxWays bounds the associativity: a set's recency order packs one way
@@ -81,7 +82,8 @@ const nibbles = 0x1111111111111111
 // setState is one set's replacement state other than the tags: the ways'
 // exact recency order plus their valid and dirty bits, 16 bytes per set.
 // Tags live in their own packed uint32 array so the per-lookup way scan
-// touches one or two host cache lines.
+// touches one or two host cache lines. The zero value is an empty set: no
+// way valid, way r at rank r.
 //
 // The order is exact LRU. A way's last fill or hit moves it to rank 0, so
 // among valid ways the rank order is the order of their last touches; an
@@ -89,8 +91,9 @@ const nibbles = 0x1111111111111111
 // because a fill takes the lowest invalid way before it looks at ranks.
 type setState struct {
 	// perm holds the way at rank r in bits 4r..4r+3, rank 0 the most
-	// recently used. Ranks at or past the set's way count hold their own
-	// index and never move.
+	// recently used, XOR identityPerm: stored that way, the zero value
+	// ranks every way at its own index. Ranks at or past the set's way
+	// count hold their own index and never move.
 	perm  uint64
 	valid uint32
 	dirty uint32
@@ -99,14 +102,21 @@ type setState struct {
 // identityPerm ranks way r at rank r.
 const identityPerm = 0xFEDCBA9876543210
 
+// rankSteps holds r XOR (r-1) at each rank r from 1: what moving a way from
+// rank r-1 to rank r does to its stored nibble.
+const rankSteps = identityPerm ^ identityPerm<<4&(1<<64-1)
+
+// at returns the way at rank r.
+func (s *setState) at(r int) int { return int(s.perm>>(4*r)&0xF) ^ r }
+
 // touch moves way w to rank 0, shifting the ranks above it down by one.
 func (s *setState) touch(w int) {
-	// Find w's rank: the lowest zero nibble of perm^w (SWAR zero-nibble
-	// search; the borrow cannot reach below the first zero).
-	x := s.perm ^ uint64(w)*nibbles
+	// Find w's rank: the lowest zero nibble of the order XOR w (SWAR
+	// zero-nibble search; the borrow cannot reach below the first zero).
+	x := s.perm ^ (identityPerm ^ uint64(w)*nibbles)
 	shift := uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) &^ 3
 	below := uint64(1)<<shift - 1 // the ranks more recent than w
-	s.perm = s.perm&^(below<<4|0xF) | (s.perm&below)<<4 | uint64(w)
+	s.perm = s.perm&^(below<<4|0xF) | (s.perm&below)<<4 ^ rankSteps&(below<<4) | uint64(w)
 }
 
 // hit makes way w the most recently used and, for a write, dirty.
@@ -123,7 +133,7 @@ func (s *setState) victim(ways int) int {
 	if free := ^s.valid & (1<<ways - 1); free != 0 {
 		return bits.TrailingZeros32(free)
 	}
-	return int(s.perm >> (4 * (ways - 1)) & 0xF)
+	return s.at(ways - 1)
 }
 
 // install makes way w valid, clean or dirty, and the most recently used.
@@ -151,10 +161,10 @@ func (s *setState) audit(name string, tags []uint32) {
 		"cache %s: dirty mask %#x not within valid mask %#x", name, s.dirty, s.valid)
 	var seen uint32
 	for r := range tags {
-		seen |= 1 << (s.perm >> (4 * r) & 0xF)
+		seen |= 1 << s.at(r)
 	}
 	check.Assert(seen == 1<<len(tags)-1,
-		"cache %s: recency order %#x is not a permutation of %d ways", name, s.perm, len(tags))
+		"cache %s: recency order %#x is not a permutation of %d ways", name, s.perm^identityPerm, len(tags))
 	for w, t := range tags {
 		check.Assert((s.valid>>w&1 == 1) == (t != invalidTag),
 			"cache %s: way %d valid bit %d disagrees with tag %#x", name, w, s.valid>>w&1, t)
@@ -200,7 +210,8 @@ type Cache struct {
 	eng   *sim.Engine
 	lower Lower
 	// tags[set*Ways+way] holds each way's tag (invalidTag when empty);
-	// sets[set] is the set's recency order and valid/dirty bits.
+	// sets[set] is the set's recency order and valid/dirty bits. Both
+	// start as their zero values, which are empty.
 	tags []uint32
 	sets []setState
 	// mshrFile is the fixed MSHR array. Allocation goes through mshrFreeIdx
@@ -267,12 +278,6 @@ func New(eng *sim.Engine, cfg Config, lower Lower) *Cache {
 		mshrFreeIdx:   make([]int32, 0, cfg.MSHRs),
 		setMask:       uint64(cfg.Sets - 1),
 	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-	}
-	for i := range c.sets {
-		c.sets[i].perm = identityPerm
-	}
 	// Free slots pop from the stack tail; seeding it in reverse keeps
 	// allocation order by ascending slot index (cosmetic, but stable).
 	for i := len(c.mshrFile) - 1; i >= 0; i-- {
@@ -316,13 +321,13 @@ func (c *Cache) Stats() *Stats { return &c.stats }
 // each miss allocation.
 func (c *Cache) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	s := &c.stats
-	reg.CounterFunc(prefix+".hits", func() uint64 { return s.Hits })
-	reg.CounterFunc(prefix+".misses", func() uint64 { return s.Misses })
-	reg.CounterFunc(prefix+".writebacks", func() uint64 { return s.Writebacks })
-	reg.CounterFunc(prefix+".coalesced", func() uint64 { return s.Coalesced })
-	reg.CounterFunc(prefix+".mshr_stalls", func() uint64 { return s.MSHRStalls })
-	reg.CounterFunc(prefix+".flushed_lines", func() uint64 { return s.FlushedLines })
-	reg.CounterFunc(prefix+".flush_writebacks", func() uint64 { return s.FlushWBs })
+	reg.Counter(prefix+".hits", &s.Hits)
+	reg.Counter(prefix+".misses", &s.Misses)
+	reg.Counter(prefix+".writebacks", &s.Writebacks)
+	reg.Counter(prefix+".coalesced", &s.Coalesced)
+	reg.Counter(prefix+".mshr_stalls", &s.MSHRStalls)
+	reg.Counter(prefix+".flushed_lines", &s.FlushedLines)
+	reg.Counter(prefix+".flush_writebacks", &s.FlushWBs)
 	c.mshrOcc = reg.Histogram(prefix + ".mshr_occupancy")
 	c.missLat = reg.Histogram(prefix + ".miss_latency")
 }
@@ -342,18 +347,20 @@ func (c *Cache) setBits() uint                { return uint(bits.TrailingZeros64
 
 // tagOf packs a block's bits above the set index into 32 bits: those bits
 // with mem.SpaceBit cleared, shifted left one, and the block's space in bit
-// 0, so two blocks that differ only in their space never share a tag. It
-// panics on a block whose bits above the set index reach maxTagHigh.
+// 0, so two blocks that differ only in their space never share a tag; plus
+// one, so no block's tag is invalidTag. It panics on a block whose bits
+// above the set index reach maxTagHigh.
 func (c *Cache) tagOf(block uint64) uint32 {
 	high := (block &^ spaceBlockBit) >> c.setBits()
 	if high >= maxTagHigh {
 		panic(tagOverflow{c.cfg.Name, block})
 	}
-	return uint32(high<<1 | (block&spaceBlockBit)/spaceBlockBit)
+	return uint32(high<<1|(block&spaceBlockBit)/spaceBlockBit) + 1
 }
 
 // blockOf inverts tagOf for a block of the given set.
 func (c *Cache) blockOf(tag uint32, set uint64) uint64 {
+	tag--
 	return uint64(tag>>1)<<c.setBits() | set | uint64(tag&1)*spaceBlockBit
 }
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"unsafe"
+
+	"nomad/internal/sim"
 )
 
 // tickSet is the reference model of one set's replacement state: a per-way
@@ -57,7 +59,7 @@ func (o *tickSet) invalidate(w int) {
 
 // order lists the ways from the most to the least recently touched. Ways
 // never touched share tick 0 and follow in way order, which is where the
-// record's initial identity order keeps them.
+// record's zero value, the identity order, keeps them.
 func (o *tickSet) order() []int {
 	ws := make([]int, 0, o.ways)
 	for w := 0; w < o.ways; w++ {
@@ -91,8 +93,8 @@ func compareSet(s *setState, o *tickSet) error {
 		return fmt.Errorf("valid/dirty %#x/%#x, oracle %#x/%#x", s.valid, s.dirty, valid, dirty)
 	}
 	for r, w := range o.order() {
-		if got := int(s.perm >> (4 * r) & 0xF); got != w {
-			return fmt.Errorf("rank %d holds way %d, oracle %d (perm %#x)", r, got, w, s.perm)
+		if got := s.at(r); got != w {
+			return fmt.Errorf("rank %d holds way %d, oracle %d (perm %#x)", r, got, w, s.perm^identityPerm)
 		}
 	}
 	return nil
@@ -102,9 +104,10 @@ func compareSet(s *setState, o *tickSet) error {
 // bits 0-1 pick the operation (read hit, write hit, fill, invalidate), bit
 // 2 makes a fill dirty, and bits 3-7 pick the way. A hit goes to the first
 // valid way at or after the picked one, as the cache hits only valid ways;
-// a fill takes the victim, as the cache's fill does.
+// a fill takes the victim, as the cache's fill does. Both start as zero
+// values, as a new cache's sets do.
 func runSetOps(ways int, ops []byte) error {
-	s := setState{perm: identityPerm}
+	var s setState
 	o := tickSet{ways: ways}
 	if err := compareSet(&s, &o); err != nil {
 		return fmt.Errorf("%d ways, initial state: %v", ways, err)
@@ -165,6 +168,23 @@ func FuzzSetMatchesTickOracle(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestNewCacheIsZero: New allocates the tags and set records and writes
+// nothing into them, because their zero values are the empty way and the
+// empty set.
+func TestNewCacheIsZero(t *testing.T) {
+	c := New(sim.New(), Config{Name: "T", Sets: 64, Ways: 8}, nil)
+	for i, tag := range c.tags {
+		if tag != 0 {
+			t.Fatalf("tag %d of a new cache is %#x, want 0", i, tag)
+		}
+	}
+	for i, s := range c.sets {
+		if s != (setState{}) {
+			t.Fatalf("set %d of a new cache is %+v, want the zero value", i, s)
+		}
+	}
 }
 
 // TestSetStateSize pins the record at 16 bytes per set.

@@ -108,8 +108,9 @@ func TestTagOverflowPanics(t *testing.T) {
 }
 
 // wideTagCache is the reference model of a cache's contents with the
-// original 64-bit tags, every block bit above the set index: the same set
-// records, so only the tags differ from Cache.
+// original 64-bit tags, every block bit above the set index, and an
+// all-ones empty tag: the same set records, so only the tags differ from
+// Cache.
 type wideTagCache struct {
 	sets    []setState
 	tags    []uint64
@@ -119,9 +120,6 @@ type wideTagCache struct {
 
 func newWideTagCache(sets, ways int, setBits uint) *wideTagCache {
 	w := &wideTagCache{sets: make([]setState, sets), tags: make([]uint64, sets*ways), ways: ways, setBits: setBits}
-	for i := range w.sets {
-		w.sets[i].perm = identityPerm
-	}
 	for i := range w.tags {
 		w.tags[i] = ^uint64(0)
 	}

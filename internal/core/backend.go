@@ -287,18 +287,18 @@ func (b *Backend) Stats() *BackendStats { return &b.stats }
 // and attaches the trace for PCSHR/fill lifecycle events.
 func (b *Backend) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	s := &b.stats
-	reg.CounterFunc(prefix+".fills", func() uint64 { return s.Fills })
-	reg.CounterFunc(prefix+".writebacks", func() uint64 { return s.Writebacks })
-	reg.CounterFunc(prefix+".data_hits", func() uint64 { return s.DataHits })
-	reg.CounterFunc(prefix+".data_misses", func() uint64 { return s.DataMisses })
-	reg.CounterFunc(prefix+".buffer_hits", func() uint64 { return s.BufferHits })
-	reg.CounterFunc(prefix+".sub_entry_waits", func() uint64 { return s.SubEntryWaits })
-	reg.CounterFunc(prefix+".sub_entry_overflows", func() uint64 { return s.SubEntryOverflows })
-	reg.CounterFunc(prefix+".write_miss_absorbed", func() uint64 { return s.WriteMissAbsorbed })
-	reg.CounterFunc(prefix+".accept_wait_sum", func() uint64 { return s.AcceptWaitSum })
-	reg.CounterFunc(prefix+".accept_count", func() uint64 { return s.AcceptCount })
-	reg.CounterFunc(prefix+".buffer_wait_sum", func() uint64 { return s.BufferWaitSum })
-	reg.CounterFunc(prefix+".pcshr_occupancy_sum", func() uint64 { return s.PCSHROccupancySum })
+	reg.Counter(prefix+".fills", &s.Fills)
+	reg.Counter(prefix+".writebacks", &s.Writebacks)
+	reg.Counter(prefix+".data_hits", &s.DataHits)
+	reg.Counter(prefix+".data_misses", &s.DataMisses)
+	reg.Counter(prefix+".buffer_hits", &s.BufferHits)
+	reg.Counter(prefix+".sub_entry_waits", &s.SubEntryWaits)
+	reg.Counter(prefix+".sub_entry_overflows", &s.SubEntryOverflows)
+	reg.Counter(prefix+".write_miss_absorbed", &s.WriteMissAbsorbed)
+	reg.Counter(prefix+".accept_wait_sum", &s.AcceptWaitSum)
+	reg.Counter(prefix+".accept_count", &s.AcceptCount)
+	reg.Counter(prefix+".buffer_wait_sum", &s.BufferWaitSum)
+	reg.Counter(prefix+".pcshr_occupancy_sum", &s.PCSHROccupancySum)
 	// Timeline column: per-interval PCSHR occupancy high-water. The peak is
 	// maintained at each allocation and read-and-reset once per window, so
 	// a burst that fills the registers mid-window is visible even if they

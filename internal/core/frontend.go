@@ -290,20 +290,20 @@ func (f *Frontend) Stats() *FrontendStats { return &f.stats }
 // attaches the trace for tag-miss begin/end events.
 func (f *Frontend) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	s := &f.stats
-	reg.CounterFunc(prefix+".tag_hits", func() uint64 { return s.TagHits })
-	reg.CounterFunc(prefix+".tag_misses", func() uint64 { return s.TagMisses })
-	reg.CounterFunc(prefix+".uncacheable", func() uint64 { return s.Uncacheable })
-	reg.CounterFunc(prefix+".tag_mgmt_latency_sum", func() uint64 { return s.TagMgmtLatencySum })
+	reg.Counter(prefix+".tag_hits", &s.TagHits)
+	reg.Counter(prefix+".tag_misses", &s.TagMisses)
+	reg.Counter(prefix+".uncacheable", &s.Uncacheable)
+	reg.Counter(prefix+".tag_mgmt_latency_sum", &s.TagMgmtLatencySum)
 	reg.GaugeFunc(prefix+".tag_mgmt_latency_max", func() float64 { return float64(s.TagMgmtLatencyMax) })
-	reg.CounterFunc(prefix+".mutex_wait_sum", func() uint64 { return s.MutexWaitSum })
-	reg.CounterFunc(prefix+".daemon_runs", func() uint64 { return s.DaemonRuns })
-	reg.CounterFunc(prefix+".evictions", func() uint64 { return s.Evictions })
-	reg.CounterFunc(prefix+".dirty_evictions", func() uint64 { return s.DirtyEvictions })
-	reg.CounterFunc(prefix+".tlb_skips", func() uint64 { return s.TLBSkips })
-	reg.CounterFunc(prefix+".fill_skips", func() uint64 { return s.FillSkips })
-	reg.CounterFunc(prefix+".direct_reclaims", func() uint64 { return s.DirectReclaims })
-	reg.CounterFunc(prefix+".selective_bypasses", func() uint64 { return s.SelectiveBypasses })
-	reg.CounterFunc(prefix+".forced_shootdowns", func() uint64 { return s.ForcedShootdowns })
+	reg.Counter(prefix+".mutex_wait_sum", &s.MutexWaitSum)
+	reg.Counter(prefix+".daemon_runs", &s.DaemonRuns)
+	reg.Counter(prefix+".evictions", &s.Evictions)
+	reg.Counter(prefix+".dirty_evictions", &s.DirtyEvictions)
+	reg.Counter(prefix+".tlb_skips", &s.TLBSkips)
+	reg.Counter(prefix+".fill_skips", &s.FillSkips)
+	reg.Counter(prefix+".direct_reclaims", &s.DirectReclaims)
+	reg.Counter(prefix+".selective_bypasses", &s.SelectiveBypasses)
+	reg.Counter(prefix+".forced_shootdowns", &s.ForcedShootdowns)
 	reg.GaugeFunc(prefix+".free_frames", func() float64 { return float64(f.mm.FreeFrames()) })
 	f.tagLat = reg.Histogram(prefix + ".tag_mgmt_latency")
 	f.trace = reg.Trace()
@@ -520,31 +520,10 @@ func (f *Frontend) forcedReclaim() {
 	}
 	// Phase 1: shoot down every TLB-resident frame in the next batch
 	// window so the normal victim scan can proceed.
-	n := f.mm.CacheFrames()
-	tail := f.mm.Tail()
-	batch := uint64(f.cfg.EvictionBatch)
-	if batch > n {
-		batch = n
-	}
-	for i := uint64(0); i < batch; i++ {
-		cfn := (tail + i) % n
-		if cpd := f.mm.CPDOf(cfn); cpd.Valid && cpd.TLBDir != 0 {
-			f.shootdownFrame(cfn)
-		}
-	}
+	f.stats.ForcedShootdowns += f.mm.ShootdownTail(f.cfg.EvictionBatch, f.shootdowner.Shootdown)
 	// Phase 2: regular eviction over the now-unpinned window.
-	victims, _ := f.mm.EvictCandidates(int(batch))
+	victims, _ := f.mm.EvictCandidates(f.cfg.EvictionBatch)
 	f.release(victims, f.writeback)
-}
-
-// shootdownFrame invalidates every TLB translation of one cache frame.
-func (f *Frontend) shootdownFrame(cfn uint64) {
-	cpd := f.mm.CPDOf(cfn)
-	for _, mp := range f.mm.Mappings(uint64(cpd.PFN)) {
-		f.stats.ForcedShootdowns++
-		f.shootdowner.Shootdown(mp.Core, mp.VPN)
-	}
-	cpd.TLBDir = 0
 }
 
 // TLBInserted implements tlb.Directory.

@@ -23,6 +23,7 @@ package dram
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 
 	"nomad/internal/check"
 	"nomad/internal/mem"
@@ -286,32 +287,31 @@ func (d *Device) SetTrace(t *metrics.Trace, dev uint64) {
 
 // RegisterMetrics exposes the device's counters in reg under prefix (e.g.
 // "dram.hbm"): device-wide totals, per-kind bytes, and per-bank row-buffer
-// outcomes. Registration is lazy — snapshots read the live fields — so the
-// scheduling hot path is untouched.
+// outcomes. Counters are registered by reference — snapshots read the live
+// fields — so the scheduling hot path is untouched.
 func (d *Device) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	s := &d.stats
-	reg.CounterFunc(prefix+".reads", func() uint64 { return s.Reads })
-	reg.CounterFunc(prefix+".writes", func() uint64 { return s.Writes })
-	reg.CounterFunc(prefix+".row_hits", func() uint64 { return s.RowHits })
-	reg.CounterFunc(prefix+".row_misses", func() uint64 { return s.RowMisses })
-	reg.CounterFunc(prefix+".row_conflicts", func() uint64 { return s.RowConflicts })
-	reg.CounterFunc(prefix+".bus_busy_cycles", func() uint64 { return s.BusBusyCycles })
-	reg.CounterFunc(prefix+".read_latency_sum", func() uint64 { return s.ReadLatencySum })
-	reg.CounterFunc(prefix+".read_count", func() uint64 { return s.ReadCount })
-	reg.CounterFunc(prefix+".queue_full_rejects", func() uint64 { return s.QueueFullRejects })
+	reg.Counter(prefix+".reads", &s.Reads)
+	reg.Counter(prefix+".writes", &s.Writes)
+	reg.Counter(prefix+".row_hits", &s.RowHits)
+	reg.Counter(prefix+".row_misses", &s.RowMisses)
+	reg.Counter(prefix+".row_conflicts", &s.RowConflicts)
+	reg.Counter(prefix+".bus_busy_cycles", &s.BusBusyCycles)
+	reg.Counter(prefix+".read_latency_sum", &s.ReadLatencySum)
+	reg.Counter(prefix+".read_count", &s.ReadCount)
+	reg.Counter(prefix+".queue_full_rejects", &s.QueueFullRejects)
 	d.latHist = reg.Histogram(prefix + ".read_latency")
-	for k := 0; k < mem.NumKinds; k++ {
-		k := k
-		reg.CounterFunc(fmt.Sprintf("%s.bytes.%s", prefix, mem.Kind(k)),
-			func() uint64 { return s.BytesByKind[k] })
+	for k := range s.BytesByKind {
+		reg.Counter(prefix+".bytes."+mem.Kind(k).String(), &s.BytesByKind[k])
 	}
 	for ci := range d.chans {
+		ch := prefix + ".ch" + strconv.Itoa(ci) + ".bank"
 		for bi := range d.chans[ci].banks {
 			b := &d.chans[ci].banks[bi]
-			bp := fmt.Sprintf("%s.ch%d.bank%d", prefix, ci, bi)
-			reg.CounterFunc(bp+".row_hits", func() uint64 { return b.rowHits })
-			reg.CounterFunc(bp+".row_misses", func() uint64 { return b.rowMisses })
-			reg.CounterFunc(bp+".row_conflicts", func() uint64 { return b.rowConflicts })
+			bank := strconv.Itoa(bi)
+			reg.Counter(ch+bank+".row_hits", &b.rowHits)
+			reg.Counter(ch+bank+".row_misses", &b.rowMisses)
+			reg.Counter(ch+bank+".row_conflicts", &b.rowConflicts)
 		}
 	}
 }

@@ -7,9 +7,10 @@ import (
 
 // digestFixture builds a registry with one of each metric kind and an
 // active digest chain anchored at 0 with interval 100.
-func digestFixture() (*Registry, *Counter, *Histogram, *float64) {
+func digestFixture() (*Registry, *uint64, *Histogram, *float64) {
 	r := NewRegistry()
-	c := r.Counter("d.count")
+	c := new(uint64)
+	r.Counter("d.count", c)
 	g := new(float64)
 	r.GaugeFunc("d.gauge", func() float64 { return *g })
 	h := r.Histogram("d.hist")
@@ -24,11 +25,11 @@ func chain(r *Registry) *DigestChain { return r.Snapshot(0).Digests }
 func TestDigestDeterministic(t *testing.T) {
 	build := func() *DigestChain {
 		r, c, h, g := digestFixture()
-		c.Add(3)
+		*c += 3
 		*g = 1.5
 		h.Observe(7)
 		r.SampleInterval(100)
-		c.Add(2)
+		*c += 2
 		r.SampleInterval(200)
 		return chain(r)
 	}
@@ -55,7 +56,7 @@ func TestDigestDeterministic(t *testing.T) {
 func TestDigestChaining(t *testing.T) {
 	build := func(first uint64) *DigestChain {
 		r, c, _, _ := digestFixture()
-		c.Add(first)
+		*c += first
 		r.SampleInterval(100)
 		// Window 1 adds nothing on either side; without chaining its digest
 		// would collapse to the same value for both runs whenever the
@@ -92,13 +93,13 @@ func TestDigestGaugeSensitivity(t *testing.T) {
 // TestFirstDivergenceCases pins the prefix/nil/empty semantics.
 func TestFirstDivergenceCases(t *testing.T) {
 	r, c, _, _ := digestFixture()
-	c.Add(1)
+	*c++
 	r.SampleInterval(100)
 	r.SampleInterval(200)
 	full := chain(r)
 
 	r2, c2, _, _ := digestFixture()
-	c2.Add(1)
+	*c2++
 	r2.SampleInterval(100)
 	prefix := chain(r2)
 
@@ -124,7 +125,8 @@ func TestFirstDivergenceCases(t *testing.T) {
 // generic JSON tooling), and absent entirely before BeginDigests.
 func TestDigestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("d.c").Add(1)
+	one := uint64(1)
+	r.Counter("d.c", &one)
 	if r.Snapshot(50).Digests != nil {
 		t.Error("digests present before BeginDigests")
 	}
@@ -147,10 +149,10 @@ func TestDigestSnapshotJSON(t *testing.T) {
 // boundary, like the timeline.
 func TestDigestMarkROIReanchors(t *testing.T) {
 	r, c, _, _ := digestFixture()
-	c.Add(5)
+	*c += 5
 	r.SampleInterval(100)
 	r.MarkROI(150)
-	c.Add(1)
+	*c++
 	r.SampleInterval(250)
 	dc := r.Snapshot(250).Digests
 	if dc.StartCycle != 150 {
@@ -165,7 +167,7 @@ func TestDigestMarkROIReanchors(t *testing.T) {
 // boundary must not append a duplicate zero-length window.
 func TestSampleDigestIdempotentAtSameCycle(t *testing.T) {
 	r, c, _, _ := digestFixture()
-	c.Add(1)
+	*c++
 	r.SampleInterval(100)
 	r.FinishTimeline(100)
 	if dc := chain(r); dc.Windows() != 1 {

@@ -5,16 +5,21 @@
 //
 // Design constraints, in order:
 //
-//  1. Zero allocation on simulation hot paths. Components either keep plain
-//     uint64 fields and expose them lazily (CounterFunc / GaugeFunc read the
-//     live value only when a snapshot or interval sample is taken), or hold a
-//     *Histogram / *Trace whose Observe / Emit writes into fixed
-//     pre-allocated storage.
-//  2. Determinism. A snapshot of a deterministic simulation is itself
+//  1. Zero allocation on simulation hot paths. Components keep plain uint64
+//     fields and register them by reference (Counter reads the field in
+//     place when a snapshot or interval sample is taken; CounterFunc and
+//     GaugeFunc compute a derived value then), or hold a *Histogram / *Trace
+//     whose Observe / Emit writes into fixed pre-allocated storage.
+//  2. Cheap construction. A default machine registers about 850 counters,
+//     so registration only appends: no closure per plain counter and no
+//     name-uniqueness map. Duplicates lists the names registered twice, for
+//     tests and for the invariants build's check of each wired machine, and
+//     Snapshot panics where two registrations would collapse into one entry.
+//  3. Determinism. A snapshot of a deterministic simulation is itself
 //     deterministic: map-free registration order, no wall-clock anywhere,
 //     and encoding/json's sorted map keys make two same-seed runs
 //     byte-identical when marshalled.
-//  3. Stable names. Every metric is registered under a dotted lowercase
+//  4. Stable names. Every metric is registered under a dotted lowercase
 //     path (see DESIGN.md, "Metric naming scheme"); names are part of the
 //     public API surfaced through nomad.Snapshot.
 //
@@ -25,25 +30,10 @@
 package metrics
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
+	"strings"
 )
-
-// Counter is a registry-owned monotonic counter. The zero value is not
-// usable; obtain one from Registry.Counter.
-type Counter struct {
-	v uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
 
 // Histogram accumulates uint64 observations into fixed log2 buckets:
 // bucket 0 holds the value 0 and bucket i (1..64) holds values in
@@ -97,9 +87,19 @@ type histBase struct {
 	buckets [65]uint64
 }
 
+// counterEntry is one registered counter: a plain counter's field, read in
+// place, or the function that computes a derived one.
 type counterEntry struct {
 	name string
-	read func() uint64
+	v    *uint64
+	fn   func() uint64
+}
+
+func (c *counterEntry) read() uint64 {
+	if c.v != nil {
+		return *c.v
+	}
+	return c.fn()
 }
 
 type gaugeEntry struct {
@@ -118,14 +118,14 @@ type Registry struct {
 	counters []counterEntry
 	gauges   []gaugeEntry
 	hists    []histEntry
-	names    map[string]bool
 	trace    *Trace
 	spans    *SpanRing
 
-	// Interval timeline state (timeline.go): registered columns, the name
-	// namespace, the registration filter, and the collected windows.
+	// Interval timeline state (timeline.go): registered columns, the names
+	// the registration filter dropped, the filter, and the collected
+	// windows.
 	intervals []intervalEntry
-	inames    map[string]bool
+	filtered  []string
 	tlFilter  []string
 	tlActive  bool
 	tlStart   uint64
@@ -154,44 +154,73 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{names: map[string]bool{}}
+	return &Registry{}
 }
 
-func (r *Registry) claim(name string) {
-	if r.names[name] {
-		panic(fmt.Sprintf("metrics: duplicate metric %q", name))
-	}
-	r.names[name] = true
+// Counter registers the monotonic count at v, which the component keeps
+// incrementing as a plain field: snapshots and digests read it in place, so
+// neither the hot path nor registration pays for a closure.
+func (r *Registry) Counter(name string, v *uint64) {
+	r.counters = append(r.counters, counterEntry{name: name, v: v})
 }
 
-// Counter registers and returns a registry-owned counter.
-func (r *Registry) Counter(name string) *Counter {
-	r.claim(name)
-	c := &Counter{}
-	r.counters = append(r.counters, counterEntry{name: name, read: c.Value})
-	return c
-}
-
-// CounterFunc registers a counter whose value is read lazily from fn — the
-// zero-hot-path-cost way to expose a component's existing uint64 field.
+// CounterFunc registers a counter whose value fn derives from other state
+// when a snapshot or digest reads it (a sum or difference of fields). A
+// plain field goes through Counter.
 func (r *Registry) CounterFunc(name string, fn func() uint64) {
-	r.claim(name)
-	r.counters = append(r.counters, counterEntry{name: name, read: fn})
+	r.counters = append(r.counters, counterEntry{name: name, fn: fn})
 }
 
 // GaugeFunc registers an instantaneous value read lazily from fn. Gauges
 // are not rewound by MarkROI.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
-	r.claim(name)
 	r.gauges = append(r.gauges, gaugeEntry{name: name, read: fn})
 }
 
 // Histogram registers and returns a log2-bucket histogram.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.claim(name)
 	h := &Histogram{}
 	r.hists = append(r.hists, histEntry{name: name, h: h})
 	return h
+}
+
+// Duplicates returns, sorted, every name registered more than once:
+// counters, gauges and histograms share one namespace, and timeline columns
+// have their own, reported with a "timeline " prefix. Names the timeline
+// filter dropped still count. Registration itself does not check, so that
+// building a machine stays a run of appends; Snapshot panics only on the
+// duplicates it would merge (two of one kind, timeline columns when the
+// timeline is active and unfiltered).
+func (r *Registry) Duplicates() []string {
+	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	for _, c := range r.counters {
+		names = append(names, c.name)
+	}
+	for _, g := range r.gauges {
+		names = append(names, g.name)
+	}
+	for _, h := range r.hists {
+		names = append(names, h.name)
+	}
+	dups := repeated(names, "")
+	names = append(names[:0], r.filtered...)
+	for _, e := range r.intervals {
+		names = append(names, e.name)
+	}
+	return append(dups, repeated(names, "timeline ")...)
+}
+
+// repeated sorts names and returns each name that occurs more than once,
+// once, after prefix.
+func repeated(names []string, prefix string) []string {
+	sort.Strings(names)
+	var out []string
+	for i := 1; i < len(names); i++ {
+		if names[i] == names[i-1] && (i == 1 || names[i] != names[i-2]) {
+			out = append(out, prefix+names[i])
+		}
+	}
+	return out
 }
 
 // EnableTrace attaches a ring buffer of depth events and returns it.
@@ -246,7 +275,9 @@ func (r *Registry) MarkROI(now uint64) {
 // Snapshot captures every metric at cycle now, as a delta against the
 // MarkROI baseline (or since construction if MarkROI was never called).
 // Counters and histogram counts/sums/buckets are deltas; gauges and
-// histogram min/max are instantaneous whole-run values.
+// histogram min/max are instantaneous whole-run values. It panics when two
+// counters, two gauges, two histograms or two timeline columns were
+// registered under one name, as one would silently replace the other.
 func (r *Registry) Snapshot(now uint64) *Snapshot {
 	s := &Snapshot{
 		Cycles:   now - r.markCycle,
@@ -281,7 +312,18 @@ func (r *Registry) Snapshot(now uint64) *Snapshot {
 			s.Histograms[he.name] = r.histSnapshot(i, he.h)
 		}
 	}
+	r.mustNotCollapse(len(s.Counters)+len(s.Gauges)+len(s.Histograms),
+		len(r.counters)+len(r.gauges)+len(r.hists))
 	return s
+}
+
+// mustNotCollapse panics when a snapshot map holds fewer entries than were
+// registered for it: two registrations shared a name. The check costs a
+// comparison, so every build makes it, not only the invariants build.
+func (r *Registry) mustNotCollapse(entries, registered int) {
+	if entries < registered {
+		panic("metrics: names registered more than once: " + strings.Join(r.Duplicates(), ", "))
+	}
 }
 
 func (r *Registry) histSnapshot(i int, h *Histogram) HistogramSnapshot {

@@ -3,19 +3,19 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
 func TestCounterAndFunc(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("a.owned")
-	var raw uint64
-	r.CounterFunc("a.lazy", func() uint64 { return raw })
-	c.Inc()
-	c.Add(4)
-	raw = 7
+	var field, raw uint64
+	r.Counter("a.field", &field)
+	r.CounterFunc("a.lazy", func() uint64 { return raw + field })
+	field += 5
+	raw = 2
 	s := r.Snapshot(10)
-	if s.Counter("a.owned") != 5 || s.Counter("a.lazy") != 7 {
+	if s.Counter("a.field") != 5 || s.Counter("a.lazy") != 7 {
 		t.Fatalf("counters wrong: %v", s.Counters)
 	}
 	if s.Counter("missing") != 0 {
@@ -26,15 +26,46 @@ func TestCounterAndFunc(t *testing.T) {
 	}
 }
 
+// TestDuplicateNamePanics: registration does not check names, but a snapshot
+// of two counters registered under one name panics rather than report one of
+// them.
 func TestDuplicateNamePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
+			t.Fatal("snapshot of a duplicate registration did not panic")
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("x")
-	r.Counter("x")
+	var a, b uint64
+	r.Counter("x", &a)
+	r.Counter("x", &b)
+	r.Snapshot(0)
+}
+
+// TestDuplicateNamesReported: Duplicates names each metric registered twice
+// once, whether the two registrations are of one kind or of two (counters,
+// gauges and histograms share a namespace), and each timeline column
+// registered twice (TestTimelineFilter covers a filtered one); a counter and
+// a timeline column may share a name.
+func TestDuplicateNamesReported(t *testing.T) {
+	r := NewRegistry()
+	var v uint64
+	col := func(uint64) float64 { return 0 }
+	r.Counter("x", &v)
+	r.Counter("x", &v)
+	r.Counter("x", &v)
+	r.Histogram("h")
+	r.GaugeFunc("h", func() float64 { return 0 })
+	r.Counter("unique", &v)
+	r.IntervalFunc("unique", nil, col)
+	r.IntervalFunc("dup", nil, col)
+	r.IntervalFunc("dup", nil, col)
+	if d := r.Duplicates(); fmt.Sprint(d) != "[h x timeline dup]" {
+		t.Fatalf("Duplicates() = %q, want [h x timeline dup]", d)
+	}
+	if d := NewRegistry().Duplicates(); len(d) != 0 {
+		t.Fatalf("empty registry: Duplicates() = %q", d)
+	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -70,12 +101,13 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestMarkROIDiffs(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("n")
+	var c uint64
+	r.Counter("n", &c)
 	h := r.Histogram("h")
-	c.Add(10)
+	c += 10
 	h.Observe(100)
 	r.MarkROI(16)
-	c.Add(3)
+	c += 3
 	h.Observe(7)
 	s := r.Snapshot(32)
 	if s.Cycles != 16 {
@@ -107,8 +139,9 @@ func TestGauges(t *testing.T) {
 func TestSnapshotJSONDeterministic(t *testing.T) {
 	build := func() []byte {
 		r := NewRegistry()
-		r.Counter("z.last").Add(3)
-		r.Counter("a.first").Add(1)
+		last, first := uint64(3), uint64(1)
+		r.Counter("z.last", &last)
+		r.Counter("a.first", &first)
 		r.GaugeFunc("m.gauge", func() float64 { return 0.25 })
 		r.Histogram("h").Observe(9)
 		b, err := json.Marshal(r.Snapshot(8))
@@ -172,8 +205,9 @@ func TestBucketBounds(t *testing.T) {
 
 func TestCounterNamesSorted(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b")
-	r.Counter("a")
+	var v uint64
+	r.Counter("b", &v)
+	r.Counter("a", &v)
 	names := r.CounterNames()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("names = %v", names)

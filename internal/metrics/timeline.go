@@ -31,17 +31,12 @@ type intervalEntry struct {
 // while a timeline is active (BeginTimeline). prime is called at timeline
 // start so delta-based closures can re-baseline; it may be nil. Names live
 // in their own namespace (they appear under Snapshot.Timeline, not
-// Counters) and are dropped silently when a filter (SetTimelineFilter) is
-// set and no prefix matches — filtered metrics cost nothing.
+// Counters) and are dropped when a filter (SetTimelineFilter) is set and no
+// prefix matches: a filtered metric is never sampled, and only its name is
+// kept, for Duplicates.
 func (r *Registry) IntervalFunc(name string, prime func(now uint64), sample func(now uint64) float64) {
-	if r.inames == nil {
-		r.inames = map[string]bool{}
-	}
-	if r.inames[name] {
-		panic("metrics: duplicate interval metric " + name)
-	}
-	r.inames[name] = true
 	if len(r.tlFilter) > 0 && !matchesPrefix(name, r.tlFilter) {
+		r.filtered = append(r.filtered, name)
 		return
 	}
 	r.intervals = append(r.intervals, intervalEntry{name: name, prime: prime, sample: sample})
@@ -157,5 +152,6 @@ func (r *Registry) timelineSnapshot() *TimelineSnapshot {
 		e := &r.intervals[i]
 		t.Metrics[e.name] = append([]float64(nil), e.values...)
 	}
+	r.mustNotCollapse(len(t.Metrics), len(r.intervals))
 	return t
 }

@@ -54,21 +54,25 @@ func TestTimelineInactiveIsNil(t *testing.T) {
 func TestTimelineDuplicateNamePanics(t *testing.T) {
 	r := NewRegistry()
 	r.IntervalFunc("dup", nil, func(uint64) float64 { return 0 })
+	r.IntervalFunc("dup", nil, func(uint64) float64 { return 1 })
+	r.BeginTimeline(0, 10)
+	r.SampleInterval(10)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("duplicate interval metric did not panic")
+			t.Fatal("snapshot of a duplicate interval metric did not panic")
 		}
 	}()
-	r.IntervalFunc("dup", nil, func(uint64) float64 { return 0 })
+	r.Snapshot(10)
 }
 
 func TestTimelineSeparateNamespace(t *testing.T) {
 	// An interval metric may share its name with a counter: they live in
 	// different namespaces (Counters vs Timeline.Metrics).
 	r := NewRegistry()
-	c := r.Counter("shared.name")
+	var c uint64
+	r.Counter("shared.name", &c)
 	r.IntervalFunc("shared.name", nil, func(uint64) float64 { return 1 })
-	c.Add(3)
+	c += 3
 	r.BeginTimeline(0, 10)
 	r.SampleInterval(10)
 	s := r.Snapshot(10)
@@ -92,13 +96,12 @@ func TestTimelineFilter(t *testing.T) {
 	if tl.Metric("ddr.row_conflict_rate") != nil {
 		t.Fatal("filtered metric still collected")
 	}
-	// Filtered names still occupy the namespace: re-registering must panic.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-registering filtered name did not panic")
-		}
-	}()
+	// Filtered names still occupy the namespace: re-registering one is a
+	// duplicate.
 	r.IntervalFunc("ddr.row_conflict_rate", nil, func(uint64) float64 { return 0 })
+	if d := r.Duplicates(); len(d) != 1 || d[0] != "timeline ddr.row_conflict_rate" {
+		t.Fatalf("re-registered filtered name: Duplicates() = %q", d)
+	}
 }
 
 func TestBeginTimelineReprimes(t *testing.T) {

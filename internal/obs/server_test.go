@@ -358,7 +358,7 @@ g{name="hbm.gbs"} 1.5e+03
 func digestRegistry(t *testing.T) *metrics.Registry {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	reg.Counter("d.c")
+	reg.Counter("d.c", new(uint64))
 	reg.BeginDigests(0, 100)
 	reg.SampleInterval(100)
 	return reg
@@ -393,7 +393,7 @@ func TestDigestsEndpoint(t *testing.T) {
 
 	// A run publishing digest-less snapshots still 404s.
 	plain := metrics.NewRegistry()
-	plain.Counter("p.c")
+	plain.Counter("p.c", new(uint64))
 	h.Observe(system.Progress{Phase: "roi", Cycle: 100, Done: 1, Target: 4}, plain)
 	if code, _ := get("/runs/x/y/digests"); code != http.StatusNotFound {
 		t.Errorf("digest-less snapshot status = %d, want 404", code)

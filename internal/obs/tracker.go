@@ -106,20 +106,19 @@ func (t *RunTracker) Counts() (active, completed uint64) {
 	return t.active, t.completed
 }
 
-// Statuses returns every tracked run's status in registration order.
+// Statuses returns every tracked run's status in registration order. It
+// reads each handle under the tracker's mutex, the one lock order in the
+// package (tracker, then handle): Finish releases its handle's mutex before
+// it takes the tracker's, and Observe never takes the tracker's.
 func (t *RunTracker) Statuses() []RunStatus {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	handles := make([]*RunHandle, 0, len(t.order))
-	for _, k := range t.order {
-		handles = append(handles, t.runs[k])
-	}
-	t.mu.Unlock()
-	out := make([]RunStatus, len(handles))
-	for i, h := range handles {
-		out[i] = h.Status()
+	defer t.mu.Unlock()
+	out := make([]RunStatus, len(t.order))
+	for i, k := range t.order {
+		out[i] = t.runs[k].Status()
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"nomad/internal/system"
 )
@@ -83,14 +84,59 @@ func TestTrackerDefaultRetentionBounded(t *testing.T) {
 	}
 }
 
+// TestStatusesConcurrentWithRuns: Statuses reads handles under the
+// tracker's mutex while runs start, publish progress and finish on other
+// goroutines, past the retention bound so evictions happen too. Run it
+// under -race; a lock-order inversion would hang it.
+func TestStatusesConcurrentWithRuns(t *testing.T) {
+	tr := NewRunTracker()
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				for _, s := range tr.Statuses() {
+					if s.Key == "" {
+						t.Error("status without a key")
+					}
+				}
+			}
+		}
+	}()
+	var runs sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		runs.Add(1)
+		go func() {
+			defer runs.Done()
+			for i := 0; i < DefaultCompletedRetention; i++ {
+				h := tr.Start(fmt.Sprintf("w%d/%d", w, i), nil)
+				h.Observe(system.Progress{Phase: "roi", Cycle: uint64(i), Done: 1, Target: 2}, nil)
+				h.Finish()
+			}
+		}()
+	}
+	runs.Wait()
+	close(stop)
+	reader.Wait()
+	if active, completed := tr.Counts(); active != 0 || completed != 4*DefaultCompletedRetention {
+		t.Fatalf("Counts() = (%d, %d), want (0, %d)", active, completed, 4*DefaultCompletedRetention)
+	}
+}
+
 // BenchmarkTrackerOverhead measures the tracker's cost (DESIGN
 // "Observability v2" budgets it at < 1 % under active scraping): each
 // iteration runs one small machine, plain; observed through a RunHandle fed
 // by the progress callback; or observed while another goroutine reads
-// Statuses in a loop for the whole run. Compare the sub-benchmarks' ns/op
+// Statuses for the whole run, in a tight loop (scraped) or every 10 ms, a
+// fast dashboard's pace (scraped-10ms). Compare the sub-benchmarks' ns/op
 // across alternating runs.
 func BenchmarkTrackerOverhead(b *testing.B) {
-	run := func(b *testing.B, observe, scrape bool) {
+	run := func(b *testing.B, observe bool, scrape time.Duration) {
 		for i := 0; i < b.N; i++ {
 			m, err := system.New(testConfig(), testSpec())
 			if err != nil {
@@ -103,7 +149,7 @@ func BenchmarkTrackerOverhead(b *testing.B) {
 				h := tracker.Start("NOMAD/ts", nil)
 				reg := m.Metrics()
 				m.SetProgress(func(p system.Progress) { h.Observe(p, reg) })
-				if scrape {
+				if scrape >= 0 {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
@@ -113,20 +159,26 @@ func BenchmarkTrackerOverhead(b *testing.B) {
 								return
 							default:
 								tracker.Statuses()
+								time.Sleep(scrape)
 							}
 						}
 					}()
 				}
 			}
 			_, err = m.Run()
+			// A pausing reader sees stop up to one pause late; that wait
+			// is not the run's.
+			b.StopTimer()
 			close(stop)
 			wg.Wait()
+			b.StartTimer()
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("plain", func(b *testing.B) { run(b, false, false) })
-	b.Run("observed", func(b *testing.B) { run(b, true, false) })
-	b.Run("scraped", func(b *testing.B) { run(b, true, true) })
+	b.Run("plain", func(b *testing.B) { run(b, false, -1) })
+	b.Run("observed", func(b *testing.B) { run(b, true, -1) })
+	b.Run("scraped", func(b *testing.B) { run(b, true, 0) })
+	b.Run("scraped-10ms", func(b *testing.B) { run(b, true, 10*time.Millisecond) })
 }

@@ -372,6 +372,26 @@ func (m *Manager) EvictCandidates(batch int) (victims []uint64, tlbSkips int) {
 	return victims, tlbSkips
 }
 
+// ShootdownTail is the shootdown fallback for a starved victim scan: over
+// the next batch frames EvictCandidates will examine (at most one
+// revolution), it calls shoot for every mapping of each frame a TLB still
+// holds and clears that frame's TLB directory, so the scan can take it. It
+// returns the number of shootdowns.
+func (m *Manager) ShootdownTail(batch int, shoot func(core int, vpn uint64)) (shootdowns uint64) {
+	n := m.frames
+	for i := uint64(0); i < uint64(batch) && i < n; i++ {
+		cfn := (m.tail + i) % n
+		if cpd := m.CPDOf(cfn); cpd.Valid && cpd.TLBDir != 0 {
+			for _, mp := range m.Mappings(uint64(cpd.PFN)) {
+				shootdowns++
+				shoot(mp.Core, mp.VPN)
+			}
+			cpd.TLBDir = 0
+		}
+	}
+	return shootdowns
+}
+
 // ReleaseFrame invalidates a cache frame and restores every PTE mapping its
 // physical frame (Algorithm 2, lines 12-17). It returns the PFN and whether
 // the frame was dirty in cache (writeback required).

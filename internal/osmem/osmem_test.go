@@ -89,6 +89,39 @@ func TestTLBDirectorySkip(t *testing.T) {
 	}
 }
 
+// TestShootdownTail: the shootdown fallback shoots down every mapping of
+// each TLB-resident frame in the window at the tail, shared pages once per
+// mapping, clears those frames' directories so the next scan takes them,
+// and leaves the frames past the window and the tail itself alone.
+func TestShootdownTail(t *testing.T) {
+	m := New(2, 4)
+	for vpn := uint64(0); vpn < 4; vpn++ {
+		pte := m.PTEOf(0, vpn)
+		cfn := m.AllocateFrame(pte.Frame)
+		m.SetCached(pte.Frame, cfn)
+		m.TLBSet(cfn, 0, true)
+	}
+	m.MapShared(1, 9, uint64(m.CPDOf(1).PFN))
+	m.TLBSet(1, 1, true)
+	m.TLBSet(2, 0, false) // frame 2 left the TLB on its own
+	var shot []Mapping
+	n := m.ShootdownTail(3, func(core int, vpn uint64) { shot = append(shot, Mapping{Core: core, VPN: vpn}) })
+	if want := "[{0 0} {0 1} {1 9}]"; n != 3 || fmt.Sprint(shot) != want {
+		t.Fatalf("ShootdownTail(3) = %d shootdowns %v, want 3 %s", n, shot, want)
+	}
+	if m.Tail() != 0 || m.CPDOf(3).TLBDir == 0 {
+		t.Fatalf("tail %d, frame 3 directory %#x: the window's end moved", m.Tail(), m.CPDOf(3).TLBDir)
+	}
+	if victims, skips := m.EvictCandidates(3); len(victims) != 3 || skips != 0 {
+		t.Fatalf("scan after the shootdowns: victims %v, %d skips, want frames 0-2 and none", victims, skips)
+	}
+	// A batch past the frame count covers one revolution: frame 3 once.
+	shot = shot[:0]
+	if n := m.ShootdownTail(10, func(core int, vpn uint64) { shot = append(shot, Mapping{Core: core, VPN: vpn}) }); n != 1 {
+		t.Fatalf("ShootdownTail(10) on 4 frames = %d shootdowns %v, want 1", n, shot)
+	}
+}
+
 // TestTLBDirectoryCoreLimit: the last core's residency bit fits the
 // directory, and a Manager for one core more refuses to be built rather
 // than silently drop that core's bits.

@@ -98,18 +98,7 @@ func (s *Ideal) evict() {
 			if s.sd == nil {
 				panic("schemes: ideal eviction starved and no shootdown path is wired")
 			}
-			n := s.mm.CacheFrames()
-			tail := s.mm.Tail()
-			for i := uint64(0); i < uint64(s.batch) && i < n; i++ {
-				cfn := (tail + i) % n
-				cpd := s.mm.CPDOf(cfn)
-				if cpd.Valid && cpd.TLBDir != 0 {
-					for _, mp := range s.mm.Mappings(uint64(cpd.PFN)) {
-						s.sd.Shootdown(mp.Core, mp.VPN)
-					}
-					cpd.TLBDir = 0
-				}
-			}
+			s.mm.ShootdownTail(s.batch, s.sd.Shootdown)
 			sweeps = 0
 		}
 	}

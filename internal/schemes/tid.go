@@ -54,6 +54,9 @@ func (s *TiDStats) MissRate() float64 {
 // moves it to rank 0, and invalid ways are taken before ranks are read. A
 // tag is the line address divided by the set count, PA >> 25 at the
 // default 128 MB, so 28 bits cover 2^53 bytes of physical memory there.
+//
+// Way w's word holds its rank XOR w, so the zero value is an empty set with
+// way w at rank w, and a new tag store needs no initialisation.
 type tidSet struct {
 	ways [tidWays]uint32
 }
@@ -68,24 +71,22 @@ const (
 	tidValid     = 1 << 31
 )
 
-// tidEmptySet ranks way w at rank w, every way invalid.
-var tidEmptySet = tidSet{[tidWays]uint32{0, 1 << tidRankShift, 2 << tidRankShift, 3 << tidRankShift}}
-
 // tag returns way w's tag.
 func (s *tidSet) tag(w int) uint64 { return uint64(s.ways[w] & tidTagMask) }
 
 // rank returns way w's recency rank.
-func (s *tidSet) rank(w int) int { return int(s.ways[w] >> tidRankShift & 3) }
+func (s *tidSet) rank(w int) int { return int(s.ways[w]>>tidRankShift&3) ^ w }
 
 // touch moves way w to rank 0 and the ways more recent than it down one.
+// A stored rank changes from a to b by XOR with a^b, whatever way it is.
 func (s *tidSet) touch(w int) {
-	r := s.ways[w] & tidRankMask
+	r := s.rank(w)
 	for v, x := range s.ways {
-		if x&tidRankMask < r {
-			s.ways[v] = x + 1<<tidRankShift
+		if rv := int(x>>tidRankShift&3) ^ v; rv < r {
+			s.ways[v] = x ^ uint32(rv^(rv+1))<<tidRankShift
 		}
 	}
-	s.ways[w] &^= tidRankMask
+	s.ways[w] ^= uint32(r) << tidRankShift
 }
 
 // hit makes way w the most recently used and, for a write, dirty.
@@ -104,7 +105,7 @@ func (s *tidSet) victim() int {
 		if x&tidValid == 0 {
 			return w
 		}
-		if x&tidRankMask == tidRankMask {
+		if s.rank(w) == tidWays-1 {
 			lru = w
 		}
 	}
@@ -197,7 +198,7 @@ type TiD struct {
 	hbm, ddr *dram.Device
 	walker   physWalker
 
-	// sets is the tag store, one record per set.
+	// sets is the tag store, one record per set, empty as allocated.
 	sets    []tidSet
 	numSets uint64
 	mshrs   map[uint64]*tidMSHR
@@ -238,9 +239,6 @@ func NewTiD(eng *sim.Engine, hbm, ddr *dram.Device, mm *osmem.Manager, walkLaten
 		maxMSHR:  cfg.MSHRs,
 		metaBase: cfg.CapacityBytes, // metadata region above the data array
 		wb:       tidWriteback{ddr},
-	}
-	for i := range t.sets {
-		t.sets[i] = tidEmptySet
 	}
 	return t
 }

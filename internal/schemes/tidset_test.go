@@ -55,7 +55,7 @@ func (o *tickTiDSet) invalidate(w int) {
 
 // order lists the ways from the most to the least recently touched. Ways
 // never touched share tick 0 and follow in way order, which is where the
-// record's initial identity order keeps them.
+// record's zero value, the identity order, keeps them.
 func (o *tickTiDSet) order() []int {
 	ws := make([]int, 0, tidWays)
 	for w := range o.lru {
@@ -107,7 +107,7 @@ func TestTiDSetMatchesTickOracle(t *testing.T) {
 		dirty bool
 	}
 	for seq := 0; seq < 200; seq++ {
-		s := tidEmptySet
+		var s tidSet
 		var o tickTiDSet
 		var fills []fill
 		for step := 0; step < 500; step++ {
@@ -141,6 +141,18 @@ func TestTiDSetMatchesTickOracle(t *testing.T) {
 	}
 }
 
+// TestNewTiDIsZero: NewTiD allocates the tag store and writes nothing into
+// it, because a set's zero value is the empty set.
+func TestNewTiDIsZero(t *testing.T) {
+	e := newEnv(1, 64)
+	s := NewTiD(e.eng, e.hbm, e.ddr, e.mm, 100, TiDConfig{CapacityBytes: 1 << 20})
+	for i, set := range s.sets {
+		if set != (tidSet{}) {
+			t.Fatalf("set %d of a new tag store is %#x, want the zero value", i, set.ways)
+		}
+	}
+}
+
 // TestTiDSetSize pins the tag store's record at 16 bytes per set.
 func TestTiDSetSize(t *testing.T) {
 	if n := unsafe.Sizeof(tidSet{}); n != 16 {
@@ -152,7 +164,7 @@ func TestTiDSetSize(t *testing.T) {
 // without touching the way's state bits, and a wider one panics instead of
 // aliasing another line or a state bit.
 func TestTiDSetTagLimit(t *testing.T) {
-	s := tidEmptySet
+	var s tidSet
 	s.install(1, tidTagMask, true)
 	if s.tag(1) != tidTagMask || s.rank(1) != 0 || s.ways[1]&(tidValid|tidDirty) != tidValid|tidDirty {
 		t.Fatalf("way word %#x, want tag %#x, valid, dirty, rank 0", s.ways[1], tidTagMask)

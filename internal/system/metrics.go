@@ -1,8 +1,9 @@
 package system
 
 import (
-	"fmt"
+	"strconv"
 
+	"nomad/internal/check"
 	"nomad/internal/dram"
 	"nomad/internal/mem"
 	"nomad/internal/metrics"
@@ -10,9 +11,10 @@ import (
 )
 
 // registerMetrics builds the machine's stats registry and wires every
-// component into it. Registration is lazy (closures over live counters), so
-// the simulation hot paths are untouched; only histograms and the optional
-// trace write during simulation, into fixed pre-allocated storage.
+// component into it. Counters are registered by reference to the live
+// fields (closures only for derived values), so the simulation hot paths are
+// untouched; only histograms and the optional trace write during
+// simulation, into fixed pre-allocated storage.
 //
 // The naming scheme (documented in DESIGN.md) is a dotted lowercase path:
 //
@@ -41,16 +43,16 @@ func (m *Machine) registerMetrics() {
 
 	for i, c := range m.cores {
 		s := c.Stats()
-		p := fmt.Sprintf("core.%d", i)
-		reg.CounterFunc(p+".instructions", func() uint64 { return s.Instructions })
-		reg.CounterFunc(p+".cycles", func() uint64 { return s.Cycles })
-		reg.CounterFunc(p+".loads", func() uint64 { return s.Loads })
-		reg.CounterFunc(p+".stores", func() uint64 { return s.Stores })
-		reg.CounterFunc(p+".mem_ops", func() uint64 { return s.MemOps })
-		reg.CounterFunc(p+".os_blocked_cycles", func() uint64 { return s.OSBlockedCycles })
-		reg.CounterFunc(p+".mem_stall_cycles", func() uint64 { return s.MemStallCycles })
-		reg.CounterFunc(p+".front_stall_cycles", func() uint64 { return s.FrontStallCycles })
-		reg.CounterFunc(p+".os_block_events", func() uint64 { return s.OSBlockEvents })
+		p := "core." + strconv.Itoa(i)
+		reg.Counter(p+".instructions", &s.Instructions)
+		reg.Counter(p+".cycles", &s.Cycles)
+		reg.Counter(p+".loads", &s.Loads)
+		reg.Counter(p+".stores", &s.Stores)
+		reg.Counter(p+".mem_ops", &s.MemOps)
+		reg.Counter(p+".os_blocked_cycles", &s.OSBlockedCycles)
+		reg.Counter(p+".mem_stall_cycles", &s.MemStallCycles)
+		reg.Counter(p+".front_stall_cycles", &s.FrontStallCycles)
+		reg.Counter(p+".os_block_events", &s.OSBlockEvents)
 
 		// CPI stack (Fig. 11): named buckets that partition every retired
 		// ROI cycle. compute absorbs everything the stall counters do not
@@ -59,23 +61,20 @@ func (m *Machine) registerMetrics() {
 		reg.CounterFunc(p+".cpi.compute", func() uint64 {
 			return s.Cycles - s.OSBlockedCycles - s.MemStallCycles - s.FrontStallCycles
 		})
-		reg.CounterFunc(p+".cpi.tag_miss", func() uint64 { return s.OSBlockedCycles })
-		reg.CounterFunc(p+".cpi.frontend", func() uint64 { return s.FrontStallCycles })
-		for cause := mem.StallCause(0); cause < mem.NumStallCauses; cause++ {
-			cause := cause
-			reg.CounterFunc(p+".cpi.mem."+cause.String(), func() uint64 {
-				return s.MemStallByCause[cause]
-			})
+		reg.Counter(p+".cpi.tag_miss", &s.OSBlockedCycles)
+		reg.Counter(p+".cpi.frontend", &s.FrontStallCycles)
+		for cause := range s.MemStallByCause {
+			reg.Counter(p+".cpi.mem."+mem.StallCause(cause).String(), &s.MemStallByCause[cause])
 		}
 
-		m.tlbs[i].RegisterMetrics(reg, fmt.Sprintf("tlb.%d", i))
+		m.tlbs[i].RegisterMetrics(reg, "tlb."+strconv.Itoa(i))
 	}
 
 	m.llc.RegisterMetrics(reg, "cache.llc")
 	m.llc.SetSpans(reg.Spans(), metrics.SpanLLC)
 	for i := range m.l1s {
-		m.l1s[i].RegisterMetrics(reg, fmt.Sprintf("cache.l1.%d", i))
-		m.l2s[i].RegisterMetrics(reg, fmt.Sprintf("cache.l2.%d", i))
+		m.l1s[i].RegisterMetrics(reg, "cache.l1."+strconv.Itoa(i))
+		m.l2s[i].RegisterMetrics(reg, "cache.l2."+strconv.Itoa(i))
 		m.l1s[i].SetSpans(reg.Spans(), metrics.SpanL1)
 		m.l2s[i].SetSpans(reg.Spans(), metrics.SpanL2)
 	}
@@ -92,19 +91,19 @@ func (m *Machine) registerMetrics() {
 	switch sc := m.scheme.(type) {
 	case *schemes.TiD:
 		t := sc.TiDStats()
-		reg.CounterFunc("scheme.tid.hits", func() uint64 { return t.Hits })
-		reg.CounterFunc("scheme.tid.misses", func() uint64 { return t.Misses })
-		reg.CounterFunc("scheme.tid.coalesced", func() uint64 { return t.Coalesced })
-		reg.CounterFunc("scheme.tid.writebacks", func() uint64 { return t.Writebacks })
-		reg.CounterFunc("scheme.tid.mshr_stalls", func() uint64 { return t.MSHRStalls })
+		reg.Counter("scheme.tid.hits", &t.Hits)
+		reg.Counter("scheme.tid.misses", &t.Misses)
+		reg.Counter("scheme.tid.coalesced", &t.Coalesced)
+		reg.Counter("scheme.tid.writebacks", &t.Writebacks)
+		reg.Counter("scheme.tid.mshr_stalls", &t.MSHRStalls)
 	case *schemes.TDC:
 		sc.Frontend().RegisterMetrics(reg, "frontend")
 	case *schemes.NOMAD:
 		sc.Frontend().RegisterMetrics(reg, "frontend")
 		sc.Backend().RegisterMetrics(reg, "backend")
 	case *schemes.Ideal:
-		reg.CounterFunc("scheme.tag_misses", func() uint64 { return sc.TagMisses })
-		reg.CounterFunc("scheme.would_fill_bytes", func() uint64 { return sc.WouldFillBytes })
+		reg.Counter("scheme.tag_misses", &sc.TagMisses)
+		reg.Counter("scheme.would_fill_bytes", &sc.WouldFillBytes)
 	}
 
 	// Interval timeline columns (Config.Timeline): the Fig. 14-style
@@ -113,7 +112,7 @@ func (m *Machine) registerMetrics() {
 	// decides what is kept.
 	for i, c := range m.cores {
 		s := c.Stats()
-		intervalRate(reg, fmt.Sprintf("core.%d.ipc", i), func() uint64 { return s.Instructions })
+		intervalRate(reg, "core."+strconv.Itoa(i)+".ipc", func() uint64 { return s.Instructions })
 	}
 	intervalRate(reg, "sim.ipc", func() uint64 {
 		var instr uint64
@@ -136,6 +135,10 @@ func (m *Machine) registerMetrics() {
 	})
 
 	m.eng.SetInterval(m.cfg.Interval, m.intervalTick)
+	if check.Enabled {
+		d := reg.Duplicates()
+		check.Assert(len(d) == 0, "system: metric names registered more than once: %q", d)
+	}
 }
 
 // intervalRate registers a timeline column whose value is read()'s delta per
@@ -194,9 +197,8 @@ func intervalGBs(reg *metrics.Registry, name string, read func() uint64) {
 // by traffic category and the row-buffer conflict rate.
 func registerDRAMIntervals(reg *metrics.Registry, prefix string, d *dram.Device) {
 	s := d.Stats()
-	for k := 0; k < mem.NumKinds; k++ {
-		k := k
-		intervalGBs(reg, fmt.Sprintf("%s.gbs.%s", prefix, mem.Kind(k)),
+	for k := range s.BytesByKind {
+		intervalGBs(reg, prefix+".gbs."+mem.Kind(k).String(),
 			func() uint64 { return s.BytesByKind[k] })
 	}
 	intervalRatio(reg, prefix+".row_conflict_rate",
@@ -209,11 +211,11 @@ func registerDRAMIntervals(reg *metrics.Registry, prefix string, d *dram.Device)
 // cache space per interval — the DC hit rate, scheme-agnostic).
 func registerAccess(reg *metrics.Registry, a *schemes.AccessStats) {
 	a.Lat = reg.Histogram("scheme.read_latency")
-	reg.CounterFunc("scheme.reads", func() uint64 { return a.Reads })
-	reg.CounterFunc("scheme.read_latency_sum", func() uint64 { return a.ReadLatencySum })
-	reg.CounterFunc("scheme.writes", func() uint64 { return a.Writes })
-	reg.CounterFunc("scheme.cache_space_reads", func() uint64 { return a.CacheSpaceReads })
-	reg.CounterFunc("scheme.phys_space_reads", func() uint64 { return a.PhysSpaceReads })
+	reg.Counter("scheme.reads", &a.Reads)
+	reg.Counter("scheme.read_latency_sum", &a.ReadLatencySum)
+	reg.Counter("scheme.writes", &a.Writes)
+	reg.Counter("scheme.cache_space_reads", &a.CacheSpaceReads)
+	reg.Counter("scheme.phys_space_reads", &a.PhysSpaceReads)
 	intervalRatio(reg, "dc.hit_rate",
 		func() uint64 { return a.CacheSpaceReads },
 		func() uint64 { return a.Reads })

@@ -74,3 +74,31 @@ func TestMetricNames(t *testing.T) {
 		t.Errorf("registered metric names differ from %s; if the change is intended, replace the file with:\n%s", path, gotText)
 	}
 }
+
+// TestMetricNamesUnique: no configuration registers a name twice. The
+// snapshot maps TestMetricNames reads keep one entry per name, so they hide
+// a duplicate; this asks the registry itself, after a short run, for all
+// five schemes on the centralized and the distributed back-end with the
+// timeline on and off.
+func TestMetricNamesUnique(t *testing.T) {
+	for _, s := range AllSchemes() {
+		for _, dist := range []bool{false, true} {
+			for _, timeline := range []bool{false, true} {
+				cfg := smallConfig(s)
+				cfg.Backend.Distributed = dist
+				cfg.Timeline = timeline
+				cfg.WarmupInstructions, cfg.ROIInstructions = 2_000, 2_000
+				m, err := New(cfg, smallSpec())
+				if err != nil {
+					t.Fatalf("New(%s): %v", s, err)
+				}
+				if _, err := m.Run(); err != nil {
+					t.Fatalf("Run(%s): %v", s, err)
+				}
+				if d := m.Metrics().Duplicates(); len(d) > 0 {
+					t.Errorf("%s, distributed %v, timeline %v: names registered more than once: %q", s, dist, timeline, d)
+				}
+			}
+		}
+	}
+}

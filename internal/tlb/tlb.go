@@ -403,14 +403,14 @@ func New(eng *sim.Engine, core int, cfg Config, walker Walker, dir Directory) *T
 func (t *TLB) Stats() *Stats { return &t.stats }
 
 // RegisterMetrics exposes the TLB's counters in reg under prefix (e.g.
-// "tlb.0"), plus a walk-latency histogram. Lazy, like every other
-// component's registration.
+// "tlb.0"), plus a walk-latency histogram. The counters are registered by
+// reference, like every other component's.
 func (t *TLB) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	s := &t.stats
-	reg.CounterFunc(prefix+".l1_hits", func() uint64 { return s.L1Hits })
-	reg.CounterFunc(prefix+".l2_hits", func() uint64 { return s.L2Hits })
-	reg.CounterFunc(prefix+".walks", func() uint64 { return s.Misses })
-	reg.CounterFunc(prefix+".coalesced", func() uint64 { return s.Coalesced })
+	reg.Counter(prefix+".l1_hits", &s.L1Hits)
+	reg.Counter(prefix+".l2_hits", &s.L2Hits)
+	reg.Counter(prefix+".walks", &s.Misses)
+	reg.Counter(prefix+".coalesced", &s.Coalesced)
 	t.walkLat = reg.Histogram(prefix + ".walk_latency")
 }
 
