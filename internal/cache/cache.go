@@ -76,6 +76,9 @@ const maxTagHigh = 1<<31 - 1
 // index per 4-bit rank into a uint64.
 const maxWays = 16
 
+// maxMSHRs bounds the MSHR file, so mshrLow's byte counts cannot wrap.
+const maxMSHRs = 255
+
 // nibbles has a one in every 4-bit rank of a set's recency order.
 const nibbles = 0x1111111111111111
 
@@ -223,6 +226,11 @@ type Cache struct {
 	mshrActive    []uint64
 	mshrActiveIdx []int32
 	mshrFreeIdx   []int32
+	// mshrLow counts the active MSHRs by their block's low byte, so a miss
+	// whose count is zero skips the coalesce scan: no active MSHR can hold
+	// its block. Counts fit a byte because New caps the file at
+	// maxMSHRs.
+	mshrLow [256]uint8
 	// ops is the accessOp freelist; wbReq and fillReq are scratch requests
 	// for writebacks and downstream fills (Lower.Access copies its
 	// argument, per its contract, so a single scratch per purpose suffices
@@ -265,6 +273,9 @@ func New(eng *sim.Engine, cfg Config, lower Lower) *Cache {
 	}
 	if cfg.MSHRs <= 0 {
 		cfg.MSHRs = 8
+	}
+	if cfg.MSHRs > maxMSHRs {
+		panic(fmt.Sprintf("cache %s: at most %d MSHRs, got %d", cfg.Name, maxMSHRs, cfg.MSHRs))
 	}
 	c := &Cache{
 		cfg:           cfg,
@@ -427,15 +438,17 @@ func (c *Cache) miss(req mem.Request, block uint64, done mem.Done, retried bool)
 	if !retried {
 		c.stats.Misses++
 	}
-	for i, b := range c.mshrActive {
-		if b == block {
-			m := &c.mshrFile[c.mshrActiveIdx[i]]
-			c.stats.Coalesced++
-			m.waiters = append(m.waiters, waiter{write: req.Write, done: done})
-			if req.Write {
-				m.write = true
+	if c.mshrLow[uint8(block)] != 0 {
+		for i, b := range c.mshrActive {
+			if b == block {
+				m := &c.mshrFile[c.mshrActiveIdx[i]]
+				c.stats.Coalesced++
+				m.waiters = append(m.waiters, waiter{write: req.Write, done: done})
+				if req.Write {
+					m.write = true
+				}
+				return
 			}
-			return
 		}
 	}
 	n := len(c.mshrFreeIdx)
@@ -458,6 +471,10 @@ func (c *Cache) miss(req mem.Request, block uint64, done mem.Done, retried bool)
 	m.waiters = append(m.waiters[:0], waiter{write: req.Write, done: done})
 	c.mshrActive = append(c.mshrActive, block)
 	c.mshrActiveIdx = append(c.mshrActiveIdx, idx)
+	c.mshrLow[uint8(block)]++
+	if check.Enabled {
+		c.auditMSHRLow()
+	}
 	c.mshrOcc.Observe(uint64(len(c.mshrActive)))
 
 	c.fillReq = req
@@ -516,6 +533,10 @@ func (c *Cache) fill(m *mshr) {
 	c.mshrActive = c.mshrActive[:last]
 	c.mshrActiveIdx = c.mshrActiveIdx[:last]
 	c.mshrFreeIdx = append(c.mshrFreeIdx, m.idx)
+	c.mshrLow[uint8(block)]--
+	if check.Enabled {
+		c.auditMSHRLow()
+	}
 	for i := range ws {
 		if ws[i].done != nil {
 			ws[i].done()
@@ -579,6 +600,17 @@ func (c *Cache) FlushPage(pageAddr uint64) int {
 		}
 	}
 	return wbs
+}
+
+// auditMSHRLow asserts under the invariants build that mshrLow equals a
+// recount of the active MSHRs' blocks.
+func (c *Cache) auditMSHRLow() {
+	var n [256]uint8
+	for _, b := range c.mshrActive {
+		n[uint8(b)]++
+	}
+	check.Assert(n == c.mshrLow, "cache %s: MSHR low-byte counts disagree with the %d active MSHRs",
+		c.cfg.Name, len(c.mshrActive))
 }
 
 // OutstandingMSHRs reports how many MSHRs are in use (for tests).

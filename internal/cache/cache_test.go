@@ -102,6 +102,41 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// TestCoalesceFilterCollisions: blocks k·256 share one count of the MSHR
+// coalesce filter, yet each misses into its own MSHR, and a repeat of one of
+// them coalesces, also after a colliding block's fill has lowered the count.
+func TestCoalesceFilterCollisions(t *testing.T) {
+	eng := sim.New()
+	c, lower := newTestCache(eng, 16, 2, 8)
+	block := func(k uint64) uint64 { return k * 256 * mem.BlockSize }
+	var done []*bool
+	done = append(done, read(eng, c, block(0)))
+	eng.Run(10)
+	done = append(done, read(eng, c, block(1)), read(eng, c, block(2)))
+	eng.Run(5)
+	if n := c.OutstandingMSHRs(); n != 3 {
+		t.Fatalf("%d MSHRs active for three colliding blocks, want 3", n)
+	}
+	if c.Stats().Coalesced != 0 {
+		t.Fatalf("colliding blocks coalesced %d times", c.Stats().Coalesced)
+	}
+	// Block 0 fills at cycle 52; blocks 1 and 2 are still in flight.
+	eng.Run(40)
+	if n := c.OutstandingMSHRs(); n != 2 {
+		t.Fatalf("%d MSHRs active after block 0's fill, want 2", n)
+	}
+	done = append(done, read(eng, c, block(1)+8), read(eng, c, block(3)))
+	for _, d := range done {
+		wait(t, eng, d)
+	}
+	if len(lower.reads) != 4 {
+		t.Fatalf("lower level read %d blocks, want 4", len(lower.reads))
+	}
+	if c.Stats().Coalesced != 1 {
+		t.Fatalf("coalesced = %d, want 1 (the repeat of block 256)", c.Stats().Coalesced)
+	}
+}
+
 func TestWritebackOnEviction(t *testing.T) {
 	eng := sim.New()
 	c, lower := newTestCache(eng, 1, 2, 4) // one set, 2 ways
@@ -212,15 +247,16 @@ func TestConfigSize(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	New(sim.New(), Config{Name: "wide", Sets: 4, Ways: maxWays}, nil)
+	New(sim.New(), Config{Name: "wide", Sets: 4, Ways: maxWays, MSHRs: maxMSHRs}, nil)
 	for _, cfg := range []Config{
-		{Name: "bad", Sets: 3, Ways: 1},           // sets not a power of two
-		{Name: "bad", Sets: 4, Ways: maxWays + 1}, // more ways than a recency order holds
+		{Name: "bad", Sets: 3, Ways: 1},                      // sets not a power of two
+		{Name: "bad", Sets: 4, Ways: maxWays + 1},            // more ways than a recency order holds
+		{Name: "bad", Sets: 4, Ways: 1, MSHRs: maxMSHRs + 1}, // more MSHRs than a filter count holds
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%d sets × %d ways did not panic", cfg.Sets, cfg.Ways)
+					t.Errorf("%d sets × %d ways, %d MSHRs did not panic", cfg.Sets, cfg.Ways, cfg.MSHRs)
 				}
 			}()
 			New(sim.New(), cfg, nil)

@@ -14,7 +14,10 @@
 // Representation: instructions are counted, not materialized. The ROB is the
 // window [retireSeq, insertSeq); only loads occupy slots in a fixed ring
 // (program order), so the per-cycle work and allocation are independent of
-// instruction count.
+// instruction count. An issued load also takes one of the core's MaxLoads
+// tokens, whose completion callback (built once in New) marks the load's
+// slot done and frees the token, so a core holds MaxLoads callbacks, not one
+// per ring slot.
 //
 // Stall accounting distinguishes:
 //   - OSBlocked: cycles the thread is suspended by an OS routine (the
@@ -98,10 +101,18 @@ type loadSlot struct {
 	done  bool
 	start uint64    // cycle the load issued (span envelope start)
 	probe mem.Probe // provenance tag; address is stable (fixed ring)
-	// doneFn is the slot's completion callback, built once in New (the
-	// ring is fixed, so the captured slot pointer stays valid). Reusing it
-	// keeps load issue allocation-free.
-	doneFn func()
+}
+
+// loadToken is one of a core's MaxLoads outstanding-load credits. Its
+// completion callback is built once in New: an issued load takes a free
+// token, records its ring slot in it and hands the callback to the port,
+// and the callback marks that slot done and frees the token. At most
+// MaxLoads loads are in flight, so MaxLoads callbacks serve the whole ring
+// and load issue stays allocation-free.
+type loadToken struct {
+	slot int        // ring index of the load this token serves
+	next *loadToken // free-list link
+	fn   func()
 }
 
 // Core is one simulated CPU. Register it as a sim.Ticker.
@@ -117,7 +128,8 @@ type Core struct {
 	loads     []loadSlot // ring, program order; cap = ROBSize
 	loadHead  int
 	loadCount int
-	inFlight  int // issued loads whose data has not returned
+	inFlight  int        // issued loads whose data has not returned
+	freeToks  *loadToken // idle tokens, a stack linked through next
 
 	gapLeft uint64
 	memOp   *workload.Op // fetched op whose memory access is not yet inserted
@@ -158,10 +170,18 @@ func New(id int, cfg Config, port MemPort, wl *workload.Stream) *Core {
 		wl:    wl,
 		loads: make([]loadSlot, cfg.ROBSize),
 	}
-	for i := range c.loads {
-		slot := &c.loads[i]
-		slot.doneFn = func() {
+	// Every load in flight also holds a ROB slot, so a ROB smaller than
+	// MaxLoads needs no more tokens than it has slots.
+	toks := make([]loadToken, min(cfg.MaxLoads, cfg.ROBSize))
+	for i := range toks {
+		t := &toks[i]
+		t.next = c.freeToks
+		c.freeToks = t
+		t.fn = func() {
+			slot := &c.loads[t.slot]
 			slot.done = true
+			t.next = c.freeToks
+			c.freeToks = t
 			c.inFlight--
 			if c.blockCount == 0 {
 				// A blocked thread's next Tick charges OSBlocked
@@ -320,12 +340,15 @@ func (c *Core) Tick(now uint64) {
 				// across cores and stable across same-seed runs.
 				slot.probe.SpanID = uint64(c.ID+1)<<40 | c.stats.Loads
 			}
+			t := c.freeToks
+			c.freeToks = t.next
+			t.slot = idx
 			c.loadCount++
 			c.inFlight++
 			c.insertSeq++
 			budget--
 			inserted++
-			c.port.Load(c.ID, op.Addr, &slot.probe, slot.doneFn)
+			c.port.Load(c.ID, op.Addr, &slot.probe, t.fn)
 			c.memOp = nil
 			continue
 		}

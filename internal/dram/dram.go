@@ -162,6 +162,7 @@ type bank struct {
 type channel struct {
 	idx       int // channel index within the device (trace labels)
 	queue     []*request
+	prio      int // queued requests of the priority class
 	busFreeAt uint64
 	inflight  int
 	banks     []bank
@@ -376,6 +377,9 @@ func (d *Device) enqueue(r *request, addr uint64, write bool, kind mem.Kind, pri
 	if len(c.queue) >= d.maxQueue {
 		d.stats.QueueFullRejects++
 	}
+	if priority {
+		c.prio++
+	}
 	c.queue = append(c.queue, r)
 	if c.inflight < d.cfg.InflightPerChannel {
 		d.ready |= 1 << ch
@@ -390,10 +394,12 @@ func (d *Device) enqueue(r *request, addr uint64, write bool, kind mem.Kind, pri
 // already left the queue.
 func (d *Device) Promote(addr uint64) bool {
 	ch, _, _ := d.mapAddr(addr)
+	c := &d.chans[ch]
 	block := mem.BlockAligned(addr)
-	for _, r := range d.chans[ch].queue {
+	for _, r := range c.queue {
 		if mem.BlockAligned(r.addr) == block && !r.priority {
 			r.priority = true
+			c.prio++
 			return true
 		}
 	}
@@ -442,35 +448,62 @@ func (d *Device) tickChannel(c *channel, now uint64) {
 		r := c.queue[idx]
 		c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
 		c.queue[:cap(c.queue)][len(c.queue)] = nil // drop the vacated slot's ref
+		if r.priority {
+			c.prio--
+		}
 		d.issue(c, r, now)
 	}
 	if check.Enabled {
 		check.Assert(c.inflight >= 0 && c.inflight <= d.cfg.InflightPerChannel,
 			"dram %s ch%d: inflight %d outside [0,%d]",
 			d.cfg.Name, c.idx, c.inflight, d.cfg.InflightPerChannel)
+		prio := 0
+		for _, r := range c.queue {
+			if r.priority {
+				prio++
+			}
+		}
+		check.Assert(c.prio == prio, "dram %s ch%d: priority count %d, but %d queued",
+			d.cfg.Name, c.idx, c.prio, prio)
 	}
 }
 
 // pick implements priority > row-hit > age selection (FR-FCFS with
-// critical-data-first), scanning the bounded channel queue.
+// critical-data-first): the oldest request of the highest score. The scan
+// stops at the first request whose score no queued request can beat, a
+// priority row hit while a priority request is queued and a row hit
+// otherwise, which is the first maximum a full scan would return.
 func (d *Device) pick(c *channel) int {
-	best := 0
-	bestScore := d.score(c, c.queue[0])
-	for i := 1; i < len(c.queue); i++ {
-		if s := d.score(c, c.queue[i]); s > bestScore {
+	top := scoreRowHit
+	if c.prio > 0 {
+		top = scorePriority + scoreRowHit
+	}
+	best, bestScore := 0, -1
+	for i, r := range c.queue {
+		s := d.score(c, r)
+		if s == top {
+			return i
+		}
+		if s > bestScore {
 			best, bestScore = i, s
 		}
 	}
 	return best
 }
 
+// pick's score weights: the priority class outranks any row hit.
+const (
+	scorePriority = 4
+	scoreRowHit   = 2
+)
+
 func (d *Device) score(c *channel, r *request) int {
 	s := 0
 	if r.priority {
-		s += 4
+		s += scorePriority
 	}
 	if c.banks[r.bank].openRow == int64(r.row) {
-		s += 2
+		s += scoreRowHit
 	}
 	return s
 }
